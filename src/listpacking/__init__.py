@@ -52,7 +52,6 @@ from listpacking.solver import (
     ResourceCapError,
     adversarial_cover_search,
     adversarial_list_search,
-    pack_by_peeling,
     packing_number,
     solve_list_packing,
     solve_packing,

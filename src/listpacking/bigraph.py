@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
+from listpacking.graphs import json_int
 
 Matching = frozenset[tuple[int, int]]
 
@@ -40,27 +41,37 @@ class Bigraph:
         return bool(self.rows[i] >> j & 1)
 
     def column_masks(self) -> tuple[int, ...]:
-        cols = [0] * self.s
-        for i, r in enumerate(self.rows):
-            m = r
-            while m:
-                low = m & -m
-                cols[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        return tuple(cols)
+        return tuple(_raw_column_masks(self.s, self.rows))
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i, r in enumerate(self.rows):
-            m = r
-            while m:
-                low = m & -m
-                out.append((i, low.bit_length() - 1))
-                m ^= low
-        return out
+        return [(i, j) for i, r in enumerate(self.rows) for j in bits(r)]
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows)
+
+
+def bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _raw_column_masks(s: int, rows) -> list[int]:
+    """The transpose of ``rows``: bit ``i`` of column ``j`` is bit ``j`` of row ``i``."""
+
+    cols = [0] * s
+    for i, r in enumerate(rows):
+        m = r
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return cols
 
 
 def bigraph_from_edges(s: int, edges) -> Bigraph:
@@ -89,11 +100,11 @@ def degree_profile(h: Bigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def is_st(h: Bigraph, s: int, t: int) -> bool:
     """True when the part size is ``s`` and the minimum degree is >= ``t``."""
 
-    if h.s != s:
-        return False
-    a, b = degree_profile(h)
-    lo = min(a[0], b[0]) if s else 0
-    return lo >= t
+    return (
+        h.s == s
+        and all(r.bit_count() >= t for r in h.rows)
+        and all(c.bit_count() >= t for c in h.column_masks())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +199,6 @@ def _raw_hall_violator(s: int, rows) -> tuple[int, int] | None:
     return best
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def hall_violator(h: Bigraph) -> tuple[frozenset[int], frozenset[int]] | None:
     """None when a 1-factor exists; otherwise the maximal-cardinality
     violator X (subset of A) together with N(X)."""
@@ -205,7 +207,7 @@ def hall_violator(h: Bigraph) -> tuple[frozenset[int], frozenset[int]] | None:
     if raw is None:
         return None
     x_mask, n_mask = raw
-    return _mask_to_set(x_mask), _mask_to_set(n_mask)
+    return frozenset(bits(x_mask)), frozenset(bits(n_mask))
 
 
 def one_factor_with(h: Bigraph, include: Matching = frozenset(), exclude=frozenset()) -> Matching | None:
@@ -232,12 +234,9 @@ def one_factor_with(h: Bigraph, include: Matching = frozenset(), exclude=frozens
     free_b = [j for j in range(h.s) if not used_b >> j & 1]
     b_pos = {j: p for p, j in enumerate(free_b)}
     for i in free_a:
-        m = rows[i] & ~used_b
         packed = 0
-        while m:
-            low = m & -m
-            packed |= 1 << b_pos[low.bit_length() - 1]
-            m ^= low
+        for j in bits(rows[i] & ~used_b):
+            packed |= 1 << b_pos[j]
         sub_rows.append(packed)
     k = len(free_a)
     if k == 0:
@@ -251,34 +250,50 @@ def one_factor_with(h: Bigraph, include: Matching = frozenset(), exclude=frozens
     return frozenset(pairs)
 
 
-def iter_one_factors(h: Bigraph, exclude=frozenset()) -> Iterator[tuple[int, ...]]:
+def _raw_one_factors(s: int, rows) -> Iterator[tuple[int, ...]]:
     """Yield 1-factors as tuples ``cols`` with ``cols[i]`` = the B-vertex
     matched to ``a_i``, in lexicographic order of that tuple."""
 
-    excl_rows = list(h.rows)
-    for i, j in exclude:
-        excl_rows[i] &= ~(1 << j)
-    s = h.s
     cols = [0] * s
 
     def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
         if i == s:
             yield tuple(cols)
             return
-        # cheap feasibility: every remaining row must still have options
+        # cheap feasibility: every later row must still have options
         avail = ~used
-        for r in range(i, s):
-            if not excl_rows[r] & avail:
+        for r in range(i + 1, s):
+            if not rows[r] & avail:
                 return
-        m = excl_rows[i] & avail
+        m = rows[i] & avail
         while m:
             low = m & -m
-            j = low.bit_length() - 1
+            cols[i] = low.bit_length() - 1
             m ^= low
-            cols[i] = j
             yield from rec(i + 1, used | low)
 
     yield from rec(0, 0)
+
+
+def iter_one_factors(h: Bigraph, exclude=frozenset()) -> Iterator[tuple[int, ...]]:
+    """The 1-factors of h avoiding every ``exclude`` edge, as
+    :func:`_raw_one_factors` yields them."""
+
+    rows = list(h.rows)
+    for i, j in exclude:
+        rows[i] &= ~(1 << j)
+    yield from _raw_one_factors(h.s, rows)
+
+
+def _invert(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a 1-factor: entry ``j`` is the A-vertex matched to
+    ``b_j``.  With colors as A and colorings as B, this is the per-coloring
+    color tuple a packing stores."""
+
+    out = [0] * len(cols)
+    for i, j in enumerate(cols):
+        out[j] = i
+    return tuple(out)
 
 
 def count_one_factors(h: Bigraph) -> int:
@@ -313,12 +328,11 @@ def count_one_factors(h: Bigraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _raw_allowed_columns(s: int, rows, match_a) -> list[int]:
-    """For each a_i, the bitmask of B-vertices j such that edge (i, j) lies
-    in at least one 1-factor.  Requires a perfect matching ``match_a``."""
+def _condensation(s: int, rows, match_a) -> tuple[list[int], list[int], list[int]]:
+    """Condense to a digraph on A-vertices: i -> i' when a_i has a
+    non-matching edge into the b matched with a_i'.  Requires a perfect
+    matching ``match_a``; returns (successor masks, match_of_b, SCC ids)."""
 
-    # Condense to a digraph on A-vertices: i -> i' when a_i has a
-    # non-matching edge into the b matched with a_i'.
     succ = [0] * s
     match_b = [0] * s
     for i, j in enumerate(match_a):
@@ -331,8 +345,14 @@ def _raw_allowed_columns(s: int, rows, match_a) -> list[int]:
             out |= 1 << match_b[low.bit_length() - 1]
             m ^= low
         succ[i] = out
+    return succ, match_b, _scc(s, succ)
 
-    comp = _scc(s, succ)
+
+def _raw_allowed_columns(s: int, rows, match_a) -> list[int]:
+    """For each a_i, the bitmask of B-vertices j such that edge (i, j) lies
+    in at least one 1-factor.  Requires a perfect matching ``match_a``."""
+
+    _, match_b, comp = _condensation(s, rows, match_a)
     allowed = [0] * s
     for i in range(s):
         mask = 1 << match_a[i]
@@ -403,14 +423,7 @@ def allowed_edges(h: Bigraph) -> Matching | None:
     if any(j < 0 for j in match_a):
         return None
     allowed = _raw_allowed_columns(h.s, h.rows, match_a)
-    out = set()
-    for i, mask in enumerate(allowed):
-        m = mask
-        while m:
-            low = m & -m
-            out.add((i, low.bit_length() - 1))
-            m ^= low
-    return frozenset(out)
+    return frozenset((i, j) for i, mask in enumerate(allowed) for j in bits(mask))
 
 
 def removable_edges(h: Bigraph, m: Matching) -> Matching:
@@ -424,34 +437,12 @@ def removable_edges(h: Bigraph, m: Matching) -> Matching:
         if not h.has_edge(i, j):
             raise ValueError(f"pair {(i, j)} is not an edge of h")
         match_a[i] = j
-    succ = [0] * h.s
-    match_b = [0] * h.s
-    for i, j in enumerate(match_a):
-        match_b[j] = i
-    for i in range(h.s):
-        mm = h.rows[i] & ~(1 << match_a[i])
-        out = 0
-        while mm:
-            low = mm & -mm
-            out |= 1 << match_b[low.bit_length() - 1]
-            mm ^= low
-        succ[i] = out
-    comp = _scc(h.s, succ)
+    succ, _, comp = _condensation(h.s, h.rows, match_a)
     # matching edge (i, match_a[i]) is avoidable iff i lies on a cycle of the
     # condensed digraph, i.e. shares a component with one of its successors.
-    out_pairs = set()
-    for i, j in enumerate(match_a):
-        mm = succ[i]
-        ok = False
-        while mm:
-            low = mm & -mm
-            if comp[low.bit_length() - 1] == comp[i]:
-                ok = True
-                break
-            mm ^= low
-        if ok:
-            out_pairs.add((i, j))
-    return frozenset(out_pairs)
+    return frozenset(
+        (i, j) for i, j in enumerate(match_a) if any(comp[w] == comp[i] for w in bits(succ[i]))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +497,14 @@ def _find_type(rows, otype: int) -> Obstruction | None:
         for comb in combinations(range(s), 5):
             n = _neighborhood(rows, comb)
             if n.bit_count() == 3:
-                return Obstruction("A", frozenset(comb), _mask_to_set(n), 1)
+                return Obstruction("A", frozenset(comb), frozenset(bits(n)), 1)
         return None
     for comb in combinations(range(s), 4):
         n = _neighborhood(rows, comb)
         if n.bit_count() != 3:
             continue
         if otype == 4:
-            return Obstruction("A", frozenset(comb), _mask_to_set(n), 4)
+            return Obstruction("A", frozenset(comb), frozenset(bits(n)), 4)
         want = 1 if otype == 2 else 2
         inside = set(comb)
         for x1 in range(s):
@@ -522,15 +513,10 @@ def _find_type(rows, otype: int) -> Obstruction | None:
             outside = rows[x1] & ~n
             if outside.bit_count() != want:
                 continue
-            bits = []
-            m = outside
-            while m:
-                low = m & -m
-                bits.append(low.bit_length() - 1)
-                m ^= low
-            e1 = (x1, bits[0])
-            e2 = (x1, bits[1]) if otype == 3 else None
-            return Obstruction("A", frozenset(comb), _mask_to_set(n), otype, x1, e1, e2)
+            cols = bits(outside)
+            e1 = (x1, cols[0])
+            e2 = (x1, cols[1]) if otype == 3 else None
+            return Obstruction("A", frozenset(comb), frozenset(bits(n)), otype, x1, e1, e2)
     return None
 
 
@@ -547,7 +533,7 @@ def classify_obstruction(h: Bigraph) -> Obstruction | None:
         raise ValueError("classification is specific to part size 8")
     if has_one_factor(h):
         return None
-    sides = (("A", h.rows), ("B", Bigraph(8, h.column_masks()).rows))
+    sides = (("A", h.rows), ("B", swap(h).rows))
     for otype in (1, 2, 3, 4):
         for side, rows in sides:
             found = _find_type(rows, otype)
@@ -569,11 +555,10 @@ def bigraph_to_json(h: Bigraph) -> dict:
 
 def bigraph_from_json(obj: dict) -> Bigraph:
     try:
-        s = int(obj["s"])
+        s = json_int(obj["s"])
+        if "rows" in obj:
+            return Bigraph(s, tuple(json_int(r) for r in obj["rows"]))
+        edges = [(json_int(i), json_int(j)) for i, j in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed bigraph JSON: {exc}") from exc
-    if "rows" in obj:
-        return Bigraph(s, tuple(int(r) for r in obj["rows"]))
-    if "edges" in obj:
-        return bigraph_from_edges(s, [(int(i), int(j)) for i, j in obj["edges"]])
-    raise ValueError("bigraph JSON needs 'rows' or 'edges'")
+        raise ValueError(f"malformed bigraph JSON (needs 's' and 'rows' or 'edges'): {exc}") from exc
+    return bigraph_from_edges(s, edges)

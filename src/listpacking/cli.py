@@ -4,7 +4,7 @@ All results are emitted as pretty-printed JSON with sorted keys, so output
 is byte-identical for identical inputs and seeds; timing is written to
 stderr only.  Exit codes: 0 success / verified / packing found; 1 witness
 found / no packing / counterexample; 2 input error; 3 resource cap
-exceeded.
+exceeded; 4 internal error (a result failed the library's own validation).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _read_json(path: str):
@@ -137,7 +138,6 @@ def _cmd_pack(args) -> int:
     outcome = pack_constructive(cover, args.regime, budget=args.budget)
     payload = {
         "regime": args.regime,
-        "seed": args.seed,
         "success": outcome.success,
         "reason": outcome.reason,
         "packing": covers.packing_to_json(outcome.packing) if outcome.packing else None,
@@ -177,7 +177,8 @@ wire formats (all emitted with sorted keys):
   lists    {"k": 2, "graph": <graph>, "lists": {"0": [1,2], ...}}
   packing  {"k": 2, "assign": {"0": [c1,c2], ...}}  (entry j = coloring j)
 exit codes: 0 ok / verified / packing; 1 witness / none / counterexample;
-2 input error; 3 resource cap exceeded (emits {"status": "resource"}).
+2 input error; 3 resource cap exceeded (emits {"status": "resource"});
+4 internal error (a result failed self-validation; details on stderr).
 """
 
 
@@ -242,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="constructive delete/recurse/repair packer")
     p.add_argument("--regime", choices=sorted(REGIME_K), required=True)
     p.add_argument("--cover", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=2)
     p.add_argument("--trace", help="write the repair trace to this file")
     p.add_argument("--out")
@@ -275,6 +275,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

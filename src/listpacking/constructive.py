@@ -25,6 +25,7 @@ from itertools import combinations
 
 from listpacking.bigraph import (
     Bigraph,
+    _invert,
     classify_obstruction,
     hall_violator,
     has_one_factor,
@@ -184,16 +185,6 @@ def find_reduction(g: Graph, regime: str, active: frozenset[int] | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def _factor_to_columns(k: int, cols: tuple[int, ...]) -> tuple[int, ...]:
-    """Convert a 1-factor (value index -> coloring index) to the per-coloring
-    value tuple a packing stores."""
-
-    out = [0] * k
-    for value, coloring in enumerate(cols):
-        out[coloring] = value
-    return tuple(out)
-
-
 def _extend_frontier(
     cover: CorrespondenceCover,
     packing: Packing,
@@ -208,7 +199,7 @@ def _extend_frontier(
     h = extension_bigraph(cover, packing, v)
     for cols in iter_one_factors(h):
         counter[0] += 1
-        packing.assign[v] = _factor_to_columns(cover.k, cols)
+        packing.assign[v] = _invert(cols)
         if _extend_frontier(cover, packing, rest, counter):
             return True
         del packing.assign[v]
@@ -341,7 +332,7 @@ def extend_with_repair(
             del work.assign[z]
             h_z = extension_bigraph(cover, work, z)
             for cols in _candidate_factors(h_z, targeted_for(z), enum_cap):
-                work.assign[z] = _factor_to_columns(cover.k, cols)
+                work.assign[z] = _invert(cols)
                 if _extend_frontier(cover, work, frontier, counter):
                     record((z,), 1, True)
                     return work
@@ -355,13 +346,13 @@ def extend_with_repair(
             h1 = extension_bigraph(cover, work, z1)
             produced = 0
             for cols1 in iter_one_factors(h1):
-                work.assign[z1] = _factor_to_columns(cover.k, cols1)
+                work.assign[z1] = _invert(cols1)
                 h2 = extension_bigraph(cover, work, z2)
                 for cols2 in _candidate_factors(h2, targeted_for(z2), enum_cap):
                     produced += 1
                     if produced > enum_cap:
                         break
-                    work.assign[z2] = _factor_to_columns(cover.k, cols2)
+                    work.assign[z2] = _invert(cols2)
                     if _extend_frontier(cover, work, frontier, counter):
                         record((z1, z2), 2, True)
                         return work

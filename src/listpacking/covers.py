@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from listpacking.bigraph import Bigraph
-from listpacking.graphs import Graph, graph_from_json, graph_to_json
+from listpacking.graphs import (
+    Graph,
+    UnionFind,
+    forest_walk,
+    graph_from_edges,
+    graph_from_json,
+    graph_to_json,
+    json_int,
+)
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,8 @@ class ListAssignment:
     lists: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("list assignments need k >= 1")
         if len(self.lists) != self.graph.n:
             raise ValueError("need one list per vertex")
         for v, colors in enumerate(self.lists):
@@ -138,12 +148,6 @@ class Packing:
     k: int
     assign: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def packed(self) -> set[int]:
-        return set(self.assign)
-
-    def is_complete(self, graph: Graph) -> bool:
-        return len(self.assign) == graph.n and all(v in self.assign for v in range(graph.n))
-
     def copy(self) -> "Packing":
         return Packing(self.k, dict(self.assign))
 
@@ -163,25 +167,19 @@ class Check:
 # ---------------------------------------------------------------------------
 
 
-def _check_forest(graph: Graph, tree_edges) -> list[tuple[int, int]]:
+def _check_forest(graph: Graph, tree_edges) -> Graph:
+    """The forest ``tree_edges`` as a spanning subgraph of ``graph``;
+    ValueError when an edge is not in ``graph`` or closes a cycle."""
+
+    uf = UnionFind(graph.n)
     edges = []
-    parent = list(range(graph.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in tree_edges:
         if not graph.has_edge(u, v):
             raise ValueError(f"tree edge {(u, v)} is not in the graph")
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if not uf.union(u, v):
             raise ValueError("tree edge set contains a cycle")
-        parent[ru] = rv
-        edges.append((u, v) if u < v else (v, u))
-    return edges
+        edges.append((u, v))
+    return graph_from_edges(graph.n, edges)
 
 
 def straighten(cover: CorrespondenceCover, tree_edges) -> tuple[CorrespondenceCover, dict[int, Perm]]:
@@ -192,31 +190,12 @@ def straighten(cover: CorrespondenceCover, tree_edges) -> tuple[CorrespondenceCo
     exactly when v |-> rho_v(phi(v)) columnwise is a packing of the result.
     """
 
-    edges = _check_forest(cover.graph, tree_edges)
     g = cover.graph
     ident = Perm.identity(cover.k)
     rho: dict[int, Perm] = {v: ident for v in range(g.n)}
-    tree_adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        tree_adj.setdefault(u, []).append(v)
-        tree_adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    for root in sorted(tree_adj):
-        if root in seen:
-            continue
-        seen.add(root)
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in sorted(tree_adj[u]):
-                    if v in seen:
-                        continue
-                    seen.add(v)
-                    # make the u->v constraint the identity after relabeling
-                    rho[v] = rho[u].after(cover.perm_along(u, v).inverse())
-                    nxt.append(v)
-            frontier = nxt
+    for u, v in forest_walk(_check_forest(g, tree_edges)):
+        # make the u->v constraint the identity after relabeling
+        rho[v] = rho[u].after(cover.perm_along(u, v).inverse())
     new_arcs = {
         (u, v): rho[v].after(perm).after(rho[u].inverse()) for (u, v), perm in cover.arcs.items()
     }
@@ -356,23 +335,6 @@ def validate_packing(cover: CorrespondenceCover, packing: Packing) -> Check:
     return Check(not bad, tuple(bad))
 
 
-def validate_partial_packing(cover: CorrespondenceCover, packing: Packing) -> Check:
-    """Like :func:`validate_packing` but only over packed vertices."""
-
-    bad: list[str] = []
-    for v, colors in packing.assign.items():
-        if len(set(colors)) != cover.k or any(not 0 <= c < cover.k for c in colors):
-            bad.append(f"vertex {v}: malformed column")
-    for (u, v), perm in cover.arcs.items():
-        cu, cv = packing.assign.get(u), packing.assign.get(v)
-        if cu is None or cv is None:
-            continue
-        for j in range(cover.k):
-            if perm(cu[j]) == cv[j]:
-                bad.append(f"arc ({u},{v}) coloring {j}: constraint violated")
-    return Check(not bad, tuple(bad))
-
-
 def validate_list_packing(la: ListAssignment, packing: Packing) -> Check:
     """Each coloring is a proper coloring from the lists, and per vertex the
     k colorings use k distinct colors."""
@@ -420,9 +382,9 @@ def cover_to_json(cover: CorrespondenceCover) -> dict:
 def cover_from_json(obj: dict) -> CorrespondenceCover:
     try:
         g = graph_from_json(obj["graph"])
-        k = int(obj["k"])
+        k = json_int(obj["k"])
         arcs = {
-            (int(a["u"]), int(a["v"])): Perm(tuple(int(x) for x in a["perm"]))
+            (json_int(a["u"]), json_int(a["v"])): Perm(tuple(json_int(x) for x in a["perm"]))
             for a in obj["arcs"]
         }
     except (KeyError, TypeError, ValueError) as exc:
@@ -440,9 +402,9 @@ def list_assignment_to_json(la: ListAssignment) -> dict:
 
 def list_assignment_from_json(obj: dict) -> ListAssignment:
     try:
-        k = int(obj["k"])
+        k = json_int(obj["k"])
         g = graph_from_json(obj["graph"])
-        lists = [tuple(sorted(int(c) for c in obj["lists"][str(v)])) for v in range(g.n)]
+        lists = [tuple(sorted(json_int(c) for c in obj["lists"][str(v)])) for v in range(g.n)]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed list-assignment JSON: {exc}") from exc
     return ListAssignment(g, k, tuple(lists))
@@ -457,8 +419,8 @@ def packing_to_json(packing: Packing) -> dict:
 
 def packing_from_json(obj: dict) -> Packing:
     try:
-        k = int(obj["k"])
-        assign = {int(v): tuple(int(c) for c in colors) for v, colors in obj["assign"].items()}
+        k = json_int(obj["k"])
+        assign = {int(v): tuple(json_int(c) for c in colors) for v, colors in obj["assign"].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed packing JSON: {exc}") from exc
     return Packing(k, assign)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -249,6 +249,62 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     return d, tuple(order)
 
 
+def forest_walk(g: Graph) -> Iterator[tuple[int, int]]:
+    """Breadth-first spanning forest of g as (parent, child) pairs in
+    discovery order: roots ascending, neighbors ascending, frontier by
+    frontier."""
+
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.adjacency[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        yield u, v
+                        nxt.append(v)
+            frontier = nxt
+
+
+class UnionFind:
+    """Disjoint sets over ``0..n-1`` with undo: no path compression, so
+    :meth:`rollback` can restore any earlier :meth:`mark`."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.trail: list[int] = []
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they were already one."""
+
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra > rb:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.trail.append(rb)
+        return True
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def rollback(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            x = self.trail.pop()
+            self.parent[x] = x
+
+
 def _mad_exhaustive(g: Graph) -> Fraction:
     """Exact densest induced subgraph by subset dynamic programming (n <= 20)."""
 
@@ -401,14 +457,23 @@ def find_light_triangle(g: Graph, max_sum: int = 17) -> tuple[int, int, int] | N
 # ---------------------------------------------------------------------------
 
 
+def json_int(x) -> int:
+    """``x`` itself when it is a JSON integer; anything else (a float, a
+    string, a boolean) raises ValueError instead of being coerced."""
+
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
 def graph_from_json(obj: dict) -> Graph:
     try:
-        n = int(obj["n"])
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
+        n = json_int(obj["n"])
+        edges = [(json_int(u), json_int(v)) for u, v in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     return graph_from_edges(n, edges)

@@ -22,13 +22,19 @@ from typing import Callable, Iterator
 
 from listpacking.bigraph import (
     Bigraph,
+    _neighborhood,
+    _raw_column_masks,
+    _raw_has_one_factor,
     allowed_edges,
     bigraph_to_json,
+    bits,
     classify_obstruction,
+    degree_profile,
     has_one_factor,
+    is_st,
     max_matching,
     removable_edges,
-    _raw_has_one_factor,
+    swap,
 )
 from listpacking.covers import CorrespondenceCover, Perm
 from listpacking.graphs import graph_from_edges
@@ -83,13 +89,7 @@ def _repair_min_degree(rng: random.Random, s: int, rows: list[int], t: int) -> l
         while rows[i].bit_count() < t:
             rows[i] |= 1 << rng.randrange(s)
     while True:
-        cols = [0] * s
-        for i in range(s):
-            m = rows[i]
-            while m:
-                low = m & -m
-                cols[low.bit_length() - 1] |= 1 << i
-                m ^= low
+        cols = _raw_column_masks(s, rows)
         weak = [j for j in range(s) if cols[j].bit_count() < t]
         if not weak:
             return rows
@@ -263,11 +263,6 @@ def shrink_bigraph(
     return h
 
 
-def _is_st_rows(h: Bigraph, t: int) -> bool:
-    cols = h.column_masks()
-    return all(r.bit_count() >= t for r in h.rows) and all(c.bit_count() >= t for c in cols)
-
-
 def _counterexample(h: Bigraph, note: str, precondition, still_fails) -> dict:
     shrunk = shrink_bigraph(h, precondition, still_fails)
     return {"note": note, "instance": bigraph_to_json(h), "shrunk": bigraph_to_json(shrunk)}
@@ -308,7 +303,7 @@ def _trial_easy_prop(rng: random.Random) -> TrialResult:
     t = rng.choice((3, 4))
     h = random_st_bigraph(rng, 2 * t, t)
     if not has_one_factor(h):
-        pre = lambda b: _is_st_rows(b, t)
+        pre = lambda b: is_st(b, 2 * t, t)
         return False, _counterexample(h, f"(2t,t)-bigraph t={t} without 1-factor", pre, lambda b: not has_one_factor(b)), None
     # violator size bounds on a looser instance
     s, t2 = rng.choice(((5, 2), (6, 2), (7, 3), (8, 3)))
@@ -317,11 +312,8 @@ def _trial_easy_prop(rng: random.Random) -> TrialResult:
         if t2 + 1 <= size <= s - t2:
             continue
         for comb in combinations(range(s), size):
-            n = 0
-            for i in comb:
-                n |= h2.rows[i]
-            if n.bit_count() < size:
-                pre = lambda b: _is_st_rows(b, t2)
+            if _neighborhood(h2.rows, comb).bit_count() < size:
+                pre = lambda b: is_st(b, s, t2)
                 return False, _counterexample(h2, f"violator of size {size} outside bounds in ({s},{t2})-bigraph", pre, lambda b: False), None
     return True, None, None
 
@@ -331,7 +323,7 @@ def _exhaustive_easy_prop() -> Iterator[TrialResult]:
         if has_one_factor(h):
             yield True, None, None
         else:
-            pre = lambda b: _is_st_rows(b, 2)
+            pre = lambda b: is_st(b, 4, 2)
             yield False, _counterexample(h, "(4,2)-bigraph without 1-factor", pre, lambda b: not has_one_factor(b)), None
 
 
@@ -340,7 +332,7 @@ def _trial_matching_lem_1(rng: random.Random) -> TrialResult:
     h = random_st_bigraph(rng, 2 * k + 1, k + 1)
     allowed = allowed_edges(h)
     if allowed is None:
-        return False, _counterexample(h, f"(2k+1,k+1)-bigraph k={k} without 1-factor", lambda b: _is_st_rows(b, k + 1), lambda b: not has_one_factor(b)), None
+        return False, _counterexample(h, f"(2k+1,k+1)-bigraph k={k} without 1-factor", lambda b: is_st(b, 2 * k + 1, k + 1), lambda b: not has_one_factor(b)), None
     if allowed != frozenset(h.edges()):
         missing = sorted(set(h.edges()) - allowed)
         return (
@@ -348,7 +340,7 @@ def _trial_matching_lem_1(rng: random.Random) -> TrialResult:
             _counterexample(
                 h,
                 f"edges in no 1-factor: {missing}",
-                lambda b: _is_st_rows(b, k + 1),
+                lambda b: is_st(b, 2 * k + 1, k + 1),
                 lambda b: (allowed_edges(b) or frozenset()) != frozenset(b.edges()),
             ),
             None,
@@ -383,9 +375,7 @@ def _trial_matching_lem_2(rng: random.Random) -> TrialResult:
     # exhaustive witness search for the complete-bipartite split
     splits = []
     for comb in combinations(range(s), k + 1):
-        n = 0
-        for i in comb:
-            n |= h.rows[i]
+        n = _neighborhood(h.rows, comb)
         if n.bit_count() <= k:
             splits.append((comb, n))
     ok = len(splits) == 1
@@ -398,11 +388,7 @@ def _trial_matching_lem_2(rng: random.Random) -> TrialResult:
             ok = ok and h.rows[i] == n
         cols = h.column_masks()
         x_mask = _mask_of(comb)
-        mm = y_mask
-        while mm and ok:
-            low = mm & -mm
-            ok = cols[low.bit_length() - 1] == ((1 << s) - 1) & ~x_mask
-            mm ^= low
+        ok = ok and all(cols[j] == ((1 << s) - 1) & ~x_mask for j in bits(y_mask))
     if not ok:
         return (
             False,
@@ -432,7 +418,7 @@ def _trial_one_gives_two(rng: random.Random) -> TrialResult:
             _counterexample(
                 h,
                 f"{exceptional} A-vertices lack two usable incident edges",
-                lambda b: _is_st_rows(b, k) and has_one_factor(b),
+                lambda b: is_st(b, 2 * k + 1, k) and has_one_factor(b),
                 lambda b: sum(1 for i in range(b.s) if sum(1 for e in (allowed_edges(b) or ()) if e[0] == i) < 2) > 1,
             ),
             None,
@@ -444,7 +430,7 @@ def _exhaustive_canalwaysswap() -> Iterator[TrialResult]:
     for h in _iter_4x4(2):
         allowed = allowed_edges(h)
         if allowed is None:
-            yield False, _counterexample(h, "(4,2)-bigraph without 1-factor", lambda b: _is_st_rows(b, 2), lambda b: not has_one_factor(b)), None
+            yield False, _counterexample(h, "(4,2)-bigraph without 1-factor", lambda b: is_st(b, 4, 2), lambda b: not has_one_factor(b)), None
             continue
         count_a = [0] * 4
         count_b = [0] * 4
@@ -457,7 +443,7 @@ def _exhaustive_canalwaysswap() -> Iterator[TrialResult]:
                 _counterexample(
                     h,
                     "vertex with fewer than two usable incident edges",
-                    lambda b: _is_st_rows(b, 2),
+                    lambda b: is_st(b, 4, 2),
                     lambda b: (lambda al: al is None or min(
                         min(sum(1 for e in al if e[0] == v) for v in range(4)),
                         min(sum(1 for e in al if e[1] == v) for v in range(4)),
@@ -506,7 +492,7 @@ def _exhaustive_girth5_condition() -> Iterator[TrialResult]:
                 _counterexample(
                     h,
                     "no 1-factor and no shared-degree-1 pair",
-                    lambda b: _is_st_rows(b, 1),
+                    lambda b: is_st(b, 4, 1),
                     lambda b: not _girth5_exception(b) and not has_one_factor(b),
                 ),
                 None,
@@ -527,9 +513,7 @@ def _second_same_type(h: Bigraph, obs) -> bool:
     for comb in combinations(range(8), size):
         if frozenset(comb) == obs.x:
             continue
-        n = 0
-        for i in comb:
-            n |= rows[i]
+        n = _neighborhood(rows, comb)
         if n.bit_count() != 3:
             continue
         if obs.otype == 1 and size == 5:
@@ -548,7 +532,7 @@ def _second_same_type(h: Bigraph, obs) -> bool:
 def _trial_type_prop(rng: random.Random) -> TrialResult:
     otype = rng.randrange(1, 5)
     inst = planted_obstruction(rng, otype)
-    h = inst.h if rng.random() < 0.5 else Bigraph(8, inst.h.column_masks())
+    h = inst.h if rng.random() < 0.5 else swap(inst.h)
     if has_one_factor(h):
         return False, {"note": "planted no-factor instance has a 1-factor", "instance": bigraph_to_json(h)}, None
     try:
@@ -557,20 +541,17 @@ def _trial_type_prop(rng: random.Random) -> TrialResult:
         return False, {"note": f"classification failed: {exc}", "instance": bigraph_to_json(h)}, None
     assert obs is not None
     rows = h.rows if obs.side == "A" else h.column_masks()
-    n = 0
-    for i in obs.x:
-        n |= rows[i]
+    n = _neighborhood(rows, obs.x)
     sizes_ok = (len(obs.x), n.bit_count()) == ((5, 3) if obs.otype == 1 else (4, 3))
-    if not sizes_ok or frozenset(_bits(n)) != obs.nbhd:
+    if not sizes_ok or frozenset(bits(n)) != obs.nbhd:
         return False, {"note": "classified obstruction fails its own cardinalities", "instance": bigraph_to_json(h), "obstruction": obs.as_json()}, None
     if obs.otype in (2, 3):
         want = 1 if obs.otype == 2 else 2
         if obs.x1 is None or (rows[obs.x1] & ~n).bit_count() != want:
             return False, {"note": "typed witness vertex fails its degree condition", "instance": bigraph_to_json(h), "obstruction": obs.as_json()}, None
     if obs.otype in (1, 2):
-        flipped = Bigraph(8, h.column_masks())
         try:
-            obs2 = classify_obstruction(flipped)
+            obs2 = classify_obstruction(swap(h))
         except ValueError:
             obs2 = None
         if obs2 is None or obs2.otype != obs.otype:
@@ -581,15 +562,6 @@ def _trial_type_prop(rng: random.Random) -> TrialResult:
     return True, None, warning
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _profile_positions(h: Bigraph) -> tuple[list[int], list[int]]:
     a_sorted = sorted(range(8), key=lambda i: (h.rows[i].bit_count(), i))
     cols = h.column_masks()
@@ -598,7 +570,7 @@ def _profile_positions(h: Bigraph) -> tuple[list[int], list[int]]:
 
 
 def _meets_profile(h: Bigraph, mins: tuple[int, ...]) -> bool:
-    a, b = (sorted(r.bit_count() for r in h.rows), sorted(c.bit_count() for c in h.column_masks()))
+    a, b = degree_profile(h)
     return all(x >= m for x, m in zip(a, mins)) and all(x >= m for x, m in zip(b, mins))
 
 
@@ -606,13 +578,8 @@ def _tight_block(h: Bigraph) -> bool:
     """Do the four lowest-degree vertices of one part see only 3 vertices?"""
 
     a_sorted, b_sorted = _profile_positions(h)
-    n_a = 0
-    for i in a_sorted[:4]:
-        n_a |= h.rows[i]
-    cols = h.column_masks()
-    n_b = 0
-    for j in b_sorted[:4]:
-        n_b |= cols[j]
+    n_a = _neighborhood(h.rows, a_sorted[:4])
+    n_b = _neighborhood(h.column_masks(), b_sorted[:4])
     return n_a.bit_count() == 3 or n_b.bit_count() == 3
 
 
@@ -678,11 +645,11 @@ def _switcher_trial(rng: random.Random, otype: int) -> TrialResult:
         add = required + extra_add
         remove = [p for p in _random_matching(rng, 8, rng.randrange(0, 9)) if p not in add]
         h2 = _apply_matchings(h, add, remove)
-        if _is_st_rows(h2, 3):
+        if is_st(h2, 8, 3):
             break
     else:
         h2 = _apply_matchings(h, required, [])
-        if not _is_st_rows(h2, 3):
+        if not is_st(h2, 8, 3):
             return True, None, "could not build a min-degree-3 exchanged instance"
     if not has_one_factor(h2):
         return (
@@ -713,7 +680,7 @@ def _trial_switcher_simple(rng: random.Random) -> TrialResult:
             _counterexample(
                 h,
                 f"only {len(rem)} removable 1-factor edges",
-                lambda b: _is_st_rows(b, 3) and has_one_factor(b),
+                lambda b: is_st(b, 8, 3) and has_one_factor(b),
                 lambda b: has_one_factor(b) and len(removable_edges(b, max_matching(b))) < 6,
             ),
             None,
@@ -728,10 +695,7 @@ def _trial_switcher_double(rng: random.Random, k: int) -> TrialResult:
     x = inst.decorations["x"]
     tilde = inst.decorations["tilde"]
     # targets live in B minus the neighborhood taken without the tilde edge
-    h_minus = _apply_matchings(h, [], tilde)
-    n_mask = 0
-    for i in x:
-        n_mask |= h_minus.rows[i]
+    n_mask = _neighborhood(_apply_matchings(h, [], tilde).rows, x)
     targets = [j for j in range(s) if not n_mask >> j & 1]
     src = rng.sample(x, 2)
     dst = rng.sample(targets, 2)
@@ -742,11 +706,11 @@ def _trial_switcher_double(rng: random.Random, k: int) -> TrialResult:
         r1 = [p for p in _random_matching(rng, s, rng.randrange(0, s)) if p not in a1 and p not in a2]
         r2 = [p for p in _random_matching(rng, s, rng.randrange(0, s)) if p not in a1 and p not in a2]
         h2 = _apply_matchings(_apply_matchings(h, a1, r1), a2, r2)
-        if _is_st_rows(h2, k - 1):
+        if is_st(h2, s, k - 1):
             break
     else:
         h2 = _apply_matchings(h, required, [])
-        if not _is_st_rows(h2, k - 1):
+        if not is_st(h2, s, k - 1):
             return True, None, "could not build a min-degree exchanged instance"
     if not has_one_factor(h2):
         return (

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
-from listpacking.bigraph import _raw_max_matching
+from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors
 from listpacking.covers import (
     CorrespondenceCover,
     ListAssignment,
@@ -30,7 +30,7 @@ from listpacking.covers import (
     Perm,
     validate_packing,
 )
-from listpacking.graphs import Graph, degeneracy
+from listpacking.graphs import Graph, UnionFind, degeneracy, forest_walk
 
 
 class ResourceCapError(RuntimeError):
@@ -67,32 +67,6 @@ def _rows_for(v: int, k: int, adj: Sequence[Sequence[int]], maps, assign) -> lis
     return rows
 
 
-def _iter_row_factors(k: int, rows: list[int]) -> Iterator[tuple[int, ...]]:
-    """Yield per-column values: out[j] = the row assigned to column j."""
-
-    cols = [0] * k
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            out = [0] * k
-            for row, col in enumerate(cols):
-                out[col] = row
-            yield tuple(out)
-            return
-        avail = ~used
-        for r in range(i + 1, k):
-            if not rows[r] & avail:
-                return
-        m = rows[i] & avail
-        while m:
-            low = m & -m
-            cols[i] = low.bit_length() - 1
-            m ^= low
-            yield from rec(i + 1, used | low)
-
-    yield from rec(0, 0)
-
-
 def _core_solve(
     g: Graph,
     k: int,
@@ -113,26 +87,21 @@ def _core_solve(
     adj = g.adjacency
     assign: list[tuple[int, ...] | None] = [None] * n
 
-    def viable(v: int) -> bool:
-        rows = _rows_for(v, k, adj, maps, assign)
-        for r in rows:
-            if not r:
-                return False
-        return all(x >= 0 for x in _raw_max_matching(k, rows))
-
     def rec(idx: int) -> bool:
         if idx == n:
             return True
         v = order[idx]
         rows = _rows_for(v, k, adj, maps, assign)
-        for choice in _iter_row_factors(k, rows):
-            assign[v] = choice
+        for cols in _raw_one_factors(k, rows):
+            assign[v] = _invert(cols)
             # unpacked vertices are exactly order[idx+1:]; only those with a
             # packed neighbor can have lost options
             ok = True
             for i in range(idx + 1, n):
                 u = order[i]
-                if any(assign[w] is not None for w in adj[u]) and not viable(u):
+                if any(assign[w] is not None for w in adj[u]) and not _raw_has_one_factor(
+                    k, _rows_for(u, k, adj, maps, assign)
+                ):
                     ok = False
                     break
             if ok and rec(idx + 1):
@@ -212,85 +181,13 @@ def solve_list_packing(la: ListAssignment) -> Packing | None:
     )
 
 
-def _find_list_coloring(la: ListAssignment) -> tuple[int, ...] | None:
-    """One proper coloring from the lists, by plain backtracking."""
-
-    g = la.graph
-    color: list[int | None] = [None] * g.n
-
-    def rec(v: int) -> bool:
-        if v == g.n:
-            return True
-        taken = {color[u] for u in g.adjacency[v] if u < v}
-        for c in la.lists[v]:
-            if c not in taken:
-                color[v] = c
-                if rec(v + 1):
-                    return True
-        color[v] = None
-        return False
-
-    if rec(0):
-        return tuple(color)  # type: ignore[arg-type]
-    return None
-
-
-def pack_by_peeling(la: ListAssignment, known_k: int) -> Packing | None:
-    """Pack lists of size s >= known_k by peeling single colorings.
-
-    Finds one coloring, removes its colors from the lists, and recurses
-    until the lists have size ``known_k``, where the exact solver takes
-    over.  The caller asserts that the graph packs at ``known_k``; a None
-    result means that assertion failed or a peel step found no coloring.
-    """
-
-    if la.k < known_k:
-        raise ValueError("list size below the claimed packing number")
-    if la.k == known_k:
-        return solve_list_packing(la)
-    coloring = _find_list_coloring(la)
-    if coloring is None:
-        return None
-    reduced = ListAssignment(
-        la.graph,
-        la.k - 1,
-        tuple(
-            tuple(c for c in la.lists[v] if c != coloring[v])
-            for v in range(la.graph.n)
-        ),
-    )
-    rest = pack_by_peeling(reduced, known_k)
-    if rest is None:
-        return None
-    return Packing(
-        la.k,
-        {v: rest.assign[v] + (coloring[v],) for v in range(la.graph.n)},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Adversarial cover search (spanning forest pinned to the identity).
 # ---------------------------------------------------------------------------
 
 
 def _spanning_forest(g: Graph) -> set[tuple[int, int]]:
-    seen: set[int] = set()
-    tree: set[tuple[int, int]] = set()
-    for root in range(g.n):
-        if root in seen:
-            continue
-        seen.add(root)
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        tree.add((u, v) if u < v else (v, u))
-                        nxt.append(v)
-            frontier = nxt
-    return tree
+    return {(u, v) if u < v else (v, u) for u, v in forest_walk(g)}
 
 
 def adversarial_cover_search(
@@ -360,37 +257,8 @@ def _injection_order(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return out
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.trail: list[int] = []
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.trail.append(rb)
-        return True
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            x = self.trail.pop()
-            self.parent[x] = x
-
-
 def _realize_lists(
-    g: Graph, k: int, uf: _UnionFind, universe: int
+    g: Graph, k: int, uf: UnionFind, universe: int
 ) -> ListAssignment | None:
     """Color the pattern's classes and produce an actual assignment.
 
@@ -453,7 +321,7 @@ def adversarial_list_search(
     order = _solve_order(g)
     subset_order = _padded_subset_order(k)
     injections = _injection_order(k)
-    uf = _UnionFind(n * k)
+    uf = UnionFind(n * k)
     back_edges: list[list[int]] = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
     chosen: dict[tuple[int, int], list[tuple[int, int]]] = {}
     budget = [cap]
@@ -473,27 +341,12 @@ def adversarial_list_search(
                         return False
         return True
 
-    def effective_forest() -> bool:
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, v), pairs in chosen.items():
-            if not pairs:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
     def test_candidate() -> ListAssignment | None:
-        if k >= 2 and effective_forest():
-            return None
+        if k >= 2:
+            # the sharing graph (edges with a shared position) is a forest
+            sharing = UnionFind(n)
+            if all(sharing.union(u, v) for (u, v), pairs in chosen.items() if pairs):
+                return None
         if not closure_ok():
             return None
         real = _realize_lists(g, k, uf, universe)

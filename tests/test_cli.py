@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from listpacking import constructive, solver
 from listpacking.cli import main
-from listpacking.covers import cover_to_json, random_cover
+from listpacking.covers import Check, cover_to_json, random_cover
 from listpacking.graphs import generate, graph_to_json
 
 
@@ -126,6 +127,69 @@ class TestExitCodes:
         path = write_json(tmp_path, "c5.json", graph_to_json(generate("cycle", 5)))
         code, _ = run(capsys, "adversary", "--graph", path, "--mode", "correspondence", "--k", "4", "--cap", "3")
         assert code == 3
+
+
+    def test_list_size_zero(self, tmp_path, capsys):
+        payload = {"k": 0, "graph": graph_to_json(generate("path", 2)), "lists": {"0": [], "1": []}}
+        code, _ = run(capsys, "solve-list", "--lists", write_json(tmp_path, "k0.json", payload))
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            (solver, ["solve"]),
+            (constructive, ["pack", "--regime", "girth5_k4"]),
+        ],
+    )
+    def test_internal_error(self, tmp_path, capsys, monkeypatch, module, argv):
+        monkeypatch.setattr(module, "validate_packing", lambda cover, packing: Check(False, ("forced",)))
+        path = write_json(tmp_path, "cover.json", cover_to_json(random_cover(generate("dodecahedron"), 4, 3)))
+        code = main(argv + ["--cover", path])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == "" and "internal error" in captured.err
+
+
+# Integer fields of each wire format; a JSON number, string or boolean that
+# merely converts to the integer must be refused, not coerced.
+STRICT_CASES = [
+    ("girth", "--graph", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}, [("n",), ("edges", 0, 1)]),
+    ("classify", "--bigraph", {"s": 8, "rows": [7] * 5 + [248] * 3}, [("s",), ("rows", 0)]),
+    (
+        "classify",
+        "--bigraph",
+        {"s": 8, "edges": [[i, j] for i in range(8) for j in (range(3) if i < 5 else range(3, 8))]},
+        [("edges", 1, 1)],
+    ),
+    (
+        "solve",
+        "--cover",
+        cover_to_json(random_cover(generate("cycle", 3), 2, 0)),
+        [("k",), ("arcs", 0, "v"), ("arcs", 0, "perm", 1), ("graph", "n")],
+    ),
+    (
+        "solve-list",
+        "--lists",
+        {"k": 2, "graph": graph_to_json(generate("path", 2)), "lists": {"0": [0, 1], "1": [1, 2]}},
+        [("k",), ("lists", "1", 0), ("graph", "edges", 0, 1)],
+    ),
+]
+
+
+@pytest.mark.parametrize("command, flag, payload, paths", STRICT_CASES, ids=[c[0] + c[1] for c in STRICT_CASES])
+def test_wire_integers_are_strict(tmp_path, capsys, command, flag, payload, paths):
+    code, _ = run(capsys, command, flag, write_json(tmp_path, "ok.json", payload))
+    assert code in (0, 1)
+    for path in paths:
+        obj = json.loads(json.dumps(payload))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        good = parent[path[-1]]
+        for bad in [float(good), good + 0.5, str(good)] + [bool(good)] * (good in (0, 1)):
+            parent[path[-1]] = bad
+            code, out = run(capsys, command, flag, write_json(tmp_path, "bad.json", obj))
+            assert code == 2, (path, bad, out)
 
 
 class TestDeterminism:

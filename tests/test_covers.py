@@ -262,3 +262,13 @@ class TestJson:
     def test_packing_round_trip(self):
         p = Packing(2, {0: (0, 1), 1: (1, 0)})
         assert packing_from_json(packing_to_json(p)).assign == p.assign
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", True])
+    def test_packing_rejects_non_integers(self, bad):
+        for obj in ({"k": bad, "assign": {"0": [0]}}, {"k": 2, "assign": {"0": [0, bad]}}):
+            with pytest.raises(ValueError):
+                packing_from_json(obj)
+
+    def test_list_assignment_needs_k_at_least_one(self):
+        with pytest.raises(ValueError):
+            ListAssignment(generate("path", 2), 0, ((), ()))

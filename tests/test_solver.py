@@ -17,7 +17,6 @@ from listpacking.solver import (
     ResourceCapError,
     adversarial_cover_search,
     adversarial_list_search,
-    pack_by_peeling,
     packing_number,
     solve_list_packing,
     solve_packing,
@@ -106,34 +105,6 @@ class TestSolveListPacking:
         assert solve_list_packing(la) is not None
         cover, _ = list_to_cover(la)
         assert solve_packing(cover) is None
-
-
-class TestPeeling:
-    def test_forest(self):
-        g = generate("path", 5)
-        la = list_assignment(g, 3, [[0, 1, 2], [1, 2, 3], [0, 3, 4], [2, 4, 5], [0, 1, 5]])
-        p = pack_by_peeling(la, 2)
-        assert p is not None and validate_list_packing(la, p).ok
-
-    def test_cycle_4_lists(self):
-        rng = random.Random(3)
-        g = generate("cycle", 4)
-        la = list_assignment(g, 4, [rng.sample(range(8), 4) for _ in range(4)])
-        p = pack_by_peeling(la, 3)
-        assert p is not None and validate_list_packing(la, p).ok
-        direct = solve_list_packing(la)
-        assert direct is not None
-
-    def test_base_case_matches_direct(self):
-        g = generate("cycle", 5)
-        la = list_assignment(g, 3, [[0, 1, 2]] * 5)
-        assert pack_by_peeling(la, 3).assign == solve_list_packing(la).assign
-
-    def test_rejects_small_lists(self):
-        g = generate("path", 2)
-        la = list_assignment(g, 2, [[0, 1], [0, 1]])
-        with pytest.raises(ValueError):
-            pack_by_peeling(la, 3)
 
 
 class TestAdversarialCovers:
