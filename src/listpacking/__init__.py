@@ -32,7 +32,6 @@ from listpacking.bigraph import (
     has_one_factor,
     is_st,
     max_matching,
-    one_factor_with,
     removable_edges,
     swap,
 )

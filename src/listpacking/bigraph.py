@@ -210,46 +210,6 @@ def hall_violator(h: Bigraph) -> tuple[frozenset[int], frozenset[int]] | None:
     return frozenset(bits(x_mask)), frozenset(bits(n_mask))
 
 
-def one_factor_with(h: Bigraph, include: Matching = frozenset(), exclude=frozenset()) -> Matching | None:
-    """A 1-factor containing every ``include`` pair and no ``exclude`` edge,
-    or None when impossible.  ``include`` must be a matching of h.
-    """
-
-    used_a = used_b = 0
-    for i, j in include:
-        if not h.has_edge(i, j):
-            raise ValueError(f"include pair {(i, j)} is not an edge")
-        if used_a >> i & 1 or used_b >> j & 1:
-            raise ValueError("include pairs are not a matching")
-        used_a |= 1 << i
-        used_b |= 1 << j
-    excl = {tuple(e) for e in exclude}
-    if any(tuple(e) in excl for e in include):
-        return None
-    rows = list(h.rows)
-    for i, j in excl:
-        rows[i] &= ~(1 << j)
-    free_a = [i for i in range(h.s) if not used_a >> i & 1]
-    sub_rows = []
-    free_b = [j for j in range(h.s) if not used_b >> j & 1]
-    b_pos = {j: p for p, j in enumerate(free_b)}
-    for i in free_a:
-        packed = 0
-        for j in bits(rows[i] & ~used_b):
-            packed |= 1 << b_pos[j]
-        sub_rows.append(packed)
-    k = len(free_a)
-    if k == 0:
-        return frozenset(include)
-    match = _raw_max_matching(k, sub_rows)
-    if any(j < 0 for j in match):
-        return None
-    pairs = set(include)
-    for p, i in enumerate(free_a):
-        pairs.add((i, free_b[match[p]]))
-    return frozenset(pairs)
-
-
 def _raw_one_factors(s: int, rows) -> Iterator[tuple[int, ...]]:
     """Yield 1-factors as tuples ``cols`` with ``cols[i]`` = the B-vertex
     matched to ``a_i``, in lexicographic order of that tuple."""
@@ -275,14 +235,10 @@ def _raw_one_factors(s: int, rows) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0)
 
 
-def iter_one_factors(h: Bigraph, exclude=frozenset()) -> Iterator[tuple[int, ...]]:
-    """The 1-factors of h avoiding every ``exclude`` edge, as
-    :func:`_raw_one_factors` yields them."""
+def iter_one_factors(h: Bigraph) -> Iterator[tuple[int, ...]]:
+    """The 1-factors of h, as :func:`_raw_one_factors` yields them."""
 
-    rows = list(h.rows)
-    for i, j in exclude:
-        rows[i] &= ~(1 << j)
-    yield from _raw_one_factors(h.s, rows)
+    yield from _raw_one_factors(h.s, h.rows)
 
 
 def _invert(cols: tuple[int, ...]) -> tuple[int, ...]:

@@ -9,36 +9,28 @@ Supported regimes (the cover's k must match):
 
 Each step finds a reducible configuration, removes its removable vertices,
 packs the rest, and extends back over the removed set.  When a direct
-extension is blocked, up to ``budget`` packed neighbors are unpacked and
-repacked; candidate repackings that free edges into the blocking violator's
-missing neighborhood are tried first, then a capped lazy enumeration of all
-repackings.  The hand case analyses behind these repair moves are not
-transcribed; bounded exhaustive repair subsumes them, and every emitted
-packing is validated before it is returned.
+extension is blocked, each set of at most ``budget`` (at most 2) packed
+neighbors is unpacked in turn, repacked by a capped enumeration of its
+1-factors, and the extension is tried again.  The hand case analyses behind
+these repair moves are not transcribed; bounded exhaustive repair subsumes
+them, and every emitted packing is validated before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from typing import Iterator
 
-from listpacking.bigraph import (
-    Bigraph,
-    _invert,
-    classify_obstruction,
-    hall_violator,
-    has_one_factor,
-    iter_one_factors,
-    one_factor_with,
-)
+from listpacking.bigraph import _invert, iter_one_factors
 from listpacking.covers import (
     CorrespondenceCover,
     Packing,
     extension_bigraph,
     validate_packing,
 )
-from listpacking.graphs import Graph, girth, mad
+from listpacking.graphs import Graph, find_light_triangle, girth, mad
 
 REGIME_K = {"mad4_k5": 5, "girth5_k4": 4, "planar_k8": 8}
 
@@ -167,17 +159,10 @@ def find_reduction(g: Graph, regime: str, active: frozenset[int] | None = None) 
         )
 
     # planar_k8: a triangle with degree sum <= 17, vertices sorted by degree
-    for u in sorted(active):
-        for v in g.adjacency[u]:
-            if v <= u or v not in active:
-                continue
-            for w in g.adjacency[u]:
-                if w <= v or w not in active or not g.has_edge(v, w):
-                    continue
-                if deg[u] + deg[v] + deg[w] <= 17:
-                    tri = tuple(sorted((u, v, w), key=lambda x: (deg[x], x)))
-                    return Reduction("light_triangle", tri)
-    raise ClassViolationError("no light triangle: graph not in the planar minimum-degree-5 class")
+    tri = find_light_triangle(g, 17, active)
+    if tri is None:
+        raise ClassViolationError("no light triangle: graph not in the planar minimum-degree-5 class")
+    return Reduction("light_triangle", tuple(sorted(tri, key=lambda x: (deg[x], x))))
 
 
 # ---------------------------------------------------------------------------
@@ -185,93 +170,31 @@ def find_reduction(g: Graph, regime: str, active: frozenset[int] | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def _extend_frontier(
+def _check_budget(budget: int) -> None:
+    if not 0 <= budget <= 2:
+        raise ValueError(f"repair budget must be 0, 1 or 2, got {budget}")
+
+
+def _extensions(
     cover: CorrespondenceCover,
     packing: Packing,
-    frontier: tuple[int, ...],
+    order: tuple[int, ...],
     counter: list[int],
-) -> bool:
-    """Backtracking extension over the frontier in order; mutates packing."""
+) -> Iterator[None]:
+    """Backtrack over the extensions of ``packing`` to ``order``, vertex by
+    vertex in that order, yielding with each one assigned in ``packing``;
+    exhausting the generator restores ``packing``.  ``counter[0]`` counts
+    the 1-factors tried."""
 
-    if not frontier:
-        return True
-    v, rest = frontier[0], frontier[1:]
-    h = extension_bigraph(cover, packing, v)
-    for cols in iter_one_factors(h):
+    if not order:
+        yield
+        return
+    v, rest = order[0], order[1:]
+    for cols in iter_one_factors(extension_bigraph(cover, packing, v)):
         counter[0] += 1
         packing.assign[v] = _invert(cols)
-        if _extend_frontier(cover, packing, rest, counter):
-            return True
+        yield from _extensions(cover, packing, rest, counter)
         del packing.assign[v]
-    return False
-
-
-def _blocking_analysis(cover: CorrespondenceCover, packing: Packing, frontier: tuple[int, ...]):
-    """First frontier vertex whose extension bigraph has no 1-factor, with a
-    violator (X, N(X)) to steer the repair; None when each vertex is
-    individually extendable."""
-
-    for f in frontier:
-        h = extension_bigraph(cover, packing, f)
-        if has_one_factor(h):
-            continue
-        if cover.k == 8:
-            try:
-                obs = classify_obstruction(h)
-            except ValueError:
-                obs = None
-            if obs is not None and obs.side == "A":
-                return f, h, obs.x, obs.nbhd
-        viol = hall_violator(h)
-        assert viol is not None
-        return f, h, viol[0], viol[1]
-    return None
-
-
-def _missing_pairs(h: Bigraph, x: frozenset[int], nbhd: frozenset[int]) -> list[tuple[int, int]]:
-    """Absent edges from the violator to the complement of its neighborhood."""
-
-    out = []
-    for i in sorted(x):
-        for j in range(h.s):
-            if j not in nbhd and not h.has_edge(i, j):
-                out.append((i, j))
-    return out
-
-
-def _blocked_by(cover, packing: Packing, f: int, z: int, pairs) -> list[tuple[int, int]]:
-    """Missing (value, coloring) pairs at f that z's packing forbids, given
-    as the z-side (value, coloring) pairs a repack would have to avoid."""
-
-    to_f = cover.perm_along(z, f)
-    got = packing.assign[z]
-    out = []
-    for i, j in pairs:
-        if to_f(got[j]) == i:
-            out.append((got[j], j))
-    return out
-
-
-def _candidate_factors(h: Bigraph, targeted, cap: int):
-    """1-factors of h: targeted exclusions first, then capped enumeration."""
-
-    seen = set()
-    for exclude in targeted:
-        got = one_factor_with(h, frozenset(), exclude)
-        if got is None:
-            continue
-        cols = tuple(j for _, j in sorted(got))
-        if cols not in seen:
-            seen.add(cols)
-            yield cols
-    produced = 0
-    for cols in iter_one_factors(h):
-        produced += 1
-        if produced > cap:
-            return
-        if cols not in seen:
-            seen.add(cols)
-            yield cols
 
 
 def extend_with_repair(
@@ -284,15 +207,18 @@ def extend_with_repair(
     enum_cap: int = 10_000,
 ) -> Packing | None:
     """Extend a partial packing over ``frontier``, repacking at most
-    ``budget`` packed neighbors when the direct extension is blocked.
+    ``budget`` (0, 1 or 2) packed neighbors when the direct extension is
+    blocked.
 
     Returns the extended packing (a new object), or None with the failed
-    attempt recorded in ``trace``.  Repair candidates are ordered by how
-    many of the blocking violator's missing edges each neighbor is
-    responsible for; per neighbor (and per neighbor pair) at most
-    ``enum_cap`` repackings are enumerated.
+    attempt recorded in ``trace``.  Repair tries the sets of 1, then of 2,
+    packed neighbors of the frontier in ascending order: it unpacks the set,
+    repacks its vertices in order, and extends over the frontier again.  At
+    most ``enum_cap`` repackings of each set are tried, and ``factors_tried``
+    counts the frontier's 1-factors only.
     """
 
+    _check_budget(budget)
     for f in frontier:
         if f in packing.assign:
             raise ValueError(f"frontier vertex {f} is already packed")
@@ -303,65 +229,23 @@ def extend_with_repair(
             trace.steps.append(RepairStep(frontier, kind, repacked, counter[0], used, success))
 
     work = packing.copy()
-    if _extend_frontier(cover, work, frontier, counter):
+    for _ in _extensions(cover, work, frontier, counter):
         record((), 0, True)
         return work
 
-    analysis = _blocking_analysis(cover, packing, frontier)
     neighbors = sorted(
         {w for f in frontier for w in cover.graph.adjacency[f] if w in packing.assign}
     )
-    pairs: list[tuple[int, int]] = []
-    if analysis is not None:
-        f_blocked, h_f, x, nbhd = analysis
-        pairs = _missing_pairs(h_f, x, nbhd)
-        rank = {z: len(_blocked_by(cover, packing, f_blocked, z, pairs)) for z in neighbors}
-        neighbors.sort(key=lambda z: (-rank[z], z))
-
-    def targeted_for(z: int) -> list[frozenset]:
-        if analysis is None:
-            return []
-        mine = _blocked_by(cover, packing, analysis[0], z, pairs)
-        singles = [frozenset({p}) for p in mine]
-        doubles = [frozenset({a, b}) for a, b in combinations(mine, 2) if a[1] != b[1]]
-        return singles + doubles
-
-    if budget >= 1:
-        for z in neighbors:
+    for size in range(1, budget + 1):
+        for zs in combinations(neighbors, size):
             work = packing.copy()
-            del work.assign[z]
-            h_z = extension_bigraph(cover, work, z)
-            for cols in _candidate_factors(h_z, targeted_for(z), enum_cap):
-                work.assign[z] = _invert(cols)
-                if _extend_frontier(cover, work, frontier, counter):
-                    record((z,), 1, True)
-                    return work
+            for z in zs:
                 del work.assign[z]
-
-    if budget >= 2:
-        for z1, z2 in combinations(neighbors, 2):
-            work = packing.copy()
-            del work.assign[z1]
-            del work.assign[z2]
-            h1 = extension_bigraph(cover, work, z1)
-            produced = 0
-            for cols1 in iter_one_factors(h1):
-                work.assign[z1] = _invert(cols1)
-                h2 = extension_bigraph(cover, work, z2)
-                for cols2 in _candidate_factors(h2, targeted_for(z2), enum_cap):
-                    produced += 1
-                    if produced > enum_cap:
-                        break
-                    work.assign[z2] = _invert(cols2)
-                    if _extend_frontier(cover, work, frontier, counter):
-                        record((z1, z2), 2, True)
-                        return work
-                    del work.assign[z2]
-                del work.assign[z1]
-                if produced > enum_cap:
-                    break
-
-    record((), min(budget, 2), False)
+            for _ in islice(_extensions(cover, work, zs, [0]), enum_cap):
+                for _ in _extensions(cover, work, frontier, counter):
+                    record(zs, size, True)
+                    return work
+    record((), budget, False)
     return None
 
 
@@ -398,6 +282,7 @@ def pack_constructive(
 
     if regime not in REGIME_K:
         raise ValueError(f"unknown regime {regime!r}")
+    _check_budget(budget)
     if cover.k != REGIME_K[regime]:
         raise ValueError(f"regime {regime} needs k={REGIME_K[regime]}, cover has k={cover.k}")
     trace = RepairTrace()

@@ -431,12 +431,20 @@ def mad(g: Graph) -> Fraction:
     return _mad_flow(g)
 
 
-def find_light_triangle(g: Graph, max_sum: int = 17) -> tuple[int, int, int] | None:
-    """First triangle (u, v, w), u < v < w lexicographic, with degree sum
-    at most ``max_sum``; None when no such triangle exists."""
+def find_light_triangle(
+    g: Graph, max_sum: int = 17, active: frozenset[int] | None = None
+) -> tuple[int, int, int] | None:
+    """First triangle (u, v, w), u < v < w lexicographic, of the subgraph
+    induced by ``active`` (defaults to the whole graph) whose degree sum in
+    that subgraph is at most ``max_sum``; None when no such triangle exists."""
 
-    masks = g.adj_masks
-    deg = g.degrees()
+    keep = range(g.n) if active is None else active
+    masks = [0] * g.n
+    for v in keep:
+        for w in g.adjacency[v]:
+            if w in keep:
+                masks[v] |= 1 << w
+    deg = [m.bit_count() for m in masks]
     for u in range(g.n):
         for v in g.adjacency[u]:
             if v <= u:

@@ -897,6 +897,8 @@ def verify(
         if spec.trial is None:
             raise ValueError(f"lemma {name!r} is exhaustive-only")
         n = trials if trials is not None else spec.default_trials
+        if n < 1:
+            raise ValueError(f"trials must be positive, got {n}")
         for i in range(n):
             rng = random.Random(seed * _SEED_STRIDE + i)
             ok, failure, warning = spec.trial(rng)

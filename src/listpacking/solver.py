@@ -420,6 +420,8 @@ def packing_number(
 
     if mode not in ("list", "correspondence"):
         raise ValueError("mode must be 'list' or 'correspondence'")
+    if upper < 1:
+        raise ValueError(f"upper must be positive, got {upper}")
     for k in range(1, upper + 1):
         if mode == "correspondence":
             witness = adversarial_cover_search(g, k, cap=cap)

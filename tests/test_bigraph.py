@@ -19,7 +19,6 @@ from listpacking.bigraph import (
     is_st,
     iter_one_factors,
     max_matching,
-    one_factor_with,
     removable_edges,
     swap,
 )
@@ -136,36 +135,6 @@ class TestHallDuality:
             h = Bigraph(6, tuple(rows))
             if is_st(h, 6, 3):
                 assert hall_violator(h) is None  # (2t,t)-bigraph
-
-
-class TestOneFactorWith:
-    def test_forced_partner_excluded(self):
-        k22 = Bigraph(2, (3, 3))
-        assert one_factor_with(k22, frozenset({(0, 0)}), {(1, 1)}) is None
-
-    def test_include_edge(self):
-        rng = random.Random(2)
-        for _ in range(100):
-            k = rng.choice((2, 3))
-            s = 2 * k + 1
-            rows = [rng.randrange(1 << s) for _ in range(s)]
-            h = Bigraph(s, tuple(rows))
-            if not is_st(h, s, k + 1):
-                continue
-            for e in h.edges():
-                got = one_factor_with(h, frozenset({e}))
-                assert got is not None and e in got
-
-    def test_plain_factor(self):
-        h = Bigraph(3, (0b110, 0b101, 0b011))
-        got = one_factor_with(h)
-        assert got is not None and len(got) == 3
-
-    def test_include_must_be_matching(self):
-        with pytest.raises(ValueError):
-            one_factor_with(Bigraph(2, (3, 3)), frozenset({(0, 0), (1, 0)}))
-        with pytest.raises(ValueError):
-            one_factor_with(Bigraph(2, (1, 2)), frozenset({(0, 1)}))
 
 
 class TestCounting:

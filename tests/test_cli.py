@@ -129,6 +129,23 @@ class TestExitCodes:
         assert code == 3
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pack", "--regime", "girth5_k4", "--budget", "-3"],
+            ["pack", "--regime", "girth5_k4", "--budget", "3"],
+            ["verify-lemma", "easy_prop", "--trials", "-5"],
+            ["verify-lemma", "easy_prop", "--trials", "0"],
+            ["chromatic", "--mode", "list", "--upper", "0"],
+        ],
+    )
+    def test_count_out_of_range(self, tmp_path, capsys, argv):
+        cover = write_json(tmp_path, "cover.json", cover_to_json(random_cover(generate("dodecahedron"), 4, 3)))
+        graph = write_json(tmp_path, "c4.json", graph_to_json(generate("cycle", 4)))
+        extra = {"pack": ["--cover", cover], "chromatic": ["--graph", graph]}.get(argv[0], [])
+        code, out = run(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+
     def test_list_size_zero(self, tmp_path, capsys):
         payload = {"k": 0, "graph": graph_to_json(generate("path", 2)), "lists": {"0": [], "1": []}}
         code, _ = run(capsys, "solve-list", "--lists", write_json(tmp_path, "k0.json", payload))

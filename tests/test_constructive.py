@@ -115,6 +115,28 @@ class TestExtendWithRepair:
         step = trace.steps[-1]
         assert step.budget_used == 1 and len(step.repacked) == 1
 
+    def test_budget_two_repairs(self):
+        # k=3 star: no single leaf can be repacked to free the center, but
+        # leaves 1 and 3 together can
+        g = graph_from_edges(5, [(0, i) for i in range(1, 5)])
+        arcs = {(0, 1): (0, 1, 2), (0, 2): (2, 1, 0), (0, 3): (2, 0, 1), (0, 4): (1, 2, 0)}
+        cover = CorrespondenceCover(g, 3, {e: Perm(p) for e, p in arcs.items()})
+        packing = Packing(3, {1: (2, 1, 0), 2: (1, 0, 2), 3: (1, 0, 2), 4: (0, 1, 2)})
+        assert extend_with_repair(cover, packing, (0,), budget=1) is None
+        trace = RepairTrace()
+        got = extend_with_repair(cover, packing, (0,), budget=2, trace=trace)
+        assert got is not None and validate_packing(cover, got).ok
+        step = trace.steps[-1]
+        assert step.success and step.budget_used == 2 and step.repacked == (1, 3)
+
+    @pytest.mark.parametrize("budget", [-1, 3])
+    def test_budget_out_of_range(self, budget):
+        cover, packing = self._blocked_star()
+        with pytest.raises(ValueError):
+            extend_with_repair(cover, packing, (0,), budget=budget)
+        with pytest.raises(ValueError):
+            pack_constructive(random_cover(generate("dodecahedron"), 4, 0), "girth5_k4", budget=budget)
+
     def test_frontier_must_be_unpacked(self):
         cover = star_cover(4, 2)
         packing = Packing(4, {0: (0, 1, 2, 3), 1: (1, 0, 3, 2), 2: (1, 0, 3, 2)})

@@ -196,6 +196,14 @@ class TestLightTriangle:
         assert find_light_triangle(g, max_sum=21) == (0, 1, 2)
 
 
+    def test_active_subgraph(self):
+        g = generate("complete", 8)
+        # K6 induced on 2..7: degrees counted inside it are 5, so 15 <= 17
+        assert find_light_triangle(g, active=frozenset(range(2, 8))) == (2, 3, 4)
+        assert find_light_triangle(g, active=frozenset({0, 1, 5})) == (0, 1, 5)
+        assert find_light_triangle(g, active=frozenset({0, 1})) is None
+
+
 class TestTriangulations:
     @pytest.mark.parametrize("seed", range(6))
     def test_min5_triangulation(self, seed):
