@@ -447,33 +447,27 @@ def _neighborhood(rows, subset) -> int:
     return n
 
 
-def _find_type(rows, otype: int) -> Obstruction | None:
+def _raw_obstructions(rows, otype: int) -> Iterator[tuple[tuple[int, ...], int, int | None, list[int]]]:
+    """Every type-``otype`` obstruction among the rows of an 8x8 bigraph,
+    as (X, N(X) mask, x1, the columns x1 adds outside N(X)), in
+    lexicographic subset order and then by x1.  Types 1 and 4 have no x1
+    (None, no columns)."""
+
     s = 8
-    if otype == 1:
-        for comb in combinations(range(s), 5):
-            n = _neighborhood(rows, comb)
-            if n.bit_count() == 3:
-                return Obstruction("A", frozenset(comb), frozenset(bits(n)), 1)
-        return None
-    for comb in combinations(range(s), 4):
+    for comb in combinations(range(s), 5 if otype == 1 else 4):
         n = _neighborhood(rows, comb)
         if n.bit_count() != 3:
             continue
-        if otype == 4:
-            return Obstruction("A", frozenset(comb), frozenset(bits(n)), 4)
+        if otype in (1, 4):
+            yield comb, n, None, []
+            continue
         want = 1 if otype == 2 else 2
-        inside = set(comb)
         for x1 in range(s):
-            if x1 in inside:
+            if x1 in comb:
                 continue
             outside = rows[x1] & ~n
-            if outside.bit_count() != want:
-                continue
-            cols = bits(outside)
-            e1 = (x1, cols[0])
-            e2 = (x1, cols[1]) if otype == 3 else None
-            return Obstruction("A", frozenset(comb), frozenset(bits(n)), otype, x1, e1, e2)
-    return None
+            if outside.bit_count() == want:
+                yield comb, n, x1, bits(outside)
 
 
 def classify_obstruction(h: Bigraph) -> Obstruction | None:
@@ -492,11 +486,10 @@ def classify_obstruction(h: Bigraph) -> Obstruction | None:
     sides = (("A", h.rows), ("B", swap(h).rows))
     for otype in (1, 2, 3, 4):
         for side, rows in sides:
-            found = _find_type(rows, otype)
-            if found is not None:
-                if side == "B":
-                    found = Obstruction("B", found.x, found.nbhd, found.otype, found.x1, found.e1, found.e2)
-                return found
+            for x, n, x1, cols in _raw_obstructions(rows, otype):
+                e1 = (x1, cols[0]) if cols else None
+                e2 = (x1, cols[1]) if otype == 3 else None
+                return Obstruction(side, frozenset(x), frozenset(bits(n)), otype, x1, e1, e2)
     raise ValueError("no typed obstruction: input is not a (8,3)-bigraph")
 
 

@@ -417,10 +417,21 @@ def packing_to_json(packing: Packing) -> dict:
     }
 
 
+def _vertex_key(key) -> int:
+    """The vertex ``v`` whose key is exactly ``str(v)``, v >= 0; any other
+    spelling (``"01"``, ``" 2"``, ``"1_0"``, non-ASCII digits) raises
+    ValueError, so two keys never name one vertex."""
+
+    v = int(key)
+    if v < 0 or str(v) != key:
+        raise ValueError(f"vertex key {key!r} is not a non-negative integer in canonical form")
+    return v
+
+
 def packing_from_json(obj: dict) -> Packing:
     try:
         k = json_int(obj["k"])
-        assign = {int(v): tuple(json_int(c) for c in colors) for v, colors in obj["assign"].items()}
+        assign = {_vertex_key(v): tuple(json_int(c) for c in colors) for v, colors in obj["assign"].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed packing JSON: {exc}") from exc
     return Packing(k, assign)

@@ -1,7 +1,7 @@
 """Undirected simple graphs: representation, measurements, and generators.
 
-Graphs are immutable and hashable, so expensive measurements (girth, exact
-maximum average degree) can be cached per instance.  Vertex numbering of
+Graphs are immutable and hashable, and each instance caches its expensive
+measurements (girth, exact maximum average degree).  Vertex numbering of
 every named generator is frozen; see the individual docstrings.  All density
 arithmetic is exact (:class:`fractions.Fraction`), never floating point.
 """
@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -59,6 +58,21 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def _girth(self) -> int | float:
+        best: int | float = math.inf
+        for u, v in self.sorted_edges():
+            d = _bfs_dist(self.adjacency, u, v, (u, v))
+            if d is not None and d + 1 < best:
+                best = d + 1
+                if best == 3:
+                    break
+        return best
+
+    @cached_property
+    def _mad(self) -> Fraction:
+        return _mad_flow(self)
 
     @property
     def m(self) -> int:
@@ -207,22 +221,15 @@ def _bfs_dist(adj: tuple[tuple[int, ...], ...], src: int, dst: int, skip: tuple[
     return None
 
 
-@lru_cache(maxsize=None)
 def girth(g: Graph) -> int | float:
     """Length of the shortest cycle; ``math.inf`` for forests.
 
     Uses the delete-an-edge oracle: the shortest cycle through edge (u, v)
-    is 1 + dist(u, v) in the graph without that edge.
+    is 1 + dist(u, v) in the graph without that edge.  Computed once per
+    graph instance.
     """
 
-    best: int | float = math.inf
-    for u, v in g.sorted_edges():
-        d = _bfs_dist(g.adjacency, u, v, (u, v))
-        if d is not None and d + 1 < best:
-            best = d + 1
-            if best == 3:
-                break
-    return best
+    return g._girth
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -303,25 +310,6 @@ class UnionFind:
         while len(self.trail) > mark:
             x = self.trail.pop()
             self.parent[x] = x
-
-
-def _mad_exhaustive(g: Graph) -> Fraction:
-    """Exact densest induced subgraph by subset dynamic programming (n <= 20)."""
-
-    n = g.n
-    masks = g.adj_masks
-    edge_count = array("l", bytes(8 * (1 << n)))
-    best_num, best_den = 0, 1
-    for s in range(1, 1 << n):
-        low = s & -s
-        v = low.bit_length() - 1
-        prev = s ^ low
-        c = edge_count[prev] + (masks[v] & prev).bit_count()
-        edge_count[s] = c
-        size = s.bit_count()
-        if 2 * c * best_den > best_num * size:
-            best_num, best_den = 2 * c, size
-    return Fraction(best_num, best_den)
 
 
 class _Dinic:
@@ -418,17 +406,15 @@ def _mad_flow(g: Graph) -> Fraction:
     return 2 * rho
 
 
-@lru_cache(maxsize=None)
 def mad(g: Graph) -> Fraction:
     """Exact maximum average degree: max over nonempty subgraphs H of
-    2|E(H)|/|V(H)|.  Exhaustive subset DP for n <= 20, parametric flow above.
+    2|E(H)|/|V(H)|, by parametric min-cut.  Computed once per graph
+    instance.
     """
 
     if g.n == 0:
         raise ValueError("mad needs at least one vertex")
-    if g.n <= 20:
-        return _mad_exhaustive(g)
-    return _mad_flow(g)
+    return g._mad
 
 
 def find_light_triangle(

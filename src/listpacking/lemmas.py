@@ -5,26 +5,29 @@ Every verifier is registered by name in :data:`REGISTRY` and run through
 :func:`verify`, which returns a :class:`VerifierReport`.  Randomized trials
 are pure functions of (lemma name, seed, trial index); exhaustive runs
 iterate a documented canonical enumeration (all labeled 4x4 bit-matrices,
-filtered to the precondition).  Counterexamples are shrunk by greedy
-precondition-preserving edge removal before they are reported.  A lemma
-verifier reporting a counterexample is a release-blocking event; the
-uniqueness observations about typed obstructions are weaker lore and are
-surfaced as warnings instead.
+filtered to the precondition).  A lemma with both strategies has one
+instance check, which a randomized trial applies to the instance it draws
+and an exhaustive run applies to every enumerated instance.  Counterexamples
+to a randomly drawn instance are shrunk by greedy precondition-preserving
+edge removal before they are reported; planted and exchanged instances are
+reported as built.  A lemma verifier reporting a counterexample is a
+release-blocking event; the uniqueness observations about typed
+obstructions are weaker lore and are surfaced as warnings instead.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from listpacking.bigraph import (
     Bigraph,
     _neighborhood,
     _raw_column_masks,
     _raw_has_one_factor,
+    _raw_obstructions,
     allowed_edges,
     bigraph_to_json,
     bits,
@@ -41,6 +44,7 @@ from listpacking.graphs import graph_from_edges
 from listpacking.solver import solve_packing
 
 _SEED_STRIDE = 1_000_003
+MAX_COUNTEREXAMPLES = 5
 
 
 @dataclass
@@ -51,14 +55,13 @@ class VerifierReport:
     counterexamples: list[dict]
     warnings: list[str]
     seed: int
-    elapsed: float
 
     @property
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def as_json(self, with_elapsed: bool = False) -> dict:
-        out = {
+    def as_json(self) -> dict:
+        return {
             "lemma": self.lemma,
             "strategy": self.strategy,
             "instances_checked": self.instances_checked,
@@ -66,9 +69,6 @@ class VerifierReport:
             "warnings": self.warnings,
             "seed": self.seed,
         }
-        if with_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 @dataclass
@@ -159,28 +159,6 @@ def planted_obstruction(rng: random.Random, otype: int) -> StructuredInstance:
             if rng.random() < 0.3:
                 rows[i] |= 1 << j
     return StructuredInstance(Bigraph(s, tuple(rows)), deco)
-
-
-def build_structured(kind: str, seed: int) -> StructuredInstance:
-    """Seeded structured instances for the harder matching facts.
-
-    Kinds: ``cycle10_plus_M5`` and ``cycle6_4_plus_M5`` build (8,4)-bigraphs
-    decorated with the planted cycles (10 vertices) and a size-5 matching;
-    ``violator_type_t`` (t in 1..4) plants the typed obstruction;
-    ``switcher_double_instance`` plants the deficiency-2 shape used by the
-    two-matching exchange fact (k = 4).
-    """
-
-    rng = random.Random(seed)
-    if kind.startswith("violator_type_"):
-        return planted_obstruction(rng, int(kind.rsplit("_", 1)[1]))
-    if kind == "switcher_double_instance":
-        return _switcher_double_plant(rng, 4)
-    if kind == "cycle10_plus_M5":
-        return _planted_cycles(rng, (10,))
-    if kind == "cycle6_4_plus_M5":
-        return _planted_cycles(rng, (6, 4))
-    raise ValueError(f"unknown structured kind {kind!r}")
 
 
 def _planted_cycles(rng: random.Random, lengths: tuple[int, ...]) -> StructuredInstance:
@@ -299,12 +277,24 @@ def _iter_4x4(t: int) -> Iterator[Bigraph]:
         yield Bigraph(4, (r0, r1, r2, r3))
 
 
+def _no_factor(h: Bigraph, t: int) -> TrialResult:
+    """The failure "this (s,t)-bigraph has no 1-factor", shrunk."""
+
+    pre = lambda b: is_st(b, h.s, t)
+    return False, _counterexample(h, f"({h.s},{t})-bigraph without 1-factor", pre, lambda b: not has_one_factor(b)), None
+
+
+def _check_easy_prop(h: Bigraph) -> TrialResult:
+    """A (2t,t)-bigraph has a 1-factor."""
+
+    return (True, None, None) if has_one_factor(h) else _no_factor(h, h.s // 2)
+
+
 def _trial_easy_prop(rng: random.Random) -> TrialResult:
     t = rng.choice((3, 4))
-    h = random_st_bigraph(rng, 2 * t, t)
-    if not has_one_factor(h):
-        pre = lambda b: is_st(b, 2 * t, t)
-        return False, _counterexample(h, f"(2t,t)-bigraph t={t} without 1-factor", pre, lambda b: not has_one_factor(b)), None
+    result = _check_easy_prop(random_st_bigraph(rng, 2 * t, t))
+    if not result[0]:
+        return result
     # violator size bounds on a looser instance
     s, t2 = rng.choice(((5, 2), (6, 2), (7, 3), (8, 3)))
     h2 = random_st_bigraph(rng, s, t2, p=0.3)
@@ -318,21 +308,12 @@ def _trial_easy_prop(rng: random.Random) -> TrialResult:
     return True, None, None
 
 
-def _exhaustive_easy_prop() -> Iterator[TrialResult]:
-    for h in _iter_4x4(2):
-        if has_one_factor(h):
-            yield True, None, None
-        else:
-            pre = lambda b: is_st(b, 4, 2)
-            yield False, _counterexample(h, "(4,2)-bigraph without 1-factor", pre, lambda b: not has_one_factor(b)), None
-
-
 def _trial_matching_lem_1(rng: random.Random) -> TrialResult:
     k = rng.choice((2, 3))
     h = random_st_bigraph(rng, 2 * k + 1, k + 1)
     allowed = allowed_edges(h)
     if allowed is None:
-        return False, _counterexample(h, f"(2k+1,k+1)-bigraph k={k} without 1-factor", lambda b: is_st(b, 2 * k + 1, k + 1), lambda b: not has_one_factor(b)), None
+        return _no_factor(h, k + 1)
     if allowed != frozenset(h.edges()):
         missing = sorted(set(h.edges()) - allowed)
         return (
@@ -398,6 +379,21 @@ def _trial_matching_lem_2(rng: random.Random) -> TrialResult:
     return True, None, None
 
 
+def _usable_counts(h: Bigraph) -> tuple[list[int], list[int]] | None:
+    """Per A-vertex and per B-vertex, how many incident edges lie in some
+    1-factor; None when there is no 1-factor."""
+
+    allowed = allowed_edges(h)
+    if allowed is None:
+        return None
+    count_a = [0] * h.s
+    count_b = [0] * h.s
+    for i, j in allowed:
+        count_a[i] += 1
+        count_b[j] += 1
+    return count_a, count_b
+
+
 def _trial_one_gives_two(rng: random.Random) -> TrialResult:
     k = rng.choice((2, 3))
     for _ in range(50):
@@ -406,12 +402,8 @@ def _trial_one_gives_two(rng: random.Random) -> TrialResult:
             break
     else:
         return True, None, "generator never produced a 1-factor instance"
-    allowed = allowed_edges(h)
-    assert allowed is not None
-    per_vertex = [0] * h.s
-    for i, _ in allowed:
-        per_vertex[i] += 1
-    exceptional = sum(1 for c in per_vertex if c < 2)
+    usable_a, _ = _usable_counts(h)
+    exceptional = sum(1 for c in usable_a if c < 2)
     if exceptional > 1:
         return (
             False,
@@ -419,54 +411,25 @@ def _trial_one_gives_two(rng: random.Random) -> TrialResult:
                 h,
                 f"{exceptional} A-vertices lack two usable incident edges",
                 lambda b: is_st(b, 2 * k + 1, k) and has_one_factor(b),
-                lambda b: sum(1 for i in range(b.s) if sum(1 for e in (allowed_edges(b) or ()) if e[0] == i) < 2) > 1,
+                lambda b: sum(1 for c in _usable_counts(b)[0] if c < 2) > 1,
             ),
             None,
         )
     return True, None, None
 
 
-def _exhaustive_canalwaysswap() -> Iterator[TrialResult]:
-    for h in _iter_4x4(2):
-        allowed = allowed_edges(h)
-        if allowed is None:
-            yield False, _counterexample(h, "(4,2)-bigraph without 1-factor", lambda b: is_st(b, 4, 2), lambda b: not has_one_factor(b)), None
-            continue
-        count_a = [0] * 4
-        count_b = [0] * 4
-        for i, j in allowed:
-            count_a[i] += 1
-            count_b[j] += 1
-        if min(min(count_a), min(count_b)) < 2:
-            yield (
-                False,
-                _counterexample(
-                    h,
-                    "vertex with fewer than two usable incident edges",
-                    lambda b: is_st(b, 4, 2),
-                    lambda b: (lambda al: al is None or min(
-                        min(sum(1 for e in al if e[0] == v) for v in range(4)),
-                        min(sum(1 for e in al if e[1] == v) for v in range(4)),
-                    ) < 2)(allowed_edges(b)),
-                ),
-                None,
-            )
-        else:
-            yield True, None, None
+def _check_canalwaysswap(h: Bigraph) -> TrialResult:
+    """Every vertex of a (4,2)-bigraph lies on two edges that are each in
+    some 1-factor."""
 
-
-def _trial_canalwaysswap(rng: random.Random) -> TrialResult:
-    h = random_st_bigraph(rng, 4, 2)
-    allowed = allowed_edges(h)
-    if allowed is None:
-        return False, {"note": "(4,2)-bigraph without 1-factor", "instance": bigraph_to_json(h)}, None
-    count_a = [0] * 4
-    count_b = [0] * 4
-    for i, j in allowed:
-        count_a[i] += 1
-        count_b[j] += 1
-    ok = min(min(count_a), min(count_b)) >= 2
-    return ok, None if ok else {"note": "vertex below two usable edges", "instance": bigraph_to_json(h)}, None
+    counts = _usable_counts(h)
+    if counts is None:
+        return _no_factor(h, 2)
+    if min(map(min, counts)) < 2:
+        pre = lambda b: is_st(b, 4, 2)
+        few = lambda b: (c := _usable_counts(b)) is None or min(map(min, c)) < 2
+        return False, _counterexample(h, "vertex with fewer than two usable incident edges", pre, few), None
+    return True, None, None
 
 
 def _girth5_exception(h: Bigraph) -> bool:
@@ -482,51 +445,22 @@ def _girth5_exception(h: Bigraph) -> bool:
     return False
 
 
-def _exhaustive_girth5_condition() -> Iterator[TrialResult]:
-    for h in _iter_4x4(1):
-        if _girth5_exception(h) or has_one_factor(h):
-            yield True, None, None
-        else:
-            yield (
-                False,
-                _counterexample(
-                    h,
-                    "no 1-factor and no shared-degree-1 pair",
-                    lambda b: is_st(b, 4, 1),
-                    lambda b: not _girth5_exception(b) and not has_one_factor(b),
-                ),
-                None,
-            )
+def _check_girth5_condition(h: Bigraph) -> TrialResult:
+    """A (4,1)-bigraph has a 1-factor unless two degree-1 vertices of one
+    part share their neighbor."""
 
-
-def _trial_girth5_condition(rng: random.Random) -> TrialResult:
-    h = random_st_bigraph(rng, 4, 1, p=0.35)
-    ok = _girth5_exception(h) or has_one_factor(h)
-    return ok, None if ok else {"note": "no 1-factor and no shared-degree-1 pair", "instance": bigraph_to_json(h)}, None
-
-
-def _second_same_type(h: Bigraph, obs) -> bool:
-    """Is there a second same-type obstruction with a different vertex set?"""
-
-    rows = h.rows if obs.side == "A" else h.column_masks()
-    size = 5 if obs.otype == 1 else 4
-    for comb in combinations(range(8), size):
-        if frozenset(comb) == obs.x:
-            continue
-        n = _neighborhood(rows, comb)
-        if n.bit_count() != 3:
-            continue
-        if obs.otype == 1 and size == 5:
-            return True
-        if obs.otype == 4:
-            return True
-        want = 1 if obs.otype == 2 else 2
-        for x1 in range(8):
-            if x1 in comb:
-                continue
-            if (rows[x1] & ~n).bit_count() == want:
-                return True
-    return False
+    if _girth5_exception(h) or has_one_factor(h):
+        return True, None, None
+    return (
+        False,
+        _counterexample(
+            h,
+            "no 1-factor and no shared-degree-1 pair",
+            lambda b: is_st(b, 4, 1),
+            lambda b: not _girth5_exception(b) and not has_one_factor(b),
+        ),
+        None,
+    )
 
 
 def _trial_type_prop(rng: random.Random) -> TrialResult:
@@ -557,16 +491,9 @@ def _trial_type_prop(rng: random.Random) -> TrialResult:
         if obs2 is None or obs2.otype != obs.otype:
             return False, {"note": "type 1/2 not mirrored in the transpose", "instance": bigraph_to_json(h)}, None
     warning = None
-    if _second_same_type(h, obs):
+    if any(frozenset(x) != obs.x for x, *_ in _raw_obstructions(rows, obs.otype)):
         warning = f"second type-{obs.otype} obstruction present (uniqueness lore violated)"
     return True, None, warning
-
-
-def _profile_positions(h: Bigraph) -> tuple[list[int], list[int]]:
-    a_sorted = sorted(range(8), key=lambda i: (h.rows[i].bit_count(), i))
-    cols = h.column_masks()
-    b_sorted = sorted(range(8), key=lambda j: (cols[j].bit_count(), j))
-    return a_sorted, b_sorted
 
 
 def _meets_profile(h: Bigraph, mins: tuple[int, ...]) -> bool:
@@ -577,10 +504,11 @@ def _meets_profile(h: Bigraph, mins: tuple[int, ...]) -> bool:
 def _tight_block(h: Bigraph) -> bool:
     """Do the four lowest-degree vertices of one part see only 3 vertices?"""
 
-    a_sorted, b_sorted = _profile_positions(h)
-    n_a = _neighborhood(h.rows, a_sorted[:4])
-    n_b = _neighborhood(h.column_masks(), b_sorted[:4])
-    return n_a.bit_count() == 3 or n_b.bit_count() == 3
+    for side in (h.rows, h.column_masks()):
+        low = sorted(range(8), key=lambda i: (side[i].bit_count(), i))[:4]
+        if _neighborhood(side, low).bit_count() == 3:
+            return True
+    return False
 
 
 def _trial_matching_inc(rng: random.Random) -> TrialResult:
@@ -640,22 +568,36 @@ def _switcher_trial(rng: random.Random, otype: int) -> TrialResult:
     src = rng.sample(sources, need)
     dst = rng.sample(outside, need)
     required = list(zip(src, dst))
-    for attempt in range(60):
+
+    def draw() -> Bigraph:
         extra_add = [p for p in _random_matching(rng, 8, rng.randrange(0, 3)) if p[0] not in src and p[1] not in dst]
         add = required + extra_add
         remove = [p for p in _random_matching(rng, 8, rng.randrange(0, 9)) if p not in add]
-        h2 = _apply_matchings(h, add, remove)
-        if is_st(h2, 8, 3):
+        return _apply_matchings(h, add, remove)
+
+    return _exchange(h, required, draw, 3, f"type-{otype} exchange", "could not build a min-degree-3 exchanged instance")
+
+
+def _exchange(
+    h: Bigraph, required: list[tuple[int, int]], draw: Callable[[], Bigraph], t: int, what: str, give_up: str
+) -> TrialResult:
+    """The first of 60 ``draw()`` results (``h`` with ``required`` and random
+    matchings exchanged) of minimum degree ``t``, else ``h`` plus ``required``,
+    must have a 1-factor; with neither, the trial is skipped as ``give_up``."""
+
+    for _ in range(60):
+        h2 = draw()
+        if is_st(h2, h.s, t):
             break
     else:
         h2 = _apply_matchings(h, required, [])
-        if not is_st(h2, 8, 3):
-            return True, None, "could not build a min-degree-3 exchanged instance"
+        if not is_st(h2, h.s, t):
+            return True, None, give_up
     if not has_one_factor(h2):
         return (
             False,
             {
-                "note": f"type-{otype} exchange left no 1-factor",
+                "note": f"{what} left no 1-factor",
                 "instance": bigraph_to_json(h),
                 "exchanged": bigraph_to_json(h2),
                 "required": [list(p) for p in required],
@@ -700,51 +642,22 @@ def _trial_switcher_double(rng: random.Random, k: int) -> TrialResult:
     src = rng.sample(x, 2)
     dst = rng.sample(targets, 2)
     required = list(zip(src, dst))
-    for attempt in range(60):
+
+    def draw() -> Bigraph:
         a1 = required[:1] + [p for p in _random_matching(rng, s, rng.randrange(0, k)) if p[0] != required[0][0] and p[1] != required[0][1]]
         a2 = required[1:] + [p for p in _random_matching(rng, s, rng.randrange(0, k)) if p[0] != required[1][0] and p[1] != required[1][1]]
         r1 = [p for p in _random_matching(rng, s, rng.randrange(0, s)) if p not in a1 and p not in a2]
         r2 = [p for p in _random_matching(rng, s, rng.randrange(0, s)) if p not in a1 and p not in a2]
-        h2 = _apply_matchings(_apply_matchings(h, a1, r1), a2, r2)
-        if is_st(h2, s, k - 1):
-            break
-    else:
-        h2 = _apply_matchings(h, required, [])
-        if not is_st(h2, s, k - 1):
-            return True, None, "could not build a min-degree exchanged instance"
-    if not has_one_factor(h2):
-        return (
-            False,
-            {
-                "note": f"two-matching exchange (k={k}) left no 1-factor",
-                "instance": bigraph_to_json(h),
-                "exchanged": bigraph_to_json(h2),
-                "required": [list(p) for p in required],
-            },
-            None,
-        )
-    return True, None, None
+        return _apply_matchings(_apply_matchings(h, a1, r1), a2, r2)
+
+    return _exchange(h, required, draw, k - 1, f"two-matching exchange (k={k})", "could not build a min-degree exchanged instance")
 
 
-def _cycle_p3s(cycle: list[tuple[str, int]]) -> list[list[tuple[str, int]]]:
-    n = len(cycle)
-    return [[cycle[i], cycle[(i + 1) % n], cycle[(i + 2) % n]] for i in range(n)]
+def _walk_edges(walk: list[tuple[str, int]]) -> list[tuple[int, int]]:
+    """The (A-vertex, B-vertex) edges between consecutive vertices of a
+    walk given as ("a" | "b", index) labels."""
 
-
-def _p3_edges(p3) -> list[tuple[int, int]]:
-    out = []
-    for (sa, va), (sb, vb) in zip(p3, p3[1:]):
-        out.append((va, vb) if sa == "a" else (vb, va))
-    return out
-
-
-def _cycle_edges(cycle: list[tuple[str, int]]) -> list[tuple[int, int]]:
-    n = len(cycle)
-    out = []
-    for i in range(n):
-        (sa, va), (sb, vb) = cycle[i], cycle[(i + 1) % n]
-        out.append((va, vb) if sa == "a" else (vb, va))
-    return out
+    return [(va, vb) if sa == "a" else (vb, va) for (sa, va), (_, vb) in zip(walk, walk[1:])]
 
 
 def _trial_key1factor(rng: random.Random, kind: str) -> TrialResult:
@@ -753,16 +666,17 @@ def _trial_key1factor(rng: random.Random, kind: str) -> TrialResult:
     matching = inst.decorations["matching"]
     p3s: list[list[tuple[str, int]]] = []
     for cyc in inst.decorations["cycles"]:
-        p3s.extend(_cycle_p3s(cyc))
+        around = cyc + cyc[:2]
+        p3s.extend(around[i : i + 3] for i in range(len(cyc)))
     # candidate path pairs: vertex-disjoint, plus a planted 4-cycle as a
     # whole (its edges split into two edge-disjoint 2-edge paths)
     candidates: list[list[tuple[int, int]]] = []
     for p, q in combinations(p3s, 2):
         if not (set(p) & set(q)):
-            candidates.append(_p3_edges(p) + _p3_edges(q))
+            candidates.append(_walk_edges(p) + _walk_edges(q))
     for cyc in inst.decorations["cycles"]:
         if len(cyc) == 4:
-            candidates.append(_cycle_edges(cyc))
+            candidates.append(_walk_edges(cyc + cyc[:1]))
     for base in candidates:
         for e1, e2 in combinations(matching, 2):
             rows = list(h.rows)
@@ -834,19 +748,19 @@ def _trial_k_kplus1(rng: random.Random) -> TrialResult:
 class LemmaSpec:
     name: str
     trial: Callable[[random.Random], TrialResult] | None
-    exhaustive: Callable[[], Iterator[TrialResult]] | None
+    exhaustive: Callable[[], Iterable[TrialResult]] | None
     default_trials: int
 
 
 REGISTRY: dict[str, LemmaSpec] = {
     spec.name: spec
     for spec in [
-        LemmaSpec("easy_prop", _trial_easy_prop, _exhaustive_easy_prop, 100_000),
+        LemmaSpec("easy_prop", _trial_easy_prop, lambda: map(_check_easy_prop, _iter_4x4(2)), 100_000),
         LemmaSpec("matching_lem_1", _trial_matching_lem_1, None, 100_000),
         LemmaSpec("matching_lem_2", _trial_matching_lem_2, None, 100_000),
         LemmaSpec("one_gives_two", _trial_one_gives_two, None, 100_000),
-        LemmaSpec("canalwaysswap", _trial_canalwaysswap, _exhaustive_canalwaysswap, 100_000),
-        LemmaSpec("girth5_condition", _trial_girth5_condition, _exhaustive_girth5_condition, 100_000),
+        LemmaSpec("canalwaysswap", lambda rng: _check_canalwaysswap(random_st_bigraph(rng, 4, 2)), lambda: map(_check_canalwaysswap, _iter_4x4(2)), 100_000),
+        LemmaSpec("girth5_condition", lambda rng: _check_girth5_condition(random_st_bigraph(rng, 4, 1, p=0.35)), lambda: map(_check_girth5_condition, _iter_4x4(1)), 100_000),
         LemmaSpec("type_prop", _trial_type_prop, None, 100_000),
         LemmaSpec("matching_inc", _trial_matching_inc, None, 100_000),
         LemmaSpec("switcher_general_type1", lambda rng: _switcher_trial(rng, 1), None, 100_000),
@@ -868,30 +782,24 @@ def verify(
     trials: int | None = None,
     seed: int = 0,
     exhaustive: bool = False,
-    max_counterexamples: int = 5,
 ) -> VerifierReport:
     """Run one registered verifier and report.
 
     Randomized runs draw each trial from ``Random(seed * stride + index)``,
     so reports are reproducible and trials are independent of each other.
+    An exhaustive run checks every enumerated instance and takes no trial
+    count.  Randomized counterexamples record their ``trial`` index.
     """
 
     spec = REGISTRY.get(name)
     if spec is None:
         raise ValueError(f"unknown lemma {name!r}; known: {', '.join(sorted(REGISTRY))}")
-    start = time.perf_counter()
-    counterexamples: list[dict] = []
-    warnings: list[str] = []
-    checked = 0
     if exhaustive:
+        if trials is not None:
+            raise ValueError("an exhaustive run takes no trial count")
         if spec.exhaustive is None:
             raise ValueError(f"lemma {name!r} has no exhaustive enumeration")
-        for ok, failure, warning in spec.exhaustive():
-            checked += 1
-            if warning and warning not in warnings:
-                warnings.append(warning)
-            if not ok and failure is not None and len(counterexamples) < max_counterexamples:
-                counterexamples.append(failure)
+        results = ((None, result) for result in spec.exhaustive())
         strategy = "exhaustive"
     else:
         if spec.trial is None:
@@ -899,16 +807,17 @@ def verify(
         n = trials if trials is not None else spec.default_trials
         if n < 1:
             raise ValueError(f"trials must be positive, got {n}")
-        for i in range(n):
-            rng = random.Random(seed * _SEED_STRIDE + i)
-            ok, failure, warning = spec.trial(rng)
-            checked += 1
-            if warning and warning not in warnings:
-                warnings.append(warning)
-            if not ok and failure is not None and len(counterexamples) < max_counterexamples:
-                failure = dict(failure, trial=i)
-                counterexamples.append(failure)
+        results = ((i, spec.trial(random.Random(seed * _SEED_STRIDE + i))) for i in range(n))
         strategy = f"randomized(trials={n})"
+    counterexamples: list[dict] = []
+    warnings: list[str] = []
+    checked = 0
+    for trial, (ok, failure, warning) in results:
+        checked += 1
+        if warning and warning not in warnings:
+            warnings.append(warning)
+        if not ok and failure is not None and len(counterexamples) < MAX_COUNTEREXAMPLES:
+            counterexamples.append(failure if trial is None else dict(failure, trial=trial))
     return VerifierReport(
         lemma=name,
         strategy=strategy,
@@ -916,5 +825,4 @@ def verify(
         counterexamples=counterexamples,
         warnings=warnings,
         seed=seed,
-        elapsed=time.perf_counter() - start,
     )

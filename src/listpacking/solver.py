@@ -145,23 +145,32 @@ def solve_packing(cover: CorrespondenceCover) -> Packing | None:
 # ---------------------------------------------------------------------------
 
 
+def _pattern_maps(k: int, pairs_by_edge) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Partial forbidden maps in both directions of each edge (u, v), from
+    its position pairs: pair (i, j) means position i at u and position j at
+    v hold the same color."""
+
+    maps = {}
+    for (u, v), pairs in pairs_by_edge:
+        fwd = [-1] * k
+        rev = [-1] * k
+        for i, j in pairs:
+            fwd[i] = j
+            rev[j] = i
+        maps[(u, v)] = tuple(fwd)
+        maps[(v, u)] = tuple(rev)
+    return maps
+
+
 def _list_pattern_maps(la: ListAssignment) -> dict[tuple[int, int], tuple[int, ...]]:
     """Partial forbidden maps between list positions: position i at u forbids
     position j at v exactly when they hold the same color."""
 
-    maps = {}
-    for u, v in la.graph.sorted_edges():
-        pos_v = {c: i for i, c in enumerate(la.lists[v])}
-        fwd = [-1] * la.k
-        rev = [-1] * la.k
-        for i, c in enumerate(la.lists[u]):
-            j = pos_v.get(c)
-            if j is not None:
-                fwd[i] = j
-                rev[j] = i
-        maps[(u, v)] = tuple(fwd)
-        maps[(v, u)] = tuple(rev)
-    return maps
+    def shared(u: int, v: int) -> list[tuple[int, int]]:
+        pos_v = {c: j for j, c in enumerate(la.lists[v])}
+        return [(i, pos_v[c]) for i, c in enumerate(la.lists[u]) if c in pos_v]
+
+    return _pattern_maps(la.k, (((u, v), shared(u, v)) for u, v in la.graph.sorted_edges()))
 
 
 def solve_list_packing(la: ListAssignment) -> Packing | None:
@@ -247,13 +256,14 @@ def _padded_subset_order(k: int) -> list[tuple[int, ...]]:
     return sorted(subs, key=lambda c: tuple(list(c) + [k] * (k - len(c))))
 
 
-def _injection_order(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All partial injections of range(k), as (sorted domain, images)."""
+def _injection_order(k: int) -> list[list[tuple[int, int]]]:
+    """All partial injections of range(k), as (source, target) pair lists
+    by sorted domain, then images."""
 
     out = []
     for dom in _padded_subset_order(k):
         for img in permutations(range(k), len(dom)):
-            out.append((dom, img))
+            out.append(list(zip(dom, img)))
     return out
 
 
@@ -319,8 +329,10 @@ def adversarial_list_search(
     if n == 0:
         return None
     order = _solve_order(g)
-    subset_order = _padded_subset_order(k)
-    injections = _injection_order(k)
+    # a vertex's labels are still free at its first back edge, so that edge
+    # pins its targets to a prefix; later back edges take any injection
+    first_pairs = [[(src, t) for t, src in enumerate(dom)] for dom in _padded_subset_order(k)]
+    later_pairs = _injection_order(k)
     uf = UnionFind(n * k)
     back_edges: list[list[int]] = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
     chosen: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -355,16 +367,7 @@ def adversarial_list_search(
         if budget[0] <= 0:
             raise ResourceCapError("list-pattern enumeration exceeded its cap")
         budget[0] -= 1
-        maps = {}
-        for (u, v), pairs in chosen.items():
-            fwd = [-1] * k
-            rev = [-1] * k
-            for i, j in pairs:
-                fwd[i] = j
-                rev[j] = i
-            maps[(u, v)] = tuple(fwd)
-            maps[(v, u)] = tuple(rev)
-        if _core_solve(g, k, maps, order) is None:
+        if _core_solve(g, k, _pattern_maps(k, chosen.items()), order) is None:
             return real
         return None
 
@@ -377,24 +380,8 @@ def adversarial_list_search(
                 return None
             return place(v + 1, 0)
         u = backs[edge_idx]
-        if edge_idx == 0:
-            # this vertex's labels are still free: pin targets to a prefix
-            for dom in subset_order:
-                mark = uf.mark()
-                pairs = [(src, t) for t, src in enumerate(dom)]
-                ok = True
-                for src, t in pairs:
-                    uf.union(u * k + src, v * k + t)
-                chosen[(u, v)] = pairs
-                got = place(v, edge_idx + 1)
-                if got is not None:
-                    return got
-                del chosen[(u, v)]
-                uf.rollback(mark)
-            return None
-        for dom, img in injections:
+        for pairs in first_pairs if edge_idx == 0 else later_pairs:
             mark = uf.mark()
-            pairs = list(zip(dom, img))
             for src, t in pairs:
                 uf.union(u * k + src, v * k + t)
             chosen[(u, v)] = pairs

@@ -136,6 +136,7 @@ class TestExitCodes:
             ["pack", "--regime", "girth5_k4", "--budget", "3"],
             ["verify-lemma", "easy_prop", "--trials", "-5"],
             ["verify-lemma", "easy_prop", "--trials", "0"],
+            ["verify-lemma", "easy_prop", "--exhaustive", "--trials", "3"],
             ["chromatic", "--mode", "list", "--upper", "0"],
         ],
     )

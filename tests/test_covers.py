@@ -269,6 +269,14 @@ class TestJson:
             with pytest.raises(ValueError):
                 packing_from_json(obj)
 
+    @pytest.mark.parametrize("key", ["01", " 2", "2 ", "1_0", "\u0663", "+1", "-1", 1])
+    def test_packing_rejects_non_canonical_vertex_keys(self, key):
+        with pytest.raises(ValueError):
+            packing_from_json({"k": 1, "assign": {key: [0]}})
+        # also beside the canonical key it would collapse onto ("01" and "1")
+        with pytest.raises(ValueError):
+            packing_from_json({"k": 1, "assign": {"1": [0], key: [1]}})
+
     def test_list_assignment_needs_k_at_least_one(self):
         with pytest.raises(ValueError):
             ListAssignment(generate("path", 2), 0, ((), ()))

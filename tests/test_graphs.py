@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from listpacking.graphs import (
     Graph,
-    _mad_flow,
     degeneracy,
     find_light_triangle,
     generate,
@@ -156,7 +157,7 @@ class TestMad:
                 if rng.random() < 0.4
             }
             g = graph_from_edges(n, edges)
-            assert _mad_flow(g) == oracle_mad(g)
+            assert mad(g) == oracle_mad(g)
 
     def test_twelve_vertex_oracle(self):
         rng = random.Random(6)
@@ -168,6 +169,16 @@ class TestMad:
         }
         g = graph_from_edges(12, edges)
         assert mad(g) == oracle_mad(g)
+
+    def test_cache_does_not_keep_graph_alive(self):
+        # the Petersen graph, which no other test builds, so no equal graph
+        # was measured before
+        g = graph_from_edges(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        ref = weakref.ref(g)
+        assert (mad(g), girth(g)) == (3, 5)
+        del g
+        gc.collect()
+        assert ref() is None
 
     def test_large_graph_uses_flow(self):
         g = generate("grid", 5, 5)  # 25 vertices: takes the flow path

@@ -1,15 +1,18 @@
 import json
 import random
-from itertools import product
+from itertools import count, product
 
 import pytest
 
-from listpacking.bigraph import Bigraph, classify_obstruction, has_one_factor, is_st
+from listpacking.bigraph import Bigraph, bigraph_from_json, bigraph_to_json, classify_obstruction, has_one_factor, is_st
+from listpacking.cli import main
 from listpacking.lemmas import (
+    MAX_COUNTEREXAMPLES,
     REGISTRY,
-    StructuredInstance,
-    VerifierReport,
-    build_structured,
+    LemmaSpec,
+    _counterexample,
+    _planted_cycles,
+    _switcher_double_plant,
     planted_obstruction,
     random_st_bigraph,
     shrink_bigraph,
@@ -95,6 +98,53 @@ class TestDeterminism:
         assert json.dumps(a.as_json(), sort_keys=True) == json.dumps(b.as_json(), sort_keys=True)
 
 
+class TestFailurePath:
+    """``verify`` on a registered lemma that fails on chosen trials."""
+
+    FAILING = {2, 3, 5, 7, 11, 13}
+    START = Bigraph(4, (1, 1, 15, 15))  # a (4,1)-bigraph without a 1-factor
+
+    @classmethod
+    def check(cls, h):
+        failure = _counterexample(h, "planted failure", lambda b: is_st(b, 4, 1), lambda b: not has_one_factor(b))
+        return False, failure, "repeated warning"
+
+    @pytest.fixture(autouse=True)
+    def fake(self, monkeypatch):
+        calls = count()
+
+        def trial(rng):
+            i = next(calls)
+            if i in self.FAILING:
+                return self.check(self.START)
+            return True, None, "repeated warning" if i % 4 == 1 else None
+
+        exhaustive = lambda: map(self.check, [self.START] * 7)
+        monkeypatch.setitem(REGISTRY, "fake", LemmaSpec("fake", trial, exhaustive, 20))
+
+    def test_randomized(self):
+        report = verify("fake")
+        assert not report.ok and report.instances_checked == 20
+        assert [c["trial"] for c in report.counterexamples] == sorted(self.FAILING)[:MAX_COUNTEREXAMPLES] == [2, 3, 5, 7, 11]
+        assert report.warnings == ["repeated warning"]
+        c = report.counterexamples[0]
+        assert c["note"] == "planted failure" and c["instance"] == bigraph_to_json(self.START)
+        shrunk = bigraph_from_json(c["shrunk"])
+        assert shrunk.edge_count() < self.START.edge_count()
+        assert is_st(shrunk, 4, 1) and not has_one_factor(shrunk)
+
+    def test_exhaustive(self):
+        report = verify("fake", exhaustive=True)
+        assert report.instances_checked == 7
+        assert len(report.counterexamples) == MAX_COUNTEREXAMPLES
+        assert all("trial" not in c for c in report.counterexamples)
+        assert report.warnings == ["repeated warning"]
+
+    def test_cli_exit_code(self, capsys):
+        assert main(["verify-lemma", "fake", "--trials", "20"]) == 1
+        assert len(json.loads(capsys.readouterr().out)["counterexamples"]) == MAX_COUNTEREXAMPLES
+
+
 class TestShrinker:
     def test_shrinks_false_claim(self):
         # "every (4,1)-bigraph has a 1-factor" is false; the shrinker must
@@ -131,7 +181,7 @@ class TestStructuredBuilders:
             assert set(obs.x) == set(inst.decorations["x"])
 
     def test_cycle10_instance(self):
-        inst = build_structured("cycle10_plus_M5", seed=3)
+        inst = _planted_cycles(random.Random(3), (10,))
         assert is_st(inst.h, 8, 4)
         cycles = inst.decorations["cycles"]
         assert len(cycles) == 1 and len(cycles[0]) == 10
@@ -139,7 +189,7 @@ class TestStructuredBuilders:
         self._check_cycle_edges(inst)
 
     def test_cycle6_4_instance(self):
-        inst = build_structured("cycle6_4_plus_M5", seed=4)
+        inst = _planted_cycles(random.Random(4), (6, 4))
         assert is_st(inst.h, 8, 4)
         cycles = inst.decorations["cycles"]
         assert sorted(len(c) for c in cycles) == [4, 6]
@@ -160,11 +210,11 @@ class TestStructuredBuilders:
             assert inst.h.has_edge(i, j)
 
     def test_violator_kind(self):
-        inst = build_structured("violator_type_1", seed=0)
+        inst = planted_obstruction(random.Random(0), 1)
         assert classify_obstruction(inst.h).otype == 1
 
     def test_switcher_double_instance(self):
-        inst = build_structured("switcher_double_instance", seed=5)
+        inst = _switcher_double_plant(random.Random(5), 4)
         assert is_st(inst.h, 8, 3)
         x = inst.decorations["x"]
         tilde = inst.decorations["tilde"]
@@ -175,10 +225,6 @@ class TestStructuredBuilders:
         for i in x:
             n |= rows[i]
         assert len(x) - n.bit_count() == 2
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_structured("cycle12", seed=0)
 
 
 class TestGenerators:
