@@ -404,8 +404,11 @@ def list_assignment_from_json(obj: dict) -> ListAssignment:
     try:
         k = json_int(obj["k"])
         g = graph_from_json(obj["graph"])
-        lists = [tuple(sorted(json_int(c) for c in obj["lists"][str(v)])) for v in range(g.n)]
-    except (KeyError, TypeError, ValueError) as exc:
+        given = {_vertex_key(v): colors for v, colors in obj["lists"].items()}
+        if sorted(given) != list(range(g.n)):
+            raise ValueError(f"list keys must be exactly the vertices 0..{g.n - 1}")
+        lists = [tuple(sorted(json_int(c) for c in given[v])) for v in range(g.n)]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed list-assignment JSON: {exc}") from exc
     return ListAssignment(g, k, tuple(lists))
 

@@ -52,14 +52,6 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in nbr)
 
     @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
-    @cached_property
     def _girth(self) -> int | float:
         best: int | float = math.inf
         for u, v in self.sorted_edges():

@@ -10,17 +10,17 @@ gives both exact solvers.
 Adversarial list search does not enumerate raw color lists.  Two
 assignments whose per-edge shared-color position patterns agree are
 solvable or unsolvable together, so the search enumerates those patterns
-directly, one representative per per-vertex relabeling orbit, realizes each
-candidate back into an honest list assignment, and solves that.  This is
-the same quotient the cover search takes with a spanning forest pinned to
-identity permutations, and it is what makes exhausting list size 3 on small
-cycles affordable.
+directly, one representative per per-vertex relabeling orbit, and solves
+each pattern's forbidden maps; only a pattern the solver rejects is realized
+back into an honest list assignment.  This is the same quotient the cover
+search takes with a spanning forest pinned to identity permutations, and it
+is what makes exhausting list size 3 on small cycles affordable.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from itertools import combinations, permutations, product
+from typing import Sequence
 
 from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors
 from listpacking.covers import (
@@ -212,29 +212,12 @@ def adversarial_cover_search(
 
     tree = _spanning_forest(g)
     free = [e for e in g.sorted_edges() if e not in tree]
-    ident = Perm.identity(k)
     perms = [Perm(p) for p in permutations(range(k))]
-    base = {e: ident for e in tree}
-
-    def candidates() -> Iterator[CorrespondenceCover]:
-        def rec(idx: int, chosen: dict) -> Iterator[CorrespondenceCover]:
-            if idx == len(free):
-                arcs = dict(base)
-                arcs.update(chosen)
-                yield CorrespondenceCover(g, k, arcs)
-                return
-            for p in perms:
-                chosen[free[idx]] = p
-                yield from rec(idx + 1, chosen)
-            del chosen[free[idx]]
-
-        yield from rec(0, {})
-
-    count = 0
-    for cover in candidates():
+    base = {e: Perm.identity(k) for e in tree}
+    for count, choice in enumerate(product(perms, repeat=len(free))):
         if count >= cap:
             raise ResourceCapError(f"cover enumeration exceeded cap={cap}")
-        count += 1
+        cover = CorrespondenceCover(g, k, {**base, **dict(zip(free, choice))})
         if solve_packing(cover) is None:
             return cover
     return None
@@ -277,38 +260,21 @@ def _realize_lists(
     when more than ``universe`` colors would be needed.
     """
 
-    roots_by_vertex = [[uf.find(v * k + i) for i in range(k)] for v in range(g.n)]
-    conflicts: dict[int, set[int]] = {}
-    order: list[int] = []
-    seen: set[int] = set()
-    for v in range(g.n):
-        for r in roots_by_vertex[v]:
-            if r not in seen:
-                seen.add(r)
-                order.append(r)
-                conflicts[r] = set()
-    for v in range(g.n):
-        rs = roots_by_vertex[v]
-        for a, b in combinations(rs, 2):
-            conflicts[a].add(b)
-            conflicts[b].add(a)
-    for u, v in g.edges:
-        for a in roots_by_vertex[u]:
-            for b in roots_by_vertex[v]:
-                if a != b:
-                    conflicts[a].add(b)
-                    conflicts[b].add(a)
+    roots = [[uf.find(v * k + i) for i in range(k)] for v in range(g.n)]
+    # near[r]: r and every class it shares a vertex or faces an edge with,
+    # keyed in first-appearance order
+    near: dict[int, set[int]] = {}
+    for v, rs in enumerate(roots):
+        seen = set(rs).union(*(roots[u] for u in g.adjacency[v]))
+        for r in rs:
+            near.setdefault(r, set()).update(seen)
     color: dict[int, int] = {}
-    for r in order:
-        used = {color[o] for o in conflicts[r] if o in color}
-        c = 0
-        while c in used:
-            c += 1
-        if c >= universe:
+    for r, others in near.items():
+        used = {color[o] for o in others if o in color}
+        color[r] = min(set(range(len(used) + 1)) - used)
+        if color[r] >= universe:
             return None
-        color[r] = c
-    lists = tuple(tuple(sorted(color[r] for r in roots_by_vertex[v])) for v in range(g.n))
-    return ListAssignment(g, k, lists)
+    return ListAssignment(g, k, tuple(tuple(sorted(color[r] for r in rs)) for rs in roots))
 
 
 def adversarial_list_search(
@@ -318,13 +284,17 @@ def adversarial_list_search(
 
     Enumerates shared-color position patterns, one per relabeling orbit:
     vertex by vertex, the edges back to earlier vertices choose which list
-    positions coincide.  Each complete, self-consistent pattern is realized
-    into an assignment over at most ``universe`` colors and solved exactly.
-    Candidates whose sharing graph is a forest are skipped when k >= 2
-    (forests always pack).  Raises ResourceCapError after ``cap`` solved
-    candidates.
+    positions coincide.  Each complete, self-consistent pattern is solved
+    exactly; one the solver rejects is realized into an assignment over at
+    most ``universe`` colors and returned, and the search goes on when that
+    needs more colors.  Candidates whose sharing graph is a forest are
+    skipped when k >= 2 (forests always pack).  Raises ResourceCapError
+    after ``cap`` solved candidates, realizable or not, and ValueError when
+    ``universe < k``.
     """
 
+    if universe < k:
+        raise ValueError(f"universe must be at least k={k}, got {universe}")
     n = g.n
     if n == 0:
         return None
@@ -338,20 +308,14 @@ def adversarial_list_search(
     chosen: dict[tuple[int, int], list[tuple[int, int]]] = {}
     budget = [cap]
 
-    def vertex_ok(v: int) -> bool:
-        roots = [uf.find(v * k + i) for i in range(k)]
-        return len(set(roots)) == k
-
-    def closure_ok() -> bool:
-        # every same-class position pair across an edge must be a chosen pair
-        for (u, v), pairs in chosen.items():
-            pair_set = set(pairs)
-            for i in range(k):
-                ru = uf.find(u * k + i)
-                for j in range(k):
-                    if ru == uf.find(v * k + j) and (i, j) not in pair_set:
-                        return False
-        return True
+    def consistent(upto: int) -> bool:
+        # injective: each vertex w <= upto has k distinct classes; then each
+        # chosen pair of an edge is one shared class, and the edge is closed
+        # when it shares no other
+        roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
+        return all(len(rs) == k for rs in roots) and all(
+            len(roots[u] & roots[v]) == len(pairs) for (u, v), pairs in chosen.items()
+        )
 
     def test_candidate() -> ListAssignment | None:
         if k >= 2:
@@ -359,16 +323,11 @@ def adversarial_list_search(
             sharing = UnionFind(n)
             if all(sharing.union(u, v) for (u, v), pairs in chosen.items() if pairs):
                 return None
-        if not closure_ok():
-            return None
-        real = _realize_lists(g, k, uf, universe)
-        if real is None:
-            return None
         if budget[0] <= 0:
             raise ResourceCapError("list-pattern enumeration exceeded its cap")
         budget[0] -= 1
         if _core_solve(g, k, _pattern_maps(k, chosen.items()), order) is None:
-            return real
+            return _realize_lists(g, k, uf, universe)
         return None
 
     def place(v: int, edge_idx: int) -> ListAssignment | None:
@@ -376,9 +335,7 @@ def adversarial_list_search(
             return test_candidate()
         backs = back_edges[v]
         if edge_idx == len(backs):
-            if not all(vertex_ok(w) for w in range(v + 1)):
-                return None
-            return place(v + 1, 0)
+            return place(v + 1, 0) if consistent(v) else None
         u = backs[edge_idx]
         for pairs in first_pairs if edge_idx == 0 else later_pairs:
             mark = uf.mark()

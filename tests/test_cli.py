@@ -138,19 +138,30 @@ class TestExitCodes:
             ["verify-lemma", "easy_prop", "--trials", "0"],
             ["verify-lemma", "easy_prop", "--exhaustive", "--trials", "3"],
             ["chromatic", "--mode", "list", "--upper", "0"],
+            ["adversary", "--mode", "list", "--k", "2", "--universe", "1"],
+            ["adversary", "--mode", "list", "--k", "2", "--universe", "0"],
+            ["adversary", "--mode", "list", "--k", "2", "--universe", "-3"],
         ],
     )
     def test_count_out_of_range(self, tmp_path, capsys, argv):
         cover = write_json(tmp_path, "cover.json", cover_to_json(random_cover(generate("dodecahedron"), 4, 3)))
         graph = write_json(tmp_path, "c4.json", graph_to_json(generate("cycle", 4)))
-        extra = {"pack": ["--cover", cover], "chromatic": ["--graph", graph]}.get(argv[0], [])
-        code, out = run(capsys, *argv, *extra)
+        extra = {"pack": ["--cover", cover], "chromatic": ["--graph", graph], "adversary": ["--graph", graph]}
+        code, out = run(capsys, *argv, *extra.get(argv[0], []))
         assert code == 2 and out == ""
 
     def test_list_size_zero(self, tmp_path, capsys):
         payload = {"k": 0, "graph": graph_to_json(generate("path", 2)), "lists": {"0": [], "1": []}}
         code, _ = run(capsys, "solve-list", "--lists", write_json(tmp_path, "k0.json", payload))
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["01", "9"])
+    def test_list_keys_are_the_vertices(self, tmp_path, capsys, key):
+        # a non-canonical key, or one naming no vertex, is refused, not dropped
+        lists = {"0": [0, 1], "1": [1, 2], key: [7, 8]}
+        payload = {"k": 2, "graph": graph_to_json(generate("path", 2)), "lists": lists}
+        code, out = run(capsys, "solve-list", "--lists", write_json(tmp_path, "keys.json", payload))
+        assert code == 2 and out == ""
 
     @pytest.mark.parametrize(
         "module, argv",

@@ -154,9 +154,26 @@ class TestAdversarialLists:
     def test_k1(self):
         assert adversarial_list_search(Graph(1, frozenset()), 1, 1) is None
 
-    def test_cap(self):
+    @pytest.mark.parametrize(
+        "g, k, universe, solved, witness",
+        [
+            (generate("cycle", 4), 3, 12, 2338, None),
+            (generate("complete_bipartite", 2, 3), 2, 10, 34, ((0, 1), (0, 2), (0, 1), (0, 1), (1, 2))),
+        ],
+        ids=["C4-k3", "K23-k2"],
+    )
+    def test_cap(self, g, k, universe, solved, witness):
+        # exactly `solved` candidates survive the consistency check and the
+        # forest skip; the cap counts only those
+        found = adversarial_list_search(g, k, universe, cap=solved)
+        assert (None if found is None else found.lists) == witness
         with pytest.raises(ResourceCapError):
-            adversarial_list_search(generate("cycle", 4), 3, 12, cap=5)
+            adversarial_list_search(g, k, universe, cap=solved - 1)
+
+    @pytest.mark.parametrize("universe", [1, 0, -3])
+    def test_universe_below_k(self, universe):
+        with pytest.raises(ValueError):
+            adversarial_list_search(generate("cycle", 4), 2, universe)
 
     def test_exhaustive_against_brute_force(self):
         # quantify over every 2-assignment drawn from a 4-color universe on
@@ -191,6 +208,10 @@ class TestPackingNumbers:
 
     def test_list_c4(self):
         assert packing_number(generate("cycle", 4), "list", 4) == 3
+
+    def test_list_empty_graph(self):
+        # universe k * n is 0 here; the search still runs at universe 1
+        assert packing_number(Graph(0, frozenset()), "list", 2) == 1
 
     def test_list_k3(self):
         assert packing_number(generate("complete", 3), "list", 4) == 3
