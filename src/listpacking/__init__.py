@@ -41,7 +41,6 @@ from listpacking.covers import (
     Packing,
     Perm,
     extension_bigraph,
-    list_extension_bigraph,
     list_to_cover,
     straighten,
     validate_list_packing,

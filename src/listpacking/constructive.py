@@ -8,12 +8,15 @@ Supported regimes (the cover's k must match):
 * ``planar_k8`` -- planar, k = 8 (planarity is trusted, not tested).
 
 Each step finds a reducible configuration, removes its removable vertices,
-packs the rest, and extends back over the removed set.  When a direct
-extension is blocked, each set of at most ``budget`` (at most 2) packed
-neighbors is unpacked in turn, repacked by a capped enumeration of its
-1-factors, and the extension is tried again.  The hand case analyses behind
-these repair moves are not transcribed; bounded exhaustive repair subsumes
-them, and every emitted packing is validated before it is returned.
+packs the rest, and extends back over the removed set.  Every extension runs
+through the solver's backtracking generator (:func:`solver._extensions`):
+each removed vertex in turn takes a 1-factor of its extension bigraph.  When
+the direct extension is blocked, each set of at most ``budget`` (at most 2)
+packed neighbors is unpacked in turn, repacked through the same generator
+(at most ``REPACK_CAP`` repackings), and the extension is tried again.  The
+hand case analyses behind these repair moves are not transcribed; bounded
+exhaustive repair subsumes them, and every emitted packing is validated
+before it is returned.
 """
 
 from __future__ import annotations
@@ -21,18 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Iterator
 
-from listpacking.bigraph import _invert, iter_one_factors
-from listpacking.covers import (
-    CorrespondenceCover,
-    Packing,
-    extension_bigraph,
-    validate_packing,
-)
+from listpacking.covers import CorrespondenceCover, Packing, forbidden_maps, validate_packing
 from listpacking.graphs import Graph, find_light_triangle, girth, mad
+from listpacking.solver import _extensions
 
 REGIME_K = {"mad4_k5": 5, "girth5_k4": 4, "planar_k8": 8}
+
+# repackings of one neighbor set tried before repair moves to the next set
+REPACK_CAP = 10_000
 
 
 class ClassViolationError(ValueError):
@@ -175,28 +175,6 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"repair budget must be 0, 1 or 2, got {budget}")
 
 
-def _extensions(
-    cover: CorrespondenceCover,
-    packing: Packing,
-    order: tuple[int, ...],
-    counter: list[int],
-) -> Iterator[None]:
-    """Backtrack over the extensions of ``packing`` to ``order``, vertex by
-    vertex in that order, yielding with each one assigned in ``packing``;
-    exhausting the generator restores ``packing``.  ``counter[0]`` counts
-    the 1-factors tried."""
-
-    if not order:
-        yield
-        return
-    v, rest = order[0], order[1:]
-    for cols in iter_one_factors(extension_bigraph(cover, packing, v)):
-        counter[0] += 1
-        packing.assign[v] = _invert(cols)
-        yield from _extensions(cover, packing, rest, counter)
-        del packing.assign[v]
-
-
 def extend_with_repair(
     cover: CorrespondenceCover,
     packing: Packing,
@@ -204,7 +182,6 @@ def extend_with_repair(
     budget: int = 2,
     trace: RepairTrace | None = None,
     kind: str = "extension",
-    enum_cap: int = 10_000,
 ) -> Packing | None:
     """Extend a partial packing over ``frontier``, repacking at most
     ``budget`` (0, 1 or 2) packed neighbors when the direct extension is
@@ -214,35 +191,38 @@ def extend_with_repair(
     attempt recorded in ``trace``.  Repair tries the sets of 1, then of 2,
     packed neighbors of the frontier in ascending order: it unpacks the set,
     repacks its vertices in order, and extends over the frontier again.  At
-    most ``enum_cap`` repackings of each set are tried, and ``factors_tried``
-    counts the frontier's 1-factors only.
+    most ``REPACK_CAP`` repackings of each set are tried.  Every extension
+    runs through :func:`solver._extensions`, and each attempt stops at its
+    first frontier extension, so ``factors_tried`` (frontier extensions
+    tried) is 1 on success and 0 on failure.  On a one-vertex frontier,
+    which every reduction but ``five_with_four_threes`` has, that is the
+    number of the frontier's 1-factors tried.
     """
 
     _check_budget(budget)
     for f in frontier:
         if f in packing.assign:
             raise ValueError(f"frontier vertex {f} is already packed")
-    counter = [0]
+    k, adj = cover.k, cover.graph.adjacency
 
     def record(repacked: tuple[int, ...], used: int, success: bool) -> None:
         if trace is not None:
-            trace.steps.append(RepairStep(frontier, kind, repacked, counter[0], used, success))
+            trace.steps.append(RepairStep(frontier, kind, repacked, int(success), used, success))
 
     work = packing.copy()
-    for _ in _extensions(cover, work, frontier, counter):
+    for _ in _extensions(k, adj, forbidden_maps(cover, frontier), work.assign, frontier):
         record((), 0, True)
         return work
 
-    neighbors = sorted(
-        {w for f in frontier for w in cover.graph.adjacency[f] if w in packing.assign}
-    )
+    neighbors = sorted({w for f in frontier for w in adj[f] if w in packing.assign})
     for size in range(1, budget + 1):
         for zs in combinations(neighbors, size):
             work = packing.copy()
             for z in zs:
                 del work.assign[z]
-            for _ in islice(_extensions(cover, work, zs, [0]), enum_cap):
-                for _ in _extensions(cover, work, frontier, counter):
+            maps = forbidden_maps(cover, zs + frontier)
+            for _ in islice(_extensions(k, adj, maps, work.assign, zs), REPACK_CAP):
+                for _ in _extensions(k, adj, maps, work.assign, frontier):
                     record(zs, size, True)
                     return work
     record((), budget, False)
@@ -270,7 +250,6 @@ def pack_constructive(
     cover: CorrespondenceCover,
     regime: str,
     budget: int = 2,
-    check_class: bool = True,
 ) -> PackOutcome:
     """Pack a cover by the delete/recurse/repair strategy of its regime.
 
@@ -287,7 +266,7 @@ def pack_constructive(
         raise ValueError(f"regime {regime} needs k={REGIME_K[regime]}, cover has k={cover.k}")
     trace = RepairTrace()
     g = cover.graph
-    if check_class and g.n:
+    if g.n:
         why = _check_class(g, regime)
         if why is not None:
             return PackOutcome(False, None, trace, f"class_violation: {why}")

@@ -260,45 +260,47 @@ def pull_back_list_packing(indexing: tuple[tuple[int, ...], ...], packing: Packi
 # ---------------------------------------------------------------------------
 
 
+def forbidden_maps(
+    cover: CorrespondenceCover, into: Iterable[int]
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The arc images into the vertices ``into``: ``maps[(u, v)][c]`` is the
+    color that color ``c`` at u forbids at v, for each v in ``into`` and
+    each neighbor u of v."""
+
+    return {(u, v): cover.perm_along(u, v).image for v in into for u in cover.graph.adjacency[v]}
+
+
+def extension_rows(v: int, k: int, adj, maps, assign: Mapping[int, tuple[int, ...]]) -> list[int]:
+    """Rows of the extension bigraph at v: bit j of row i is set when
+    coloring j may still use value i at v.
+
+    ``maps[(u, v)]`` takes the value at u to the value it forbids at v (-1
+    when it forbids none), and ``assign`` holds the packed vertices, as in
+    :attr:`Packing.assign`; unpacked neighbors impose nothing.
+    """
+
+    full = (1 << k) - 1
+    rows = [full] * k
+    for u in adj[v]:
+        got = assign.get(u)
+        if got is None:
+            continue
+        fmap = maps[(u, v)]
+        for j in range(k):
+            t = fmap[got[j]]
+            if t >= 0:
+                rows[t] &= ~(1 << j)
+    return rows
+
+
 def extension_bigraph(cover: CorrespondenceCover, packing: Packing, v: int) -> Bigraph:
-    """Rows indexed by color i, bit j set when coloring j may still use
-    color i at v.  Unpacked neighbors impose nothing."""
+    """The extension bigraph at the unpacked vertex v (see
+    :func:`extension_rows`), with colors as rows."""
 
     if v in packing.assign:
         raise ValueError(f"vertex {v} is already packed")
-    k = cover.k
-    full = (1 << k) - 1
-    rows = [full] * k
-    for w in cover.graph.adjacency[v]:
-        got = packing.assign.get(w)
-        if got is None:
-            continue
-        to_v = cover.perm_along(w, v)
-        for j, c in enumerate(got):
-            rows[to_v(c)] &= ~(1 << j)
-    return Bigraph(k, tuple(rows))
-
-
-def list_extension_bigraph(la: ListAssignment, packing: Packing, v: int) -> Bigraph:
-    """Same as :func:`extension_bigraph` but for list constraints: color
-    slot i of v conflicts with coloring j when some packed neighbor uses the
-    identical color in coloring j."""
-
-    if v in packing.assign:
-        raise ValueError(f"vertex {v} is already packed")
-    k = la.k
-    full = (1 << k) - 1
-    rows = [full] * k
-    colors = la.lists[v]
-    for w in la.graph.adjacency[v]:
-        got = packing.assign.get(w)
-        if got is None:
-            continue
-        for j, c in enumerate(got):
-            for i in range(k):
-                if colors[i] == c:
-                    rows[i] &= ~(1 << j)
-    return Bigraph(k, tuple(rows))
+    rows = extension_rows(v, cover.k, cover.graph.adjacency, forbidden_maps(cover, (v,)), packing.assign)
+    return Bigraph(cover.k, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +437,6 @@ def packing_from_json(obj: dict) -> Packing:
     try:
         k = json_int(obj["k"])
         assign = {_vertex_key(v): tuple(json_int(c) for c in colors) for v, colors in obj["assign"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed packing JSON: {exc}") from exc
     return Packing(k, assign)

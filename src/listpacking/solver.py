@@ -4,8 +4,10 @@ The solver core works over "forbidden maps": for each ordered adjacent pair
 (u, v), an array taking the value placed at u in coloring j to the value it
 forbids at v in the same coloring (-1 when it forbids nothing).  Covers
 induce total maps (the arc permutations); list assignments induce partial
-maps (shared colors, identified by list position).  On top of one core this
-gives both exact solvers.
+maps (shared colors, identified by list position).  One backtracking
+generator over these maps, :func:`_extensions`, extends a partial packing
+through the 1-factors of the extension bigraphs; it gives both exact solvers
+and the constructive packer's extension and repair.
 
 Adversarial list search does not enumerate raw color lists.  Two
 assignments whose per-edge shared-color position patterns agree are
@@ -20,7 +22,7 @@ is what makes exhausting list size 3 on small cycles affordable.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors
 from listpacking.covers import (
@@ -28,6 +30,9 @@ from listpacking.covers import (
     ListAssignment,
     Packing,
     Perm,
+    extension_rows,
+    forbidden_maps,
+    validate_list_packing,
     validate_packing,
 )
 from listpacking.graphs import Graph, UnionFind, degeneracy, forest_walk
@@ -52,19 +57,43 @@ def _solve_order(g: Graph) -> tuple[int, ...]:
     return tuple(reversed(order))
 
 
-def _rows_for(v: int, k: int, adj: Sequence[Sequence[int]], maps, assign) -> list[int]:
-    full = (1 << k) - 1
-    rows = [full] * k
-    for u in adj[v]:
-        got = assign[u]
-        if got is None:
-            continue
-        fmap = maps[(u, v)]
-        for j in range(k):
-            t = fmap[got[j]]
-            if t >= 0:
-                rows[t] &= ~(1 << j)
-    return rows
+def _extensions(
+    k: int, adj: Sequence[Sequence[int]], maps, assign: dict, order: Sequence[int]
+) -> Iterator[None]:
+    """Yield once per extension of the partial packing ``assign`` over the
+    unpacked vertices ``order``, with all of them assigned in ``assign``.
+
+    ``maps[(u, v)]`` is the forbidden map described in the module docstring,
+    needed for each v in ``order`` and each neighbor u.  Vertices are packed
+    in ``order``, each through the 1-factors of its extension bigraph in
+    :func:`_raw_one_factors` order.  After each tentative assignment every
+    later vertex of ``order`` is Hall-checked (its remaining options must
+    admit a 1-factor) and the branch is dropped on failure; packing more
+    vertices only removes options, so only dead branches are dropped.
+    Exhausting the generator restores ``assign``.
+    """
+
+    n = len(order)
+
+    def rec(idx: int) -> Iterator[None]:
+        if idx == n:
+            yield
+            return
+        v = order[idx]
+        rest = order[idx + 1 :]
+        for cols in _raw_one_factors(k, extension_rows(v, k, adj, maps, assign)):
+            assign[v] = _invert(cols)
+            # only later vertices with a packed neighbor can have lost options
+            for u in rest:
+                if any(w in assign for w in adj[u]) and not _raw_has_one_factor(
+                    k, extension_rows(u, k, adj, maps, assign)
+                ):
+                    break
+            else:
+                yield from rec(idx + 1)
+        assign.pop(v, None)
+
+    return rec(0)
 
 
 def _core_solve(
@@ -73,44 +102,13 @@ def _core_solve(
     maps,
     order: Sequence[int] | None = None,
 ) -> dict[int, tuple[int, ...]] | None:
-    """Complete backtracking over per-vertex assignments.
-
-    ``maps[(u, v)]`` is the forbidden map described in the module docstring.
-    After each tentative assignment every unpacked vertex is Hall-checked
-    (its remaining options must admit a 1-factor) and the branch is dropped
-    on failure.
-    """
+    """The first packing :func:`_extensions` finds over all of g, or None."""
 
     if order is None:
         order = _solve_order(g)
-    n = g.n
-    adj = g.adjacency
-    assign: list[tuple[int, ...] | None] = [None] * n
-
-    def rec(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        rows = _rows_for(v, k, adj, maps, assign)
-        for cols in _raw_one_factors(k, rows):
-            assign[v] = _invert(cols)
-            # unpacked vertices are exactly order[idx+1:]; only those with a
-            # packed neighbor can have lost options
-            ok = True
-            for i in range(idx + 1, n):
-                u = order[i]
-                if any(assign[w] is not None for w in adj[u]) and not _raw_has_one_factor(
-                    k, _rows_for(u, k, adj, maps, assign)
-                ):
-                    ok = False
-                    break
-            if ok and rec(idx + 1):
-                return True
-        assign[v] = None
-        return False
-
-    if rec(0):
-        return {v: val for v, val in enumerate(assign) if val is not None}
+    assign: dict[int, tuple[int, ...]] = {}
+    for _ in _extensions(k, g.adjacency, maps, assign, order):
+        return assign
     return None
 
 
@@ -119,18 +117,11 @@ def _core_solve(
 # ---------------------------------------------------------------------------
 
 
-def _cover_maps(cover: CorrespondenceCover) -> dict[tuple[int, int], tuple[int, ...]]:
-    maps = {}
-    for (u, v), perm in cover.arcs.items():
-        maps[(u, v)] = perm.image
-        maps[(v, u)] = perm.inverse().image
-    return maps
-
-
 def solve_packing(cover: CorrespondenceCover) -> Packing | None:
     """A valid packing of the cover, or None when none exists."""
 
-    found = _core_solve(cover.graph, cover.k, _cover_maps(cover))
+    g = cover.graph
+    found = _core_solve(g, cover.k, forbidden_maps(cover, range(g.n)))
     if found is None:
         return None
     packing = Packing(cover.k, found)
@@ -184,10 +175,14 @@ def solve_list_packing(la: ListAssignment) -> Packing | None:
     found = _core_solve(la.graph, la.k, _list_pattern_maps(la))
     if found is None:
         return None
-    return Packing(
+    packing = Packing(
         la.k,
         {v: tuple(la.lists[v][slot] for slot in slots) for v, slots in found.items()},
     )
+    check = validate_list_packing(la, packing)
+    if not check.ok:
+        raise AssertionError(f"solver produced an invalid list packing: {check.violations}")
+    return packing
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ import pytest
 
 from listpacking import constructive, solver
 from listpacking.cli import main
-from listpacking.covers import Check, cover_to_json, random_cover
+from listpacking.covers import (
+    Check,
+    cover_to_json,
+    list_assignment,
+    list_assignment_to_json,
+    random_cover,
+)
 from listpacking.graphs import generate, graph_to_json
 
 
@@ -168,12 +174,22 @@ class TestExitCodes:
         [
             (solver, ["solve"]),
             (constructive, ["pack", "--regime", "girth5_k4"]),
+            (solver, ["solve-list"]),
         ],
     )
     def test_internal_error(self, tmp_path, capsys, monkeypatch, module, argv):
-        monkeypatch.setattr(module, "validate_packing", lambda cover, packing: Check(False, ("forced",)))
-        path = write_json(tmp_path, "cover.json", cover_to_json(random_cover(generate("dodecahedron"), 4, 3)))
-        code = main(argv + ["--cover", path])
+        def forced(instance, packing):
+            return Check(False, ("forced",))
+
+        if argv[0] == "solve-list":
+            monkeypatch.setattr(module, "validate_list_packing", forced)
+            la = list_assignment(generate("cycle", 4), 2, [[0, 1], [1, 2], [0, 2], [1, 2]])
+            argv = argv + ["--lists", write_json(tmp_path, "lists.json", list_assignment_to_json(la))]
+        else:
+            monkeypatch.setattr(module, "validate_packing", forced)
+            cover = random_cover(generate("dodecahedron"), 4, 3)
+            argv = argv + ["--cover", write_json(tmp_path, "cover.json", cover_to_json(cover))]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == "" and "internal error" in captured.err

@@ -13,10 +13,10 @@ from listpacking.covers import (
     cover_from_json,
     cover_to_json,
     extension_bigraph,
+    extension_rows,
     list_assignment,
     list_assignment_from_json,
     list_assignment_to_json,
-    list_extension_bigraph,
     list_to_cover,
     packing_from_json,
     packing_to_json,
@@ -27,7 +27,7 @@ from listpacking.covers import (
     validate_packing,
 )
 from listpacking.graphs import Graph, generate, graph_from_edges
-from listpacking.solver import solve_packing
+from listpacking.solver import _list_pattern_maps, solve_packing
 from oracles import oracle_cover_solvable
 
 
@@ -194,13 +194,13 @@ class TestExtensionBigraphs:
         # the classic seven-edge extension bigraph
         g = generate("cycle", 5)
         la = list_assignment(g, 3, [[1, 2, 4]] + [[1, 2, 3]] * 4)
-        packing = Packing(3, {0: (2, 1, 4)})
-        h = list_extension_bigraph(la, packing, 4)
-        missing = {(i, j) for i in range(3) for j in range(3) if not h.has_edge(i, j)}
+        # colors (2, 1, 4) at vertex 0, written as positions in its list
+        rows = extension_rows(4, 3, g.adjacency, _list_pattern_maps(la), {0: (1, 0, 2)})
+        missing = {(i, j) for i in range(3) for j in range(3) if not rows[i] >> j & 1}
         # color index of 2 is 1, forbidden for coloring 0; index of 1 is 0,
         # forbidden for coloring 1
         assert missing == {(1, 0), (0, 1)}
-        assert h.edge_count() == 7
+        assert sum(r.bit_count() for r in rows) == 7
 
     def test_packed_vertex_rejected(self):
         g = generate("path", 2)
@@ -265,7 +265,12 @@ class TestJson:
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, "1", True])
     def test_packing_rejects_non_integers(self, bad):
-        for obj in ({"k": bad, "assign": {"0": [0]}}, {"k": 2, "assign": {"0": [0, bad]}}):
+        for obj in (
+            {"k": bad, "assign": {"0": [0]}},
+            {"k": 2, "assign": {"0": [0, bad]}},
+            {"k": 1, "assign": [[0]]},
+            {"k": 1, "assign": 3},
+        ):
             with pytest.raises(ValueError):
                 packing_from_json(obj)
 

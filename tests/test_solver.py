@@ -3,10 +3,14 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from listpacking import solver
+from listpacking.bigraph import _invert, iter_one_factors
 from listpacking.covers import (
     CorrespondenceCover,
     Packing,
     Perm,
+    extension_bigraph,
+    forbidden_maps,
     list_assignment,
     random_cover,
     validate_list_packing,
@@ -15,6 +19,7 @@ from listpacking.covers import (
 from listpacking.graphs import Graph, generate, graph_from_edges
 from listpacking.solver import (
     ResourceCapError,
+    _extensions,
     adversarial_cover_search,
     adversarial_list_search,
     packing_number,
@@ -105,6 +110,92 @@ class TestSolveListPacking:
         assert solve_list_packing(la) is not None
         cover, _ = list_to_cover(la)
         assert solve_packing(cover) is None
+
+
+EXTENSION_GRAPHS = {
+    "path": generate("path", 4),
+    "cycle": generate("cycle", 5),
+    "star": generate("complete_bipartite", 1, 3),
+}
+
+
+def partial_packing(kind: str, k: int, order: tuple[int, ...]) -> tuple[CorrespondenceCover, Packing]:
+    """A packable cover, with the vertices of ``order`` unpacked from one of
+    its packings."""
+
+    cover = random_cover(EXTENSION_GRAPHS[kind], k, 0)
+    full = solve_packing(cover)
+    return cover, Packing(k, {v: c for v, c in full.assign.items() if v not in order})
+
+
+def engine_extensions(cover, packing, order) -> list[tuple[tuple[int, ...], ...]]:
+    assign = dict(packing.assign)
+    gen = _extensions(cover.k, cover.graph.adjacency, forbidden_maps(cover, order), assign, order)
+    got = [tuple(assign[v] for v in order) for _ in gen]
+    assert assign == packing.assign  # exhausting the generator restores it
+    return got
+
+
+def nested_factor_extensions(cover, packing, order):
+    """Every extension, vertex by vertex through the 1-factors of the
+    extension bigraph, without lookahead."""
+
+    if not order:
+        yield ()
+        return
+    v = order[0]
+    for cols in iter_one_factors(extension_bigraph(cover, packing, v)):
+        packing.assign[v] = _invert(cols)
+        for rest in nested_factor_extensions(cover, packing, order[1:]):
+            yield (packing.assign[v], *rest)
+        del packing.assign[v]
+
+
+def brute_force_extensions(cover, packing, order) -> set[tuple[tuple[int, ...], ...]]:
+    found = set()
+    for choice in product(permutations(range(cover.k)), repeat=len(order)):
+        trial = Packing(cover.k, {**packing.assign, **dict(zip(order, choice))})
+        if validate_packing(cover, trial).ok:
+            found.add(choice)
+    return found
+
+
+class TestExtensions:
+    """The one extension engine, behind both the solver and the packer."""
+
+    @pytest.mark.parametrize(
+        "kind, k, order",
+        [
+            ("path", 2, (1,)),
+            ("path", 3, (0, 1)),
+            ("cycle", 2, (0,)),
+            ("cycle", 3, (1, 2)),
+            ("star", 2, (1, 2)),
+            ("star", 3, (0, 1)),
+        ],
+    )
+    def test_every_extension_once_in_nested_factor_order(self, kind, k, order):
+        cover, packing = partial_packing(kind, k, order)
+        got = engine_extensions(cover, packing, order)
+        assert len(set(got)) == len(got)
+        assert got == list(nested_factor_extensions(cover, packing.copy(), order))
+        assert set(got) == brute_force_extensions(cover, packing, order)
+
+    def test_lookahead_prunes_only_dead_branches(self, monkeypatch):
+        # packing the path's end vertex 0 first leaves vertex 1 without a
+        # 1-factor for some choices; those branches are cut at vertex 0
+        cover, packing = partial_packing("path", 3, (0, 1))
+        verdicts = []
+        real = solver._raw_has_one_factor
+
+        def recording(s, rows):
+            verdicts.append(real(s, rows))
+            return verdicts[-1]
+
+        monkeypatch.setattr(solver, "_raw_has_one_factor", recording)
+        got = engine_extensions(cover, packing, (0, 1))
+        assert False in verdicts
+        assert set(got) == brute_force_extensions(cover, packing, (0, 1))
 
 
 class TestAdversarialCovers:
