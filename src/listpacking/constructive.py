@@ -210,7 +210,7 @@ def extend_with_repair(
             trace.steps.append(RepairStep(frontier, kind, repacked, int(success), used, success))
 
     work = packing.copy()
-    for _ in _extensions(k, adj, forbidden_maps(cover, frontier), work.assign, frontier):
+    for _ in _extensions(k, adj, forbidden_maps(cover, frontier, work.assign), work.assign, frontier):
         record((), 0, True)
         return work
 
@@ -220,7 +220,7 @@ def extend_with_repair(
             work = packing.copy()
             for z in zs:
                 del work.assign[z]
-            maps = forbidden_maps(cover, zs + frontier)
+            maps = forbidden_maps(cover, zs + frontier, work.assign)
             for _ in islice(_extensions(k, adj, maps, work.assign, zs), REPACK_CAP):
                 for _ in _extensions(k, adj, maps, work.assign, frontier):
                     record(zs, size, True)

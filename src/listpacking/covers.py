@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from listpacking.bigraph import Bigraph
 from listpacking.graphs import (
@@ -261,13 +261,20 @@ def pull_back_list_packing(indexing: tuple[tuple[int, ...], ...], packing: Packi
 
 
 def forbidden_maps(
-    cover: CorrespondenceCover, into: Iterable[int]
+    cover: CorrespondenceCover, into: Sequence[int], packed: Container[int]
 ) -> dict[tuple[int, int], tuple[int, ...]]:
     """The arc images into the vertices ``into``: ``maps[(u, v)][c]`` is the
     color that color ``c`` at u forbids at v, for each v in ``into`` and
-    each neighbor u of v."""
+    each neighbor u of v that is in ``packed`` or in ``into``.  Extending a
+    packing of ``packed`` over ``into`` reads no other arc."""
 
-    return {(u, v): cover.perm_along(u, v).image for v in into for u in cover.graph.adjacency[v]}
+    adj = cover.graph.adjacency
+    return {
+        (u, v): cover.perm_along(u, v).image
+        for v in into
+        for u in adj[v]
+        if u in packed or u in into
+    }
 
 
 def extension_rows(v: int, k: int, adj, maps, assign: Mapping[int, tuple[int, ...]]) -> list[int]:
@@ -299,7 +306,8 @@ def extension_bigraph(cover: CorrespondenceCover, packing: Packing, v: int) -> B
 
     if v in packing.assign:
         raise ValueError(f"vertex {v} is already packed")
-    rows = extension_rows(v, cover.k, cover.graph.adjacency, forbidden_maps(cover, (v,)), packing.assign)
+    maps = forbidden_maps(cover, (v,), packing.assign)
+    rows = extension_rows(v, cover.k, cover.graph.adjacency, maps, packing.assign)
     return Bigraph(cover.k, tuple(rows))
 
 

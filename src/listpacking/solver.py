@@ -16,7 +16,18 @@ directly, one representative per per-vertex relabeling orbit, and solves
 each pattern's forbidden maps; only a pattern the solver rejects is realized
 back into an honest list assignment.  This is the same quotient the cover
 search takes with a spanning forest pinned to identity permutations, and it
-is what makes exhausting list size 3 on small cycles affordable.
+is what makes exhausting list size 3 on small cycles affordable.  The
+pattern's classes are tracked through union and rollback
+(:class:`_PatternClasses`), so a pattern that cannot be consistent is cut at
+the union that breaks it.
+
+Nearly every candidate either search tests is solvable, and one packing
+often packs many neighbouring candidates.  So each search keeps a pool of
+the ``POOL_CAP`` most recently useful packings found in the same call, and
+tries them against a candidate's forbidden pairs before solving it; a
+candidate a pooled packing fits is solvable, with that packing as its
+certificate.  Every packing enters the pool validated against the candidate
+it was solved for.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
-from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors
+from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors, bits
 from listpacking.covers import (
     CorrespondenceCover,
     ListAssignment,
@@ -40,6 +51,13 @@ from listpacking.graphs import Graph, UnionFind, degeneracy, forest_walk
 
 class ResourceCapError(RuntimeError):
     """An adversarial enumeration exceeded its candidate cap."""
+
+
+# packings an adversarial search keeps to try on each candidate before
+# solving it.  On the C3-C5, banner and K4 packing numbers, 8 ran about 10%
+# slower than 16, and 16 to 64 ran alike: past 16 the hits a larger pool
+# adds cost as much as the longer scan of every miss.
+POOL_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +139,7 @@ def solve_packing(cover: CorrespondenceCover) -> Packing | None:
     """A valid packing of the cover, or None when none exists."""
 
     g = cover.graph
-    found = _core_solve(g, cover.k, forbidden_maps(cover, range(g.n)))
+    found = _core_solve(g, cover.k, forbidden_maps(cover, range(g.n), ()))
     if found is None:
         return None
     packing = Packing(cover.k, found)
@@ -194,6 +212,34 @@ def _spanning_forest(g: Graph) -> set[tuple[int, int]]:
     return {(u, v) if u < v else (v, u) for u, v in forest_walk(g)}
 
 
+def _fits(cols, constraints) -> bool:
+    """Whether a packing meets every forbidden pair of ``constraints``.
+
+    ``cols[v][a]`` is the coloring that uses value a at v (the inverse of
+    :attr:`Packing.assign`).  Each entry of ``constraints`` is ``((u, v),
+    pairs)``: pair (a, b) means value a at u and value b at v may not share a
+    coloring, as the forbidden maps of the module docstring put it.
+    """
+
+    return all(cols[u][a] != cols[v][b] for (u, v), pairs in constraints for a, b in pairs)
+
+
+def _pool_hit(pool: list, constraints) -> bool:
+    """Whether a pooled packing fits ``constraints``; a hit moves to the front."""
+
+    for idx, cols in enumerate(pool):
+        if _fits(cols, constraints):
+            if idx:
+                pool.insert(0, pool.pop(idx))
+            return True
+    return False
+
+
+def _pool_push(pool: list, cols) -> None:
+    pool.insert(0, cols)
+    del pool[POOL_CAP:]
+
+
 def adversarial_cover_search(
     g: Graph, k: int, cap: int = 1_000_000
 ) -> CorrespondenceCover | None:
@@ -202,19 +248,28 @@ def adversarial_cover_search(
     A spanning forest is fixed to identity permutations (every cover is
     equivalent to one of this shape), all edges are oriented low-to-high,
     and the free edges run through all permutation tuples in lexicographic
-    order.  Raises ResourceCapError after ``cap`` candidates.
+    order.  Each candidate is first tried against the pool of recent
+    packings (module docstring) and solved only when none fits.  Raises
+    ResourceCapError after ``cap`` decided candidates.
     """
 
     tree = _spanning_forest(g)
     free = [e for e in g.sorted_edges() if e not in tree]
-    perms = [Perm(p) for p in permutations(range(k))]
+    # each permutation p with the forbidden pairs (a, p(a)) of its arc
+    options = [(Perm(p), tuple(enumerate(p))) for p in permutations(range(k))]
     base = {e: Perm.identity(k) for e in tree}
-    for count, choice in enumerate(product(perms, repeat=len(free))):
+    base_pairs = [(e, tuple(enumerate(range(k)))) for e in tree]
+    pool: list[tuple[tuple[int, ...], ...]] = []
+    for count, choice in enumerate(product(options, repeat=len(free))):
         if count >= cap:
             raise ResourceCapError(f"cover enumeration exceeded cap={cap}")
-        cover = CorrespondenceCover(g, k, {**base, **dict(zip(free, choice))})
-        if solve_packing(cover) is None:
+        if _pool_hit(pool, base_pairs + [(e, pairs) for e, (_, pairs) in zip(free, choice)]):
+            continue
+        cover = CorrespondenceCover(g, k, {**base, **{e: p for e, (p, _) in zip(free, choice)}})
+        packing = solve_packing(cover)
+        if packing is None:
             return cover
+        _pool_push(pool, tuple(_invert(packing.assign[v]) for v in range(g.n)))
     return None
 
 
@@ -243,6 +298,88 @@ def _injection_order(k: int) -> list[list[tuple[int, int]]]:
         for img in permutations(range(k), len(dom)):
             out.append(list(zip(dom, img)))
     return out
+
+
+class _PatternClasses:
+    """The color classes of a partial position pattern, kept consistent.
+
+    Position i at vertex v is element ``v * k + i`` of a
+    :class:`graphs.UnionFind`; ``chosen`` maps each edge (u, v), u < v, with
+    its pairs to those pairs.  Alongside, each class root keeps the bitmask
+    of the vertices the class touches, and each edge the number of classes
+    it shares; both follow :meth:`choose` and :meth:`rollback`.  A pattern
+    is consistent when every vertex has k distinct classes (injective) and
+    every chosen edge shares exactly its pairs' classes (closed).  Classes
+    only merge, so a broken pattern never heals, and :meth:`choose` reports
+    a break at the union that makes it.
+    """
+
+    def __init__(self, g: Graph, k: int) -> None:
+        self.k = k
+        self.uf = UnionFind(g.n * k)
+        self.touches = [1 << (x // k) for x in range(g.n * k)]
+        self.nbrs = [sum(1 << u for u in g.adjacency[v]) for v in range(g.n)]
+        self.share = dict.fromkeys(g.edges, 0)
+        self.chosen: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # per union: the two roots, their masks, and the edges it made shared
+        self.trail: list[tuple[int, int, int, int, list[tuple[int, int]]]] = []
+
+    def mark(self) -> tuple[int, int]:
+        return len(self.trail), len(self.chosen)
+
+    def rollback(self, mark: tuple[int, int]) -> None:
+        unions, edges = mark
+        while len(self.trail) > unions:
+            ra, ma, rb, mb, crossed = self.trail.pop()
+            self.touches[ra], self.touches[rb] = ma, mb
+            for e in crossed:
+                self.share[e] -= 1
+        self.uf.rollback(unions)
+        while len(self.chosen) > edges:
+            self.chosen.popitem()
+
+    def choose(self, u: int, v: int, pairs: list[tuple[int, int]]) -> bool:
+        """Choose edge (u, v) with its pairs: pair (i, t) makes position i
+        at u and position t at v one class.  False when a union breaks the
+        pattern, either by putting two positions of one vertex in a class or
+        by making a chosen edge share more classes than it has pairs."""
+
+        self.chosen[(u, v)] = pairs
+        k = self.k
+        for i, t in pairs:
+            if not self._union(u * k + i, v * k + t):
+                return False
+        return True
+
+    def _union(self, a: int, b: int) -> bool:
+        uf = self.uf
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb:
+            return True
+        ma, mb = self.touches[ra], self.touches[rb]
+        if ma & mb:
+            return False
+        uf.union(ra, rb)
+        self.touches[ra] = self.touches[rb] = ma | mb
+        # the merged class newly shares exactly the edges between its parts
+        crossed = []
+        ok = True
+        for x in bits(ma):
+            for y in bits(self.nbrs[x] & mb):
+                e = (x, y) if x < y else (y, x)
+                self.share[e] += 1
+                crossed.append(e)
+                pairs = self.chosen.get(e)
+                if pairs is not None and self.share[e] > len(pairs):
+                    ok = False
+        self.trail.append((ra, ma, rb, mb, crossed))
+        return ok
+
+    def closed(self, v: int, backs: Sequence[int]) -> bool:
+        """Each chosen edge (u, v), u in ``backs``, shares exactly its pairs'
+        classes; an edge can share more before it is chosen."""
+
+        return all(self.share[(u, v)] == len(self.chosen[(u, v)]) for u in backs)
 
 
 def _realize_lists(
@@ -283,9 +420,12 @@ def adversarial_list_search(
     exactly; one the solver rejects is realized into an assignment over at
     most ``universe`` colors and returned, and the search goes on when that
     needs more colors.  Candidates whose sharing graph is a forest are
-    skipped when k >= 2 (forests always pack).  Raises ResourceCapError
-    after ``cap`` solved candidates, realizable or not, and ValueError when
-    ``universe < k``.
+    skipped when k >= 2 (forests always pack).  Before a candidate is
+    solved it is tried against the pool of recent packings (module
+    docstring), and a packing the solver returns is checked against the
+    pattern before it enters the pool; a failed check raises AssertionError.
+    Raises ResourceCapError after ``cap`` decided candidates (pool hits,
+    solved, realizable or not), and ValueError when ``universe < k``.
     """
 
     if universe < k:
@@ -298,19 +438,11 @@ def adversarial_list_search(
     # pins its targets to a prefix; later back edges take any injection
     first_pairs = [[(src, t) for t, src in enumerate(dom)] for dom in _padded_subset_order(k)]
     later_pairs = _injection_order(k)
-    uf = UnionFind(n * k)
+    classes = _PatternClasses(g, k)
+    chosen = classes.chosen
     back_edges: list[list[int]] = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
-    chosen: dict[tuple[int, int], list[tuple[int, int]]] = {}
     budget = [cap]
-
-    def consistent(upto: int) -> bool:
-        # injective: each vertex w <= upto has k distinct classes; then each
-        # chosen pair of an edge is one shared class, and the edge is closed
-        # when it shares no other
-        roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
-        return all(len(rs) == k for rs in roots) and all(
-            len(roots[u] & roots[v]) == len(pairs) for (u, v), pairs in chosen.items()
-        )
+    pool: list[tuple[tuple[int, ...], ...]] = []
 
     def test_candidate() -> ListAssignment | None:
         if k >= 2:
@@ -321,8 +453,17 @@ def adversarial_list_search(
         if budget[0] <= 0:
             raise ResourceCapError("list-pattern enumeration exceeded its cap")
         budget[0] -= 1
-        if _core_solve(g, k, _pattern_maps(k, chosen.items()), order) is None:
-            return _realize_lists(g, k, uf, universe)
+        if _pool_hit(pool, chosen.items()):
+            return None
+        found = _core_solve(g, k, _pattern_maps(k, chosen.items()), order)
+        if found is None:
+            return _realize_lists(g, k, classes.uf, universe)
+        if any(sorted(found.get(v, ())) != list(range(k)) for v in range(n)):
+            raise AssertionError(f"solver produced a packing that is not a permutation per vertex: {found}")
+        cols = tuple(_invert(found[v]) for v in range(n))
+        if not _fits(cols, chosen.items()):
+            raise AssertionError(f"solver produced a packing that breaks its pattern: {found}")
+        _pool_push(pool, cols)
         return None
 
     def place(v: int, edge_idx: int) -> ListAssignment | None:
@@ -330,18 +471,15 @@ def adversarial_list_search(
             return test_candidate()
         backs = back_edges[v]
         if edge_idx == len(backs):
-            return place(v + 1, 0) if consistent(v) else None
+            return place(v + 1, 0) if classes.closed(v, backs) else None
         u = backs[edge_idx]
         for pairs in first_pairs if edge_idx == 0 else later_pairs:
-            mark = uf.mark()
-            for src, t in pairs:
-                uf.union(u * k + src, v * k + t)
-            chosen[(u, v)] = pairs
-            got = place(v, edge_idx + 1)
-            if got is not None:
-                return got
-            del chosen[(u, v)]
-            uf.rollback(mark)
+            mark = classes.mark()
+            if classes.choose(u, v, pairs):
+                got = place(v, edge_idx + 1)
+                if got is not None:
+                    return got
+            classes.rollback(mark)
         return None
 
     return place(0, 0)

@@ -175,13 +175,23 @@ class TestExitCodes:
             (solver, ["solve"]),
             (constructive, ["pack", "--regime", "girth5_k4"]),
             (solver, ["solve-list"]),
+            (solver, ["adversary", "--mode", "list", "--k", "2"]),
+            (solver, ["chromatic", "--mode", "list", "--upper", "3"]),
         ],
     )
     def test_internal_error(self, tmp_path, capsys, monkeypatch, module, argv):
         def forced(instance, packing):
             return Check(False, ("forced",))
 
-        if argv[0] == "solve-list":
+        if argv[0] in ("adversary", "chromatic"):
+            # the list search checks every packing the solver hands it; this
+            # one puts equal positions in one coloring at every vertex
+            def same_order(g, k, maps, order=None):
+                return {v: tuple(range(k)) for v in range(g.n)}
+
+            monkeypatch.setattr(module, "_core_solve", same_order)
+            argv = argv + ["--graph", write_json(tmp_path, "c4.json", graph_to_json(generate("cycle", 4)))]
+        elif argv[0] == "solve-list":
             monkeypatch.setattr(module, "validate_list_packing", forced)
             la = list_assignment(generate("cycle", 4), 2, [[0, 1], [1, 2], [0, 2], [1, 2]])
             argv = argv + ["--lists", write_json(tmp_path, "lists.json", list_assignment_to_json(la))]

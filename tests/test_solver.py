@@ -16,10 +16,14 @@ from listpacking.covers import (
     validate_list_packing,
     validate_packing,
 )
-from listpacking.graphs import Graph, generate, graph_from_edges
+from listpacking.graphs import Graph, UnionFind, generate, graph_from_edges
 from listpacking.solver import (
     ResourceCapError,
     _extensions,
+    _fits,
+    _injection_order,
+    _PatternClasses,
+    _pool_hit,
     adversarial_cover_search,
     adversarial_list_search,
     packing_number,
@@ -130,7 +134,7 @@ def partial_packing(kind: str, k: int, order: tuple[int, ...]) -> tuple[Correspo
 
 def engine_extensions(cover, packing, order) -> list[tuple[tuple[int, ...], ...]]:
     assign = dict(packing.assign)
-    gen = _extensions(cover.k, cover.graph.adjacency, forbidden_maps(cover, order), assign, order)
+    gen = _extensions(cover.k, cover.graph.adjacency, forbidden_maps(cover, order, assign), assign, order)
     got = [tuple(assign[v] for v in order) for _ in gen]
     assert assign == packing.assign  # exhausting the generator restores it
     return got
@@ -219,6 +223,17 @@ class TestAdversarialCovers:
         with pytest.raises(ResourceCapError):
             adversarial_cover_search(generate("cycle", 5), 4, cap=3)
 
+    def test_k4(self):
+        # the all-identity cover is the first candidate at k=3 (K4 is not
+        # 3-colorable); every one of the 13,824 candidates at k=4 packs
+        g = generate("complete", 4)
+        w = adversarial_cover_search(g, 3)
+        assert sorted(w.arcs) == g.sorted_edges()
+        assert all(p.is_identity() for p in w.arcs.values())
+        assert adversarial_cover_search(g, 4, cap=13_824) is None
+        with pytest.raises(ResourceCapError):
+            adversarial_cover_search(g, 4, cap=13_823)
+
     def test_gauge_reduction_complete_c3_k2(self):
         # enumerating every cover agrees with the gauge-reduced search
         g = generate("cycle", 3)
@@ -250,16 +265,50 @@ class TestAdversarialLists:
         [
             (generate("cycle", 4), 3, 12, 2338, None),
             (generate("complete_bipartite", 2, 3), 2, 10, 34, ((0, 1), (0, 2), (0, 1), (0, 1), (1, 2))),
+            (generate("cycle", 5), 3, 15, 29_590, None),
         ],
-        ids=["C4-k3", "K23-k2"],
+        ids=["C4-k3", "K23-k2", "C5-k3"],
     )
     def test_cap(self, g, k, universe, solved, witness):
         # exactly `solved` candidates survive the consistency check and the
-        # forest skip; the cap counts only those
+        # forest skip; the cap counts those, whether a pooled packing or the
+        # solver decides them
         found = adversarial_list_search(g, k, universe, cap=solved)
         assert (None if found is None else found.lists) == witness
         with pytest.raises(ResourceCapError):
             adversarial_list_search(g, k, universe, cap=solved - 1)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda g, k: {v: (0,) * k for v in range(g.n)},
+            lambda g, k: {v: tuple(range(k)) for v in range(1, g.n)},
+            lambda g, k: {v: tuple(range(k)) for v in range(g.n)},
+        ],
+        ids=["not-a-permutation", "vertex-missing", "breaks-a-pair"],
+    )
+    def test_solver_packing_is_validated(self, monkeypatch, bad):
+        # a wrong "solvable" verdict would lower a packing number silently
+        monkeypatch.setattr(solver, "_core_solve", lambda g, k, maps, order=None: bad(g, k))
+        with pytest.raises(AssertionError):
+            adversarial_list_search(generate("cycle", 4), 2, 8)
+
+    @pytest.mark.parametrize(
+        "g, k, universe",
+        [
+            (generate("cycle", 4), 2, 3),
+            (generate("cycle", 4), 3, 12),
+            (generate("complete_bipartite", 2, 3), 2, 10),
+            (graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))), 2, 4),
+        ],
+        ids=["C4-k2", "C4-k3", "K23-k2", "diamond-k2"],
+    )
+    def test_pool_changes_no_verdict(self, monkeypatch, g, k, universe):
+        pooled = adversarial_list_search(g, k, universe)
+        monkeypatch.setattr(solver, "POOL_CAP", 0)
+        unpooled = adversarial_list_search(g, k, universe)
+        assert (pooled is None) == (unpooled is None)
+        assert pooled is None or pooled.lists == unpooled.lists
 
     @pytest.mark.parametrize("universe", [1, 0, -3])
     def test_universe_below_k(self, universe):
@@ -321,3 +370,139 @@ class TestPackingNumbers:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             packing_number(generate("cycle", 5), "chromatic", 3)
+
+
+def solved_cols(cover: CorrespondenceCover) -> tuple[tuple[int, ...], ...]:
+    """A packing of the cover as the pool holds it: per vertex, the
+    coloring of each color."""
+
+    packing = solve_packing(cover)
+    return tuple(_invert(packing.assign[v]) for v in range(cover.graph.n))
+
+
+class TestPool:
+    """A pooled packing counts only when it meets every forbidden pair."""
+
+    def test_hit_moves_to_front(self):
+        cover = random_cover(generate("cycle", 5), 3, 1)
+        constraints = [(arc, tuple(enumerate(p.image))) for arc, p in cover.arcs.items()]
+        fits = solved_cols(cover)
+        other = tuple(tuple(reversed(c)) for c in fits)
+        assert not _fits(other, constraints)
+        pool = [other, fits]
+        assert _pool_hit(pool, constraints)
+        assert pool == [fits, other]
+
+    def test_one_broken_pair_misses(self):
+        # pattern form: the pairs of a list assignment, plus one pair the
+        # packing puts in one coloring at both ends
+        g = generate("cycle", 4)
+        la = list_assignment(g, 3, [[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 3, 4]])
+        found = solver._core_solve(g, 3, solver._list_pattern_maps(la))
+        cols = tuple(_invert(found[v]) for v in range(g.n))
+        constraints = [
+            ((u, v), tuple((i, la.lists[v].index(c)) for i, c in enumerate(la.lists[u]) if c in la.lists[v]))
+            for u, v in g.sorted_edges()
+        ]
+        (u, v), pairs = constraints[0]
+        a = next(a for a in range(3) if all(a != x for x, _ in pairs))
+        b = cols[v].index(cols[u][a])
+        assert _pool_hit([cols], constraints)
+        assert not _pool_hit([cols], constraints[1:] + [((u, v), pairs + ((a, b),))])
+
+    def test_one_broken_arc_misses(self):
+        # cover form: replace one arc's permutation by one that the packing
+        # breaks at exactly one color
+        cover = random_cover(generate("cycle", 5), 3, 3)
+        cols = solved_cols(cover)
+        (u, v), _ = sorted(cover.arcs.items())[0]
+        # sigma(a): the color at v in the coloring that uses a at u
+        sigma = [cols[v].index(cols[u][a]) for a in range(3)]
+        swapped = [sigma[0], sigma[2], sigma[1]]  # agrees with sigma at 0 only
+        arcs = {**cover.arcs, (u, v): Perm(tuple(swapped))}
+        constraints = [(arc, tuple(enumerate(p.image))) for arc, p in arcs.items()]
+        broken = [(a, b) for (x, y), pairs in constraints for a, b in pairs if cols[x][a] == cols[y][b]]
+        assert broken == [(0, sigma[0])]
+        assert not _pool_hit([cols], constraints)
+
+
+def rebuilt_consistent(uf: UnionFind, k: int, chosen, upto: int) -> bool:
+    """The from-scratch check the incremental classes replace: every vertex
+    w <= upto has k distinct classes, and every chosen edge shares exactly
+    its pairs' classes."""
+
+    roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
+    return all(len(rs) == k for rs in roots) and all(
+        len(roots[u] & roots[v]) == len(pairs) for (u, v), pairs in chosen.items()
+    )
+
+
+def assert_state_rebuilt(classes: _PatternClasses, uf: UnionFind, g: Graph, k: int, upto: int) -> None:
+    roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
+    for u, v in g.edges:
+        if v <= upto:
+            assert classes.share[(u, v)] == len(roots[u] & roots[v])
+    for r in set().union(*roots):
+        assert classes.uf.find(r) == r
+        assert classes.touches[r] == sum(1 << w for w, rs in enumerate(roots) if r in rs)
+
+
+class TestPatternClasses:
+    """Incremental class bookkeeping against the from-scratch rebuild."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate("cycle", 4),
+            generate("cycle", 5),
+            generate("complete", 4),
+            generate("complete_bipartite", 2, 3),
+        ],
+        ids=["C4", "C5", "K4", "K23"],
+    )
+    def test_agrees_with_rebuild(self, g, k):
+        # random vertex-by-vertex patterns, as the search builds them, with
+        # random rollbacks to earlier vertices
+        rng = random.Random(f"{g.n}-{g.m}-{k}")
+        injections = _injection_order(k)
+        classes = _PatternClasses(g, k)
+        uf = UnionFind(g.n * k)
+        chosen: dict = {}
+        starts = []  # per placed vertex: the marks before it
+        verdicts = set()
+        v = 0
+        for _ in range(600):
+            if v == g.n or (starts and rng.random() < 0.15):
+                v = rng.randrange(len(starts))
+                _, mark, uf_mark, chosen = starts[v]
+                chosen = dict(chosen)
+                del starts[v:]
+                classes.rollback(mark)
+                uf.rollback(uf_mark)
+                assert classes.chosen == chosen
+                if v:
+                    assert_state_rebuilt(classes, uf, g, k, v - 1)
+                continue
+            start = (v, classes.mark(), uf.mark(), dict(chosen))
+            backs = sorted(u for u in g.adjacency[v] if u < v)
+            accepted = True
+            for u in backs:
+                pairs = rng.choice(injections)
+                accepted = accepted and classes.choose(u, v, pairs)
+                for i, t in pairs:
+                    uf.union(u * k + i, v * k + t)
+                chosen[(u, v)] = pairs
+            accepted = accepted and classes.closed(v, backs)
+            assert accepted == rebuilt_consistent(uf, k, chosen, v)
+            verdicts.add(accepted)
+            if accepted:
+                assert_state_rebuilt(classes, uf, g, k, v)
+                starts.append(start)
+                v += 1
+            else:
+                _, mark, uf_mark, chosen = start
+                chosen = dict(chosen)
+                classes.rollback(mark)
+                uf.rollback(uf_mark)
+        assert verdicts == {True, False}
