@@ -8,7 +8,10 @@ lexicographic subset order, so downstream results are reproducible.
 The hot primitives (:func:`max_matching`, :func:`hall_violator`, the
 allowed-edge analysis) also exist as module-private functions over raw
 ``(s, rows)`` pairs so the verification harness can call them in tight loops
-without object churn.
+without object churn.  Whether an edge lies in some 1-factor is decided in
+one place, :func:`_raw_allowed_columns`, by a bitmask reachability closure
+over alternating paths; :func:`allowed_edges` and :func:`removable_edges`
+both read its columns.
 """
 
 from __future__ import annotations
@@ -276,100 +279,46 @@ def count_one_factors(h: Bigraph) -> int:
 # ---------------------------------------------------------------------------
 # Allowed/forced edge analysis.
 #
-# Given one perfect matching, an edge lies in some 1-factor iff it is a
-# matching edge or joins two vertices in the same strongly connected
-# component of the digraph with non-matching edges directed A->B and
-# matching edges directed B->A.  A matching edge can be avoided by some
-# 1-factor under the same same-component condition.
+# Given one perfect matching m, an edge lies in some 1-factor iff it is a
+# matching edge or closes an alternating cycle (Regin, AAAI 1994).  On the
+# digraph over A-vertices with i -> i' when a_i ~ b_m(i') is a non-matching
+# edge, that edge closes an alternating cycle iff a_i' reaches a_i, and
+# reachability is a bitmask Warshall closure.  The matching edge at a_i is
+# avoided by some 1-factor iff a_i has another allowed edge: the cycle
+# through that edge swaps the matching edge out.
 # ---------------------------------------------------------------------------
-
-
-def _condensation(s: int, rows, match_a) -> tuple[list[int], list[int], list[int]]:
-    """Condense to a digraph on A-vertices: i -> i' when a_i has a
-    non-matching edge into the b matched with a_i'.  Requires a perfect
-    matching ``match_a``; returns (successor masks, match_of_b, SCC ids)."""
-
-    succ = [0] * s
-    match_b = [0] * s
-    for i, j in enumerate(match_a):
-        match_b[j] = i
-    for i in range(s):
-        m = rows[i] & ~(1 << match_a[i])
-        out = 0
-        while m:
-            low = m & -m
-            out |= 1 << match_b[low.bit_length() - 1]
-            m ^= low
-        succ[i] = out
-    return succ, match_b, _scc(s, succ)
 
 
 def _raw_allowed_columns(s: int, rows, match_a) -> list[int]:
     """For each a_i, the bitmask of B-vertices j such that edge (i, j) lies
     in at least one 1-factor.  Requires a perfect matching ``match_a``."""
 
-    _, match_b, comp = _condensation(s, rows, match_a)
-    allowed = [0] * s
+    match_b = [0] * s
+    for i, j in enumerate(match_a):
+        match_b[j] = i
+    reach = [0] * s
     for i in range(s):
-        mask = 1 << match_a[i]
         m = rows[i] & ~(1 << match_a[i])
         while m:
             low = m & -m
-            j = low.bit_length() - 1
+            reach[i] |= 1 << match_b[low.bit_length() - 1]
             m ^= low
-            if comp[i] == comp[match_b[j]]:
+    for w in range(s):
+        via = reach[w]
+        for i in range(s):
+            if reach[i] >> w & 1:
+                reach[i] |= via
+    allowed = [0] * s
+    for i in range(s):
+        mask = 1 << match_a[i]
+        m = rows[i] & ~mask
+        while m:
+            low = m & -m
+            if reach[match_b[low.bit_length() - 1]] >> i & 1:
                 mask |= low
+            m ^= low
         allowed[i] = mask
     return allowed
-
-
-def _scc(n: int, succ) -> list[int]:
-    """Tarjan SCC over a successor-bitmask digraph; returns component ids."""
-
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    comps = 0
-
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, succ[root])]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, remaining = work[-1]
-            if remaining:
-                lowbit = remaining & -remaining
-                work[-1] = (v, remaining ^ lowbit)
-                w = lowbit.bit_length() - 1
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, succ[w]))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = comps
-                        if w == v:
-                            break
-                    comps += 1
-    return comp
 
 
 def allowed_edges(h: Bigraph) -> Matching | None:
@@ -386,19 +335,16 @@ def removable_edges(h: Bigraph, m: Matching) -> Matching:
     """All e in the 1-factor ``m`` such that h - e still has a 1-factor."""
 
     pairs = sorted(m)
-    if len(pairs) != h.s or {i for i, _ in pairs} != set(range(h.s)):
+    everyone = set(range(h.s))
+    if len(pairs) != h.s or {i for i, _ in pairs} != everyone or {j for _, j in pairs} != everyone:
         raise ValueError("m is not a 1-factor of h")
     match_a = [0] * h.s
     for i, j in pairs:
         if not h.has_edge(i, j):
             raise ValueError(f"pair {(i, j)} is not an edge of h")
         match_a[i] = j
-    succ, _, comp = _condensation(h.s, h.rows, match_a)
-    # matching edge (i, match_a[i]) is avoidable iff i lies on a cycle of the
-    # condensed digraph, i.e. shares a component with one of its successors.
-    return frozenset(
-        (i, j) for i, j in enumerate(match_a) if any(comp[w] == comp[i] for w in bits(succ[i]))
-    )
+    allowed = _raw_allowed_columns(h.s, h.rows, match_a)
+    return frozenset((i, j) for i, j in enumerate(match_a) if allowed[i] != 1 << j)
 
 
 # ---------------------------------------------------------------------------

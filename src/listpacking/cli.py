@@ -24,12 +24,21 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def _read_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 

@@ -158,8 +158,8 @@ def find_reduction(g: Graph, regime: str, active: frozenset[int] | None = None) 
             "no reducible configuration: graph not in triangle-free mad<10/3 class"
         )
 
-    # planar_k8: a triangle with degree sum <= 17, vertices sorted by degree
-    tri = find_light_triangle(g, 17, active)
+    # planar_k8: a light triangle, vertices sorted by degree
+    tri = find_light_triangle(g, active)
     if tri is None:
         raise ClassViolationError("no light triangle: graph not in the planar minimum-degree-5 class")
     return Reduction("light_triangle", tuple(sorted(tri, key=lambda x: (deg[x], x))))

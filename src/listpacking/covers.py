@@ -393,10 +393,13 @@ def cover_from_json(obj: dict) -> CorrespondenceCover:
     try:
         g = graph_from_json(obj["graph"])
         k = json_int(obj["k"])
-        arcs = {
-            (json_int(a["u"]), json_int(a["v"])): Perm(tuple(json_int(x) for x in a["perm"]))
+        given = [
+            ((json_int(a["u"]), json_int(a["v"])), Perm(tuple(json_int(x) for x in a["perm"])))
             for a in obj["arcs"]
-        }
+        ]
+        arcs = dict(given)
+        if len(arcs) != len(given):
+            raise ValueError("an arc (u, v) appears twice")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed cover JSON: {exc}") from exc
     return CorrespondenceCover(g, k, arcs)

@@ -409,12 +409,18 @@ def mad(g: Graph) -> Fraction:
     return g._mad
 
 
+# the light-triangle bound the planar_k8 regime relies on: a planar graph of
+# minimum degree 5 has a triangle whose degree sum is at most this
+LIGHT_TRIANGLE_MAX_SUM = 17
+
+
 def find_light_triangle(
-    g: Graph, max_sum: int = 17, active: frozenset[int] | None = None
+    g: Graph, active: frozenset[int] | None = None
 ) -> tuple[int, int, int] | None:
     """First triangle (u, v, w), u < v < w lexicographic, of the subgraph
     induced by ``active`` (defaults to the whole graph) whose degree sum in
-    that subgraph is at most ``max_sum``; None when no such triangle exists."""
+    that subgraph is at most ``LIGHT_TRIANGLE_MAX_SUM``; None when no such
+    triangle exists."""
 
     keep = range(g.n) if active is None else active
     masks = [0] * g.n
@@ -432,7 +438,7 @@ def find_light_triangle(
             while mm:
                 low = mm & -mm
                 w = base + low.bit_length() - 1
-                if deg[u] + deg[v] + deg[w] <= max_sum:
+                if deg[u] + deg[v] + deg[w] <= LIGHT_TRIANGLE_MAX_SUM:
                     return (u, v, w)
                 mm ^= low
     return None
@@ -559,13 +565,16 @@ def _incidence(faces: set[frozenset[int]]) -> dict[int, list[frozenset[int]]]:
     return at
 
 
-def random_planar_triangulation_min5(seed: int, moves: int = 40) -> Graph:
+TRIANGULATION_MOVES = 40
+
+
+def random_planar_triangulation_min5(seed: int) -> Graph:
     """Seeded planar triangulation with minimum degree 5.
 
     Starts from the nu=2 geodesic subdivision of the icosahedron (42
-    vertices) and applies ``moves`` random degree-guarded operations:
-    diagonal flips and vertex splits, both of which preserve planarity,
-    the triangulation property, and minimum degree 5.
+    vertices) and applies ``TRIANGULATION_MOVES`` random degree-guarded
+    operations: diagonal flips and vertex splits, both of which preserve
+    planarity, the triangulation property, and minimum degree 5.
     """
 
     rng = random.Random(seed)
@@ -636,7 +645,7 @@ def random_planar_triangulation_min5(seed: int, moves: int = 40) -> Graph:
         recount()
         return True
 
-    for _ in range(moves):
+    for _ in range(TRIANGULATION_MOVES):
         op = rng.random()
         if op < 0.5:
             try_flip()

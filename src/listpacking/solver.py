@@ -250,9 +250,12 @@ def adversarial_cover_search(
     and the free edges run through all permutation tuples in lexicographic
     order.  Each candidate is first tried against the pool of recent
     packings (module docstring) and solved only when none fits.  Raises
-    ResourceCapError after ``cap`` decided candidates.
+    ResourceCapError after ``cap`` decided candidates, and ValueError when
+    ``k < 1``.
     """
 
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     tree = _spanning_forest(g)
     free = [e for e in g.sorted_edges() if e not in tree]
     # each permutation p with the forbidden pairs (a, p(a)) of its arc
@@ -425,9 +428,12 @@ def adversarial_list_search(
     docstring), and a packing the solver returns is checked against the
     pattern before it enters the pool; a failed check raises AssertionError.
     Raises ResourceCapError after ``cap`` decided candidates (pool hits,
-    solved, realizable or not), and ValueError when ``universe < k``.
+    solved, realizable or not), and ValueError when ``k < 1`` or
+    ``universe < k``.
     """
 
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if universe < k:
         raise ValueError(f"universe must be at least k={k}, got {universe}")
     n = g.n

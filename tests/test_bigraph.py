@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from listpacking.bigraph import (
     Bigraph,
+    _raw_allowed_columns,
     Obstruction,
     allowed_edges,
     bigraph_from_edges,
@@ -164,6 +165,45 @@ class TestAllowedAndRemovable:
             expected.update((i, j) for i, j in enumerate(cols))
         assert got == frozenset(expected)
 
+    @given(bigraphs(max_s=5))
+    @settings(max_examples=150, deadline=None)
+    def test_removable_matches_brute_force(self, h):
+        for cols in iter_one_factors(h):
+            m = frozenset(enumerate(cols))
+            expected = set()
+            for i, j in m:
+                rows = list(h.rows)
+                rows[i] &= ~(1 << j)
+                if has_one_factor(Bigraph(h.s, tuple(rows))):
+                    expected.add((i, j))
+            assert removable_edges(h, m) == frozenset(expected)
+
+    @staticmethod
+    def _allowed_from_every_factor(s, rows):
+        factors = list(iter_one_factors(Bigraph(s, rows)))
+        union = [0] * s
+        for cols in factors:
+            for i, j in enumerate(cols):
+                union[i] |= 1 << j
+        for cols in factors:
+            assert _raw_allowed_columns(s, rows, cols) == union
+        return bool(factors)
+
+    def test_allowed_from_any_factor_all_4x4(self):
+        with_factor = 0
+        for code in range(1 << 16):
+            rows = tuple(code >> (4 * i) & 15 for i in range(4))
+            with_factor += self._allowed_from_every_factor(4, rows)
+        assert with_factor == 37_823
+
+    def test_allowed_from_any_factor_eight_three(self):
+        rng = random.Random(8)
+        done = 0
+        while done < 500:
+            rows = tuple(sum(1 << j for j in rng.sample(range(8), rng.choice((3, 4)))) for _ in range(8))
+            if is_st(Bigraph(8, rows), 8, 3):
+                done += self._allowed_from_every_factor(8, rows)
+
     def test_k44_all_removable(self):
         h = Bigraph(4, (15,) * 4)
         m = max_matching(h)
@@ -180,6 +220,9 @@ class TestAllowedAndRemovable:
         h = Bigraph(3, (0b110, 0b101, 0b011))
         with pytest.raises(ValueError):
             removable_edges(h, frozenset({(0, 1)}))
+        # one pair per A-vertex, all edges of h, but b_0 is used twice
+        with pytest.raises(ValueError):
+            removable_edges(Bigraph(3, (0b011, 0b011, 0b100)), frozenset({(0, 0), (1, 0), (2, 2)}))
 
     def test_eight_three_sample(self):
         rng = random.Random(3)

@@ -147,6 +147,10 @@ class TestExitCodes:
             ["adversary", "--mode", "list", "--k", "2", "--universe", "1"],
             ["adversary", "--mode", "list", "--k", "2", "--universe", "0"],
             ["adversary", "--mode", "list", "--k", "2", "--universe", "-3"],
+            ["adversary", "--mode", "list", "--k", "0"],
+            ["adversary", "--mode", "list", "--k", "-1", "--universe", "5"],
+            ["adversary", "--mode", "correspondence", "--k", "0"],
+            ["adversary", "--mode", "correspondence", "--k", "-1", "--universe", "5"],
         ],
     )
     def test_count_out_of_range(self, tmp_path, capsys, argv):
@@ -167,6 +171,23 @@ class TestExitCodes:
         lists = {"0": [0, 1], "1": [1, 2], key: [7, 8]}
         payload = {"k": 2, "graph": graph_to_json(generate("path", 2)), "lists": lists}
         code, out = run(capsys, "solve-list", "--lists", write_json(tmp_path, "keys.json", payload))
+        assert code == 2 and out == ""
+
+    def test_repeated_json_key(self, tmp_path, capsys):
+        # the second list for vertex 1 would silently replace the first
+        path = tmp_path / "repeated.json"
+        path.write_text(
+            '{"k": 2, "graph": {"n": 2, "edges": [[0, 1]]},'
+            ' "lists": {"0": [0, 1], "1": [0, 1], "1": [2, 3]}}'
+        )
+        code, out = run(capsys, "solve-list", "--lists", str(path))
+        assert code == 2 and out == ""
+
+    def test_repeated_arc(self, tmp_path, capsys):
+        # a packing that keeps the second arc's constraint breaks the first
+        arcs = [{"u": 0, "v": 1, "perm": [0, 1]}, {"u": 0, "v": 1, "perm": [1, 0]}]
+        payload = {"k": 2, "graph": graph_to_json(generate("path", 2)), "arcs": arcs}
+        code, out = run(capsys, "solve", "--cover", write_json(tmp_path, "arcs.json", payload))
         assert code == 2 and out == ""
 
     @pytest.mark.parametrize(

@@ -315,6 +315,15 @@ class TestAdversarialLists:
         with pytest.raises(ValueError):
             adversarial_list_search(generate("cycle", 4), 2, universe)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        # there are no k-assignments or k-covers to search, so "none" would
+        # wrongly claim that every one of them packs
+        with pytest.raises(ValueError):
+            adversarial_list_search(generate("cycle", 4), k, 5)
+        with pytest.raises(ValueError):
+            adversarial_cover_search(generate("path", 3), k)
+
     def test_exhaustive_against_brute_force(self):
         # quantify over every 2-assignment drawn from a 4-color universe on
         # paths and triangles; the pattern search must agree on witness
