@@ -119,6 +119,8 @@ def _cmd_chromatic(args) -> int:
 def _cmd_adversary(args) -> int:
     g = _load_graph(args.graph)
     if args.mode == "correspondence":
+        if args.universe is not None:
+            raise ValueError("--universe applies to list mode only")
         witness = solver.adversarial_cover_search(g, args.k, cap=args.cap)
         if witness is None:
             _emit({"status": "none", "k": args.k}, args.out)
@@ -186,9 +188,13 @@ wire formats (all emitted with sorted keys):
   lists    {"k": 2, "graph": <graph>, "lists": {"0": [1,2], ...}}
   packing  {"k": 2, "assign": {"0": [c1,c2], ...}}  (entry j = coloring j)
 exit codes: 0 ok / verified / packing; 1 witness / none / counterexample;
-2 input error; 3 resource cap exceeded (emits {"status": "resource"});
+2 input error (including --cap below 1, or --universe in correspondence
+mode); 3 resource cap exceeded (emits {"status": "resource"});
 4 internal error (a result failed self-validation; details on stderr).
 """
+
+
+_CAP_HELP = "candidates one search may decide before it exits 3; at least 1"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -236,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=["list", "correspondence"], required=True)
     p.add_argument("--upper", type=int, required=True)
-    p.add_argument("--cap", type=int, default=4_000_000)
+    p.add_argument("--cap", type=int, default=4_000_000, help=_CAP_HELP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_chromatic)
 
@@ -244,8 +250,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=["list", "correspondence"], required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--universe", type=int, default=None, help="list mode: color universe (default k*n)")
-    p.add_argument("--cap", type=int, default=4_000_000)
+    p.add_argument(
+        "--universe", type=int, default=None, help="list mode only: color universe, at least k (default k*n)"
+    )
+    p.add_argument("--cap", type=int, default=4_000_000, help=_CAP_HELP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_adversary)
 

@@ -21,13 +21,13 @@ pattern's classes are tracked through union and rollback
 (:class:`_PatternClasses`), so a pattern that cannot be consistent is cut at
 the union that breaks it.
 
-Nearly every candidate either search tests is solvable, and one packing
-often packs many neighbouring candidates.  So each search keeps a pool of
-the ``POOL_CAP`` most recently useful packings found in the same call, and
-tries them against a candidate's forbidden pairs before solving it; a
-candidate a pooled packing fits is solvable, with that packing as its
-certificate.  Every packing enters the pool validated against the candidate
-it was solved for.
+Both searches decide a candidate, a set of forbidden pairs per edge, in one
+place (:class:`_Decider`).  Nearly every candidate is solvable, and one
+packing often packs many neighbouring candidates, so the decider keeps a
+pool of the ``POOL_CAP`` most recently useful packings of the same search
+and tries them before solving; a candidate a pooled packing fits is
+solvable, with that packing as its certificate.  Every packing the solver
+returns is validated against its candidate before it enters the pool.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def solve_list_packing(la: ListAssignment) -> Packing | None:
 
 
 # ---------------------------------------------------------------------------
-# Adversarial cover search (spanning forest pinned to the identity).
+# Candidate decision; adversarial cover search (forest pinned to identity).
 # ---------------------------------------------------------------------------
 
 
@@ -224,20 +224,47 @@ def _fits(cols, constraints) -> bool:
     return all(cols[u][a] != cols[v][b] for (u, v), pairs in constraints for a, b in pairs)
 
 
-def _pool_hit(pool: list, constraints) -> bool:
-    """Whether a pooled packing fits ``constraints``; a hit moves to the front."""
+class _Decider:
+    """Decides a search's candidates, each given as ``constraints`` in the
+    :func:`_fits` form.  A call counts against ``cap`` (past it,
+    ResourceCapError with ``message``), tries the pool, and solves only on a
+    miss; a solved packing must be a permutation of range(k) at every vertex
+    and fit the constraints (else AssertionError) before it enters the pool.
+    """
 
-    for idx, cols in enumerate(pool):
-        if _fits(cols, constraints):
-            if idx:
-                pool.insert(0, pool.pop(idx))
-            return True
-    return False
+    def __init__(self, g: Graph, k: int, cap: int, message: str) -> None:
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if cap < 1:
+            raise ValueError(f"cap must be at least 1, got {cap}")
+        self.g, self.k, self.left, self.message = g, k, cap, message
+        self.order = _solve_order(g)
+        self.pool: list[tuple[tuple[int, ...], ...]] = []
 
+    def __call__(self, constraints) -> bool:
+        """Whether the candidate packs; a pooled packing that fits moves up."""
 
-def _pool_push(pool: list, cols) -> None:
-    pool.insert(0, cols)
-    del pool[POOL_CAP:]
+        if self.left <= 0:
+            raise ResourceCapError(self.message)
+        self.left -= 1
+        pool = self.pool
+        for idx, cols in enumerate(pool):
+            if _fits(cols, constraints):
+                if idx:
+                    pool.insert(0, pool.pop(idx))
+                return True
+        g, k = self.g, self.k
+        found = _core_solve(g, k, _pattern_maps(k, constraints), self.order)
+        if found is None:
+            return False
+        if any(sorted(found.get(v, ())) != list(range(k)) for v in range(g.n)):
+            raise AssertionError(f"solver produced a packing that is not a permutation per vertex: {found}")
+        cols = tuple(_invert(found[v]) for v in range(g.n))
+        if not _fits(cols, constraints):
+            raise AssertionError(f"solver produced a packing that breaks its candidate: {found}")
+        pool.insert(0, cols)
+        del pool[POOL_CAP:]
+        return True
 
 
 def adversarial_cover_search(
@@ -248,31 +275,24 @@ def adversarial_cover_search(
     A spanning forest is fixed to identity permutations (every cover is
     equivalent to one of this shape), all edges are oriented low-to-high,
     and the free edges run through all permutation tuples in lexicographic
-    order.  Each candidate is first tried against the pool of recent
-    packings (module docstring) and solved only when none fits.  Raises
-    ResourceCapError after ``cap`` decided candidates, and ValueError when
-    ``k < 1``.
+    order.  Each candidate is decided by the search's :class:`_Decider`
+    (pool, then solver, every packing validated), and only the witness is
+    built as a cover.  Raises ResourceCapError after ``cap`` decided
+    candidates, and ValueError when ``k < 1`` or ``cap < 1``.
     """
 
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    decide = _Decider(g, k, cap, f"cover enumeration exceeded cap={cap}")
     tree = _spanning_forest(g)
     free = [e for e in g.sorted_edges() if e not in tree]
-    # each permutation p with the forbidden pairs (a, p(a)) of its arc
-    options = [(Perm(p), tuple(enumerate(p))) for p in permutations(range(k))]
-    base = {e: Perm.identity(k) for e in tree}
-    base_pairs = [(e, tuple(enumerate(range(k)))) for e in tree]
-    pool: list[tuple[tuple[int, ...], ...]] = []
-    for count, choice in enumerate(product(options, repeat=len(free))):
-        if count >= cap:
-            raise ResourceCapError(f"cover enumeration exceeded cap={cap}")
-        if _pool_hit(pool, base_pairs + [(e, pairs) for e, (_, pairs) in zip(free, choice)]):
-            continue
-        cover = CorrespondenceCover(g, k, {**base, **{e: p for e, (p, _) in zip(free, choice)}})
-        packing = solve_packing(cover)
-        if packing is None:
-            return cover
-        _pool_push(pool, tuple(_invert(packing.assign[v]) for v in range(g.n)))
+    # each arc's forbidden pairs (a, p(a)) for its permutation p
+    tree_pairs = [(e, tuple(enumerate(range(k)))) for e in tree]
+    options = [tuple(enumerate(p)) for p in permutations(range(k))]
+    for choice in product(options, repeat=len(free)):
+        constraints = tree_pairs + list(zip(free, choice))
+        if not decide(constraints):
+            return CorrespondenceCover(
+                g, k, {e: Perm(tuple(b for _, b in pairs)) for e, pairs in constraints}
+            )
     return None
 
 
@@ -423,23 +443,19 @@ def adversarial_list_search(
     exactly; one the solver rejects is realized into an assignment over at
     most ``universe`` colors and returned, and the search goes on when that
     needs more colors.  Candidates whose sharing graph is a forest are
-    skipped when k >= 2 (forests always pack).  Before a candidate is
-    solved it is tried against the pool of recent packings (module
-    docstring), and a packing the solver returns is checked against the
-    pattern before it enters the pool; a failed check raises AssertionError.
-    Raises ResourceCapError after ``cap`` decided candidates (pool hits,
-    solved, realizable or not), and ValueError when ``k < 1`` or
-    ``universe < k``.
+    skipped when k >= 2 (forests always pack).  Every other candidate is
+    decided by the search's :class:`_Decider` (pool, then solver, every
+    packing validated).  Raises ResourceCapError after ``cap`` decided
+    candidates (pool hits, solved, realizable or not), and ValueError when
+    ``k < 1``, ``cap < 1`` or ``universe < k``.
     """
 
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    decide = _Decider(g, k, cap, "list-pattern enumeration exceeded its cap")
     if universe < k:
         raise ValueError(f"universe must be at least k={k}, got {universe}")
     n = g.n
     if n == 0:
         return None
-    order = _solve_order(g)
     # a vertex's labels are still free at its first back edge, so that edge
     # pins its targets to a prefix; later back edges take any injection
     first_pairs = [[(src, t) for t, src in enumerate(dom)] for dom in _padded_subset_order(k)]
@@ -447,8 +463,6 @@ def adversarial_list_search(
     classes = _PatternClasses(g, k)
     chosen = classes.chosen
     back_edges: list[list[int]] = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
-    budget = [cap]
-    pool: list[tuple[tuple[int, ...], ...]] = []
 
     def test_candidate() -> ListAssignment | None:
         if k >= 2:
@@ -456,21 +470,7 @@ def adversarial_list_search(
             sharing = UnionFind(n)
             if all(sharing.union(u, v) for (u, v), pairs in chosen.items() if pairs):
                 return None
-        if budget[0] <= 0:
-            raise ResourceCapError("list-pattern enumeration exceeded its cap")
-        budget[0] -= 1
-        if _pool_hit(pool, chosen.items()):
-            return None
-        found = _core_solve(g, k, _pattern_maps(k, chosen.items()), order)
-        if found is None:
-            return _realize_lists(g, k, classes.uf, universe)
-        if any(sorted(found.get(v, ())) != list(range(k)) for v in range(n)):
-            raise AssertionError(f"solver produced a packing that is not a permutation per vertex: {found}")
-        cols = tuple(_invert(found[v]) for v in range(n))
-        if not _fits(cols, chosen.items()):
-            raise AssertionError(f"solver produced a packing that breaks its pattern: {found}")
-        _pool_push(pool, cols)
-        return None
+        return None if decide(chosen.items()) else _realize_lists(g, k, classes.uf, universe)
 
     def place(v: int, edge_idx: int) -> ListAssignment | None:
         if v == n:

@@ -3,7 +3,10 @@
 These deliberately avoid the library's algorithms: solvability is decided
 by enumerating raw assignments and checking the defining constraints
 directly, girth by per-root breadth-first search, densest subgraphs by
-plain subset enumeration.
+plain subset enumeration.  The one exception, :func:`reference_cover_search`,
+replays the adversarial cover search's enumeration one whole cover at a time
+through the public ``solve_packing``, apart from the search's own candidate
+decision.
 """
 
 from __future__ import annotations
@@ -114,3 +117,28 @@ def replay_degeneracy(g, order) -> int:
         worst = max(worst, sum(1 for w in g.adjacency[v] if w in remaining))
         remaining.discard(v)
     return worst
+
+
+def reference_cover_search(g, k):
+    """The gauge-reduced cover enumeration, one cover per candidate: the
+    arcs of ``_spanning_forest(g)`` are the identity, and the other edges,
+    sorted, run through all permutation tuples in lexicographic order.
+
+    Returns (decided, cover): the first cover ``solve_packing`` rejects and
+    the number of candidates up to and including it, or None and the number
+    of candidates.
+    """
+
+    from listpacking.covers import CorrespondenceCover, Perm
+    from listpacking.solver import _spanning_forest, solve_packing
+
+    tree = _spanning_forest(g)
+    free = [e for e in g.sorted_edges() if e not in tree]
+    base = {e: Perm.identity(k) for e in tree}
+    decided = 0
+    for images in product(permutations(range(k)), repeat=len(free)):
+        decided += 1
+        cover = CorrespondenceCover(g, k, {**base, **{e: Perm(p) for e, p in zip(free, images)}})
+        if solve_packing(cover) is None:
+            return decided, cover
+    return decided, None

@@ -151,6 +151,10 @@ class TestExitCodes:
             ["adversary", "--mode", "list", "--k", "-1", "--universe", "5"],
             ["adversary", "--mode", "correspondence", "--k", "0"],
             ["adversary", "--mode", "correspondence", "--k", "-1", "--universe", "5"],
+            ["adversary", "--mode", "list", "--k", "2", "--cap", "0"],
+            ["adversary", "--mode", "correspondence", "--k", "2", "--cap", "-4"],
+            ["chromatic", "--mode", "correspondence", "--upper", "3", "--cap", "0"],
+            ["adversary", "--mode", "correspondence", "--k", "2", "--universe", "4"],
         ],
     )
     def test_count_out_of_range(self, tmp_path, capsys, argv):
@@ -198,6 +202,8 @@ class TestExitCodes:
             (solver, ["solve-list"]),
             (solver, ["adversary", "--mode", "list", "--k", "2"]),
             (solver, ["chromatic", "--mode", "list", "--upper", "3"]),
+            (solver, ["adversary", "--mode", "correspondence", "--k", "2"]),
+            (solver, ["chromatic", "--mode", "correspondence", "--upper", "3"]),
         ],
     )
     def test_internal_error(self, tmp_path, capsys, monkeypatch, module, argv):
@@ -205,8 +211,8 @@ class TestExitCodes:
             return Check(False, ("forced",))
 
         if argv[0] in ("adversary", "chromatic"):
-            # the list search checks every packing the solver hands it; this
-            # one puts equal positions in one coloring at every vertex
+            # both searches check every packing the solver hands them; this
+            # one puts equal values in one coloring at every vertex
             def same_order(g, k, maps, order=None):
                 return {v: tuple(range(k)) for v in range(g.n)}
 

@@ -9,6 +9,7 @@ from listpacking.covers import (
     CorrespondenceCover,
     Packing,
     Perm,
+    cover_to_json,
     extension_bigraph,
     forbidden_maps,
     list_assignment,
@@ -23,14 +24,28 @@ from listpacking.solver import (
     _fits,
     _injection_order,
     _PatternClasses,
-    _pool_hit,
     adversarial_cover_search,
     adversarial_list_search,
     packing_number,
     solve_list_packing,
     solve_packing,
 )
-from oracles import oracle_cover_solvable, oracle_list_solvable
+from oracles import oracle_cover_solvable, oracle_list_solvable, reference_cover_search
+
+DIAMOND = graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
+PAW = graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+
+# the solver's results a search must refuse: a vertex given one value
+# twice, a vertex left out, and a packing that breaks a forbidden pair
+BAD_SOLVES = pytest.mark.parametrize(
+    "bad",
+    [
+        lambda g, k: {v: (0,) * k for v in range(g.n)},
+        lambda g, k: {v: tuple(range(k)) for v in range(1, g.n)},
+        lambda g, k: {v: tuple(range(k)) for v in range(g.n)},
+    ],
+    ids=["not-a-permutation", "vertex-missing", "breaks-a-pair"],
+)
 
 
 def transposition_cycle_cover(n: int, k: int) -> CorrespondenceCover:
@@ -223,6 +238,54 @@ class TestAdversarialCovers:
         with pytest.raises(ResourceCapError):
             adversarial_cover_search(generate("cycle", 5), 4, cap=3)
 
+    @pytest.mark.parametrize("cap", [0, -4])
+    def test_cap_below_one(self, cap):
+        # an input error, not a search that ran out
+        with pytest.raises(ValueError):
+            adversarial_cover_search(generate("cycle", 4), 2, cap=cap)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate("cycle", 3),
+            generate("cycle", 4),
+            generate("cycle", 5),
+            PAW,
+            DIAMOND,
+            generate("complete_bipartite", 2, 3),
+            generate("complete", 4),
+        ],
+        ids=["C3", "C4", "C5", "paw", "diamond", "K23", "K4"],
+    )
+    def test_matches_reference_enumeration(self, g, k):
+        # the same witness as deciding every candidate as a whole cover,
+        # after exactly as many decided candidates
+        decided, want = reference_cover_search(g, k)
+        got = adversarial_cover_search(g, k, cap=decided)
+        assert (None if got is None else cover_to_json(got)) == (None if want is None else cover_to_json(want))
+        if decided > 1:  # a cap below 1 is an input error
+            with pytest.raises(ResourceCapError):
+                adversarial_cover_search(g, k, cap=decided - 1)
+
+    @BAD_SOLVES
+    def test_solver_packing_is_validated(self, monkeypatch, bad):
+        monkeypatch.setattr(solver, "_core_solve", lambda g, k, maps, order=None: bad(g, k))
+        with pytest.raises(AssertionError):
+            adversarial_cover_search(generate("cycle", 4), 2)
+
+    @pytest.mark.parametrize(
+        "g",
+        [generate("cycle", 4), generate("cycle", 5), generate("complete", 4)],
+        ids=["C4-k3", "C5-k3", "K4-k3"],
+    )
+    def test_pool_changes_no_verdict(self, monkeypatch, g):
+        pooled = adversarial_cover_search(g, 3)
+        monkeypatch.setattr(solver, "POOL_CAP", 0)
+        unpooled = adversarial_cover_search(g, 3)
+        assert (pooled is None) == (unpooled is None)
+        assert pooled is None or cover_to_json(pooled) == cover_to_json(unpooled)
+
     def test_k4(self):
         # the all-identity cover is the first candidate at k=3 (K4 is not
         # 3-colorable); every one of the 13,824 candidates at k=4 packs
@@ -278,15 +341,7 @@ class TestAdversarialLists:
         with pytest.raises(ResourceCapError):
             adversarial_list_search(g, k, universe, cap=solved - 1)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            lambda g, k: {v: (0,) * k for v in range(g.n)},
-            lambda g, k: {v: tuple(range(k)) for v in range(1, g.n)},
-            lambda g, k: {v: tuple(range(k)) for v in range(g.n)},
-        ],
-        ids=["not-a-permutation", "vertex-missing", "breaks-a-pair"],
-    )
+    @BAD_SOLVES
     def test_solver_packing_is_validated(self, monkeypatch, bad):
         # a wrong "solvable" verdict would lower a packing number silently
         monkeypatch.setattr(solver, "_core_solve", lambda g, k, maps, order=None: bad(g, k))
@@ -299,7 +354,7 @@ class TestAdversarialLists:
             (generate("cycle", 4), 2, 3),
             (generate("cycle", 4), 3, 12),
             (generate("complete_bipartite", 2, 3), 2, 10),
-            (graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))), 2, 4),
+            (DIAMOND, 2, 4),
         ],
         ids=["C4-k2", "C4-k3", "K23-k2", "diamond-k2"],
     )
@@ -309,6 +364,11 @@ class TestAdversarialLists:
         unpooled = adversarial_list_search(g, k, universe)
         assert (pooled is None) == (unpooled is None)
         assert pooled is None or pooled.lists == unpooled.lists
+
+    @pytest.mark.parametrize("cap", [0, -4])
+    def test_cap_below_one(self, cap):
+        with pytest.raises(ValueError):
+            adversarial_list_search(generate("cycle", 4), 2, 8, cap=cap)
 
     @pytest.mark.parametrize("universe", [1, 0, -3])
     def test_universe_below_k(self, universe):
@@ -389,20 +449,30 @@ def solved_cols(cover: CorrespondenceCover) -> tuple[tuple[int, ...], ...]:
     return tuple(_invert(packing.assign[v]) for v in range(cover.graph.n))
 
 
+def pool_only(monkeypatch, g: Graph, k: int, pool: list) -> solver._Decider:
+    """A decider holding ``pool`` whose solver packs nothing, so that a
+    candidate is decided solvable only by a pooled packing."""
+
+    monkeypatch.setattr(solver, "_core_solve", lambda g, k, maps, order=None: None)
+    decide = solver._Decider(g, k, 10, "cap")
+    decide.pool = pool
+    return decide
+
+
 class TestPool:
     """A pooled packing counts only when it meets every forbidden pair."""
 
-    def test_hit_moves_to_front(self):
+    def test_hit_moves_to_front(self, monkeypatch):
         cover = random_cover(generate("cycle", 5), 3, 1)
         constraints = [(arc, tuple(enumerate(p.image))) for arc, p in cover.arcs.items()]
         fits = solved_cols(cover)
         other = tuple(tuple(reversed(c)) for c in fits)
         assert not _fits(other, constraints)
-        pool = [other, fits]
-        assert _pool_hit(pool, constraints)
-        assert pool == [fits, other]
+        decide = pool_only(monkeypatch, cover.graph, 3, [other, fits])
+        assert decide(constraints)
+        assert decide.pool == [fits, other]
 
-    def test_one_broken_pair_misses(self):
+    def test_one_broken_pair_misses(self, monkeypatch):
         # pattern form: the pairs of a list assignment, plus one pair the
         # packing puts in one coloring at both ends
         g = generate("cycle", 4)
@@ -416,10 +486,11 @@ class TestPool:
         (u, v), pairs = constraints[0]
         a = next(a for a in range(3) if all(a != x for x, _ in pairs))
         b = cols[v].index(cols[u][a])
-        assert _pool_hit([cols], constraints)
-        assert not _pool_hit([cols], constraints[1:] + [((u, v), pairs + ((a, b),))])
+        decide = pool_only(monkeypatch, g, 3, [cols])
+        assert decide(constraints)
+        assert not decide(constraints[1:] + [((u, v), pairs + ((a, b),))])
 
-    def test_one_broken_arc_misses(self):
+    def test_one_broken_arc_misses(self, monkeypatch):
         # cover form: replace one arc's permutation by one that the packing
         # breaks at exactly one color
         cover = random_cover(generate("cycle", 5), 3, 3)
@@ -432,7 +503,7 @@ class TestPool:
         constraints = [(arc, tuple(enumerate(p.image))) for arc, p in arcs.items()]
         broken = [(a, b) for (x, y), pairs in constraints for a, b in pairs if cols[x][a] == cols[y][b]]
         assert broken == [(0, sigma[0])]
-        assert not _pool_hit([cols], constraints)
+        assert not pool_only(monkeypatch, cover.graph, 3, [cols])(constraints)
 
 
 def rebuilt_consistent(uf: UnionFind, k: int, chosen, upto: int) -> bool:
