@@ -84,33 +84,49 @@ def _extensions(
     ``maps[(u, v)]`` is the forbidden map described in the module docstring,
     needed for each v in ``order`` and each neighbor u.  Vertices are packed
     in ``order``, each through the 1-factors of its extension bigraph in
-    :func:`_raw_one_factors` order.  After each tentative assignment every
-    later vertex of ``order`` is Hall-checked (its remaining options must
-    admit a 1-factor) and the branch is dropped on failure; packing more
-    vertices only removes options, so only dead branches are dropped.
-    Exhausting the generator restores ``assign``.
+    :func:`_raw_one_factors` order.  A Hall check asks that a vertex's
+    remaining options admit a 1-factor.  Before the first vertex, every
+    later vertex with a packed neighbor is checked, and nothing is yielded
+    on failure.  After each tentative assignment only the later neighbors
+    of the vertex just packed are checked, and the branch is dropped on
+    failure: every other later vertex kept the options it had when it last
+    passed.  Packing more vertices only removes options, so only dead
+    branches are dropped.  Exhausting the generator restores ``assign``.
     """
 
     n = len(order)
+    # later[i]: the neighbors of order[i] packed after it, in order.  The
+    # packer's orders are nearly all one vertex, which has none, so they
+    # skip the position table.
+    later = [[] for _ in order]
+    if n > 1:
+        pos = dict(zip(order, range(n)))
+        for j in range(1, n):
+            for w in adj[order[j]]:
+                i = pos.get(w, n)
+                if i < j:
+                    later[i].append(order[j])
 
     def rec(idx: int) -> Iterator[None]:
         if idx == n:
             yield
             return
         v = order[idx]
-        rest = order[idx + 1 :]
+        check = later[idx]
         for cols in _raw_one_factors(k, extension_rows(v, k, adj, maps, assign)):
             assign[v] = _invert(cols)
-            # only later vertices with a packed neighbor can have lost options
-            for u in rest:
-                if any(w in assign for w in adj[u]) and not _raw_has_one_factor(
-                    k, extension_rows(u, k, adj, maps, assign)
-                ):
+            for u in check:
+                if not _raw_has_one_factor(k, extension_rows(u, k, adj, maps, assign)):
                     break
             else:
                 yield from rec(idx + 1)
         assign.pop(v, None)
 
+    for u in order[1:]:
+        if any(w in assign for w in adj[u]) and not _raw_has_one_factor(
+            k, extension_rows(u, k, adj, maps, assign)
+        ):
+            return iter(())
     return rec(0)
 
 

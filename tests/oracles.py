@@ -3,10 +3,12 @@
 These deliberately avoid the library's algorithms: solvability is decided
 by enumerating raw assignments and checking the defining constraints
 directly, girth by per-root breadth-first search, densest subgraphs by
-plain subset enumeration.  The one exception, :func:`reference_cover_search`,
-replays the adversarial cover search's enumeration one whole cover at a time
-through the public ``solve_packing``, apart from the search's own candidate
-decision.
+plain subset enumeration.  The two exceptions are references for an
+optimized path: :func:`reference_cover_search` replays the adversarial cover
+search's enumeration one whole cover at a time through the public
+``solve_packing``, apart from the search's own candidate decision, and
+:func:`reference_extensions` is the extension engine with a full-frontier
+lookahead, which Hall-checks every later vertex that has a packed neighbor.
 """
 
 from __future__ import annotations
@@ -142,3 +144,35 @@ def reference_cover_search(g, k):
         if solve_packing(cover) is None:
             return decided, cover
     return decided, None
+
+
+def reference_extensions(k, adj, maps, assign, order):
+    """The extension engine with the full-frontier lookahead: after each
+    tentative assignment every later vertex of ``order`` that has a packed
+    neighbor is Hall-checked.  Its helpers are read from ``solver`` at each
+    call, so a test that patches them there counts this engine's calls too.
+    """
+
+    from listpacking.solver import _invert, _raw_has_one_factor, _raw_one_factors, extension_rows
+
+    n = len(order)
+
+    def rec(idx):
+        if idx == n:
+            yield
+            return
+        v = order[idx]
+        rest = order[idx + 1 :]
+        for cols in _raw_one_factors(k, extension_rows(v, k, adj, maps, assign)):
+            assign[v] = _invert(cols)
+            # only later vertices with a packed neighbor can have lost options
+            for u in rest:
+                if any(w in assign for w in adj[u]) and not _raw_has_one_factor(
+                    k, extension_rows(u, k, adj, maps, assign)
+                ):
+                    break
+            else:
+                yield from rec(idx + 1)
+        assign.pop(v, None)
+
+    return rec(0)

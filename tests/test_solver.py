@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from listpacking import solver
-from listpacking.bigraph import _invert, iter_one_factors
+from listpacking.bigraph import _invert, has_one_factor, iter_one_factors
 from listpacking.covers import (
     CorrespondenceCover,
     Packing,
@@ -30,7 +30,7 @@ from listpacking.solver import (
     solve_list_packing,
     solve_packing,
 )
-from oracles import oracle_cover_solvable, oracle_list_solvable, reference_cover_search
+from oracles import oracle_cover_solvable, oracle_list_solvable, reference_cover_search, reference_extensions
 
 DIAMOND = graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
 PAW = graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
@@ -179,6 +179,38 @@ def brute_force_extensions(cover, packing, order) -> set[tuple[tuple[int, ...], 
     return found
 
 
+def count_kernel_calls(monkeypatch) -> dict[str, int]:
+    """Count the engine's 1-factor enumerations and Hall checks, by patching
+    both kernels where ``solver`` reads them."""
+
+    calls = {"_raw_one_factors": 0, "_raw_has_one_factor": 0}
+    for name in calls:
+
+        def counting(*args, name=name, real=getattr(solver, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
+def counted_run(engine, calls, k, adj, maps, assign, order):
+    """Every extension ``engine`` yields, and the kernel calls it made."""
+
+    before = dict(calls)
+    got = [tuple(assign[v] for v in order) for _ in engine(k, adj, maps, assign, order)]
+    return got, {name: calls[name] - before[name] for name in calls}
+
+
+# seeds 0-4 are unsolvable at k=3 on all three graphs; grid 163 and cube 46
+# and 75 are the solvable seeds below 200
+COVER_PANEL = [(kind, seed) for kind in ("dodecahedron", "grid", "cube") for seed in range(5)] + [
+    ("grid", 163),
+    ("cube", 46),
+    ("cube", 75),
+]
+
+
 class TestExtensions:
     """The one extension engine, behind both the solver and the packer."""
 
@@ -215,6 +247,64 @@ class TestExtensions:
         got = engine_extensions(cover, packing, (0, 1))
         assert False in verdicts
         assert set(got) == brute_force_extensions(cover, packing, (0, 1))
+
+    def assert_matches_reference(self, monkeypatch, k, adj, maps, assign, order):
+        calls = count_kernel_calls(monkeypatch)
+        start = dict(assign)
+        want, ref_calls = counted_run(reference_extensions, calls, k, adj, maps, assign, order)
+        got, new_calls = counted_run(_extensions, calls, k, adj, maps, assign, order)
+        assert assign == start
+        assert got == want
+        assert new_calls["_raw_one_factors"] == ref_calls["_raw_one_factors"]
+        assert new_calls["_raw_has_one_factor"] <= ref_calls["_raw_has_one_factor"]
+
+    @pytest.mark.parametrize("kind, seed", COVER_PANEL, ids=[f"{kind}-{seed}" for kind, seed in COVER_PANEL])
+    def test_matches_full_frontier_lookahead(self, monkeypatch, kind, seed):
+        g = generate(kind, 4, 5) if kind == "grid" else generate(kind)
+        cover = random_cover(g, 3, seed)
+        maps = forbidden_maps(cover, range(g.n), ())
+        self.assert_matches_reference(monkeypatch, 3, g.adjacency, maps, {}, solver._solve_order(g))
+
+    @pytest.mark.parametrize(
+        "kind, k, order",
+        [
+            ("path", 3, (2,)),
+            ("path", 3, (3, 1)),
+            ("path", 3, (0, 2, 1)),
+            ("path", 3, (0, 1, 2, 3)),
+            ("cycle", 2, (3, 0, 2, 1)),
+            ("cycle", 3, (4,)),
+            ("cycle", 3, (0, 2)),
+            ("cycle", 3, (1, 3, 0)),
+            ("cycle", 3, (0, 1, 2, 3)),
+            ("star", 2, (0, 3)),
+            ("star", 3, (1, 2, 3, 0)),
+        ],
+    )
+    def test_partial_matches_full_frontier_lookahead(self, monkeypatch, kind, k, order):
+        cover, packing = partial_packing(kind, k, order)
+        maps = forbidden_maps(cover, order, packing.assign)
+        self.assert_matches_reference(monkeypatch, k, cover.graph.adjacency, maps, dict(packing.assign), order)
+
+    def test_pinned_work_count(self, monkeypatch):
+        # the full-frontier lookahead refutes this cover with the same 43
+        # enumerations and 234 Hall checks
+        calls = count_kernel_calls(monkeypatch)
+        assert solve_packing(random_cover(generate("dodecahedron"), 3, 0)) is None
+        assert calls == {"_raw_one_factors": 43, "_raw_has_one_factor": 138}
+
+    def test_root_check_before_first_vertex(self, monkeypatch):
+        # vertex 1 is not adjacent to vertex 0, and its packed neighbors 2
+        # and 3 leave it no 1-factor: the generator must stop before it
+        # enumerates vertex 0's 1-factors
+        g = graph_from_edges(4, ((0, 2), (1, 2), (1, 3)))
+        cover = CorrespondenceCover(g, 2, {(0, 2): Perm.identity(2), (2, 1): Perm.identity(2), (3, 1): Perm((1, 0))})
+        packing = Packing(2, {2: (0, 1), 3: (0, 1)})
+        assert has_one_factor(extension_bigraph(cover, packing, 0))
+        assert not has_one_factor(extension_bigraph(cover, packing, 1))
+        calls = count_kernel_calls(monkeypatch)
+        assert engine_extensions(cover, packing, (0, 1)) == []
+        assert calls["_raw_one_factors"] == 0
 
 
 class TestAdversarialCovers:
