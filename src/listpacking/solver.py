@@ -19,7 +19,9 @@ search takes with a spanning forest pinned to identity permutations, and it
 is what makes exhausting list size 3 on small cycles affordable.  The
 pattern's classes are tracked through union and rollback
 (:class:`_PatternClasses`), so a pattern that cannot be consistent is cut at
-the union that breaks it.
+the union that breaks it.  Forests pack for k >= 2, so a subtree whose
+patterns can share only along a forest is cut at the empty choice that makes
+it one, and a forest graph has no witness to enumerate.
 
 Both searches decide a candidate, a set of forbidden pairs per edge, in one
 place (:class:`_Decider`).  Nearly every candidate is solvable, and one
@@ -32,6 +34,7 @@ returns is validated against its candidate before it enters the pool.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
@@ -458,10 +461,13 @@ def adversarial_list_search(
     positions coincide.  Each complete, self-consistent pattern is solved
     exactly; one the solver rejects is realized into an assignment over at
     most ``universe`` colors and returned, and the search goes on when that
-    needs more colors.  Candidates whose sharing graph is a forest are
-    skipped when k >= 2 (forests always pack).  Every other candidate is
-    decided by the search's :class:`_Decider` (pool, then solver, every
-    packing validated).  Raises ResourceCapError after ``cap`` decided
+    needs more colors.  Forests always pack for k >= 2, so at k >= 2 a
+    forest g returns None at once, and when an edge chooses no pairs while the edges
+    still able to share (the unchosen ones and the chosen ones with pairs)
+    form a forest, the search returns from that choice: no candidate whose
+    sharing graph is a forest is enumerated.  Every candidate is decided by
+    the search's :class:`_Decider` (pool, then solver, every packing
+    validated).  Raises ResourceCapError after ``cap`` decided
     candidates (pool hits, solved, realizable or not), and ValueError when
     ``k < 1``, ``cap < 1`` or ``universe < k``.
     """
@@ -470,7 +476,17 @@ def adversarial_list_search(
     if universe < k:
         raise ValueError(f"universe must be at least k={k}, got {universe}")
     n = g.n
-    if n == 0:
+    edges = g.sorted_edges()
+
+    @cache
+    def is_forest(mask: int) -> bool:
+        """Whether the edges ``mask`` marks form a forest."""
+
+        uf = UnionFind(n)
+        return all(uf.union(*edges[i]) for i in bits(mask))
+
+    everything = (1 << len(edges)) - 1
+    if n == 0 or (k >= 2 and is_forest(everything)):
         return None
     # a vertex's labels are still free at its first back edge, so that edge
     # pins its targets to a prefix; later back edges take any injection
@@ -478,33 +494,35 @@ def adversarial_list_search(
     later_pairs = _injection_order(k)
     classes = _PatternClasses(g, k)
     chosen = classes.chosen
+    edge_bit = {e: 1 << i for i, e in enumerate(edges)}
     back_edges: list[list[int]] = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
 
-    def test_candidate() -> ListAssignment | None:
-        if k >= 2:
-            # the sharing graph (edges with a shared position) is a forest
-            sharing = UnionFind(n)
-            if all(sharing.union(u, v) for (u, v), pairs in chosen.items() if pairs):
-                return None
-        return None if decide(chosen.items()) else _realize_lists(g, k, classes.uf, universe)
-
-    def place(v: int, edge_idx: int) -> ListAssignment | None:
+    def place(v: int, edge_idx: int, allowed: int) -> ListAssignment | None:
+        # allowed: the edges still able to share, the unchosen ones and the
+        # chosen ones with pairs; at a leaf, the sharing graph itself
         if v == n:
-            return test_candidate()
+            return None if decide(chosen.items()) else _realize_lists(g, k, classes.uf, universe)
         backs = back_edges[v]
         if edge_idx == len(backs):
-            return place(v + 1, 0) if classes.closed(v, backs) else None
+            return place(v + 1, 0, allowed) if classes.closed(v, backs) else None
         u = backs[edge_idx]
         for pairs in first_pairs if edge_idx == 0 else later_pairs:
+            if not pairs:
+                allowed &= ~edge_bit[(u, v)]
+                if k >= 2 and is_forest(allowed):
+                    # every completion shares along a forest, and forests
+                    # pack; the empty set is the last option, so no sibling
+                    # is lost
+                    return None
             mark = classes.mark()
             if classes.choose(u, v, pairs):
-                got = place(v, edge_idx + 1)
+                got = place(v, edge_idx + 1, allowed)
                 if got is not None:
                     return got
             classes.rollback(mark)
         return None
 
-    return place(0, 0)
+    return place(0, 0, everything)
 
 
 def packing_number(

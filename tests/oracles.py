@@ -6,9 +6,12 @@ directly, girth by per-root breadth-first search, densest subgraphs by
 plain subset enumeration.  The two exceptions are references for an
 optimized path: :func:`reference_cover_search` replays the adversarial cover
 search's enumeration one whole cover at a time through the public
-``solve_packing``, apart from the search's own candidate decision, and
-:func:`reference_extensions` is the extension engine with a full-frontier
-lookahead, which Hall-checks every later vertex that has a packed neighbor.
+``solve_packing``, apart from the search's own candidate decision;
+:func:`reference_list_search` is the list search's pattern enumeration with
+a forest check at every complete pattern instead of pruning, each pattern
+solved on its own; and :func:`reference_extensions` is the extension engine
+with a full-frontier lookahead, which Hall-checks every later vertex that
+has a packed neighbor.
 """
 
 from __future__ import annotations
@@ -144,6 +147,58 @@ def reference_cover_search(g, k):
         if solve_packing(cover) is None:
             return decided, cover
     return decided, None
+
+
+def reference_list_search(g, k, universe):
+    """The list search's enumeration of position patterns, vertex by vertex
+    and edge by edge in the search's option order, with every complete,
+    consistent pattern whose sharing graph (the edges with pairs) is a
+    forest skipped when k >= 2, and every other one decided by a
+    ``_Decider`` of its own.
+
+    Returns (decided, assignment): the first unsolvable pattern that
+    realizes over ``universe`` colors and the number of patterns decided up
+    to and including it, or None and the number of patterns decided.
+    """
+
+    from listpacking.graphs import UnionFind
+    from listpacking.solver import _Decider, _injection_order, _padded_subset_order, _PatternClasses, _realize_lists
+
+    n = g.n
+    first_pairs = [[(src, t) for t, src in enumerate(dom)] for dom in _padded_subset_order(k)]
+    later_pairs = _injection_order(k)
+    classes = _PatternClasses(g, k)
+    back_edges = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
+    decide = _Decider(g, k, 1 << 62, "unbounded")
+    decided = 0
+
+    def test_candidate():
+        nonlocal decided
+        if k >= 2:
+            sharing = UnionFind(n)
+            if all(sharing.union(u, v) for (u, v), pairs in classes.chosen.items() if pairs):
+                return None
+        decided += 1
+        return None if decide(classes.chosen.items()) else _realize_lists(g, k, classes.uf, universe)
+
+    def place(v, edge_idx):
+        if v == n:
+            return test_candidate()
+        backs = back_edges[v]
+        if edge_idx == len(backs):
+            return place(v + 1, 0) if classes.closed(v, backs) else None
+        u = backs[edge_idx]
+        for pairs in first_pairs if edge_idx == 0 else later_pairs:
+            mark = classes.mark()
+            if classes.choose(u, v, pairs):
+                got = place(v, edge_idx + 1)
+                if got is not None:
+                    return got
+            classes.rollback(mark)
+        return None
+
+    found = place(0, 0) if n else None
+    return decided, found
 
 
 def reference_extensions(k, adj, maps, assign, order):

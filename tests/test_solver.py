@@ -23,6 +23,7 @@ from listpacking.solver import (
     _extensions,
     _fits,
     _injection_order,
+    _padded_subset_order,
     _PatternClasses,
     adversarial_cover_search,
     adversarial_list_search,
@@ -30,10 +31,17 @@ from listpacking.solver import (
     solve_list_packing,
     solve_packing,
 )
-from oracles import oracle_cover_solvable, oracle_list_solvable, reference_cover_search, reference_extensions
+from oracles import (
+    oracle_cover_solvable,
+    oracle_list_solvable,
+    reference_cover_search,
+    reference_extensions,
+    reference_list_search,
+)
 
 DIAMOND = graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
 PAW = graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+BANNER = graph_from_edges(5, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 4)))  # C4 plus a pendant vertex
 
 # the solver's results a search must refuse: a vertex given one value
 # twice, a vertex left out, and a packing that breaks a forbidden pair
@@ -419,17 +427,89 @@ class TestAdversarialLists:
             (generate("cycle", 4), 3, 12, 2338, None),
             (generate("complete_bipartite", 2, 3), 2, 10, 34, ((0, 1), (0, 2), (0, 1), (0, 1), (1, 2))),
             (generate("cycle", 5), 3, 15, 29_590, None),
+            (PAW, 3, 12, 1088, None),
+            (BANNER, 3, 15, 18_704, None),
         ],
-        ids=["C4-k3", "K23-k2", "C5-k3"],
+        ids=["C4-k3", "K23-k2", "C5-k3", "paw-k3", "banner-k3"],
     )
     def test_cap(self, g, k, universe, solved, witness):
         # exactly `solved` candidates survive the consistency check and the
-        # forest skip; the cap counts those, whether a pooled packing or the
-        # solver decides them
+        # forest pruning; the cap counts those, whether a pooled packing or
+        # the solver decides them
         found = adversarial_list_search(g, k, universe, cap=solved)
         assert (None if found is None else found.lists) == witness
         with pytest.raises(ResourceCapError):
             adversarial_list_search(g, k, universe, cap=solved - 1)
+
+    @pytest.mark.parametrize(
+        "g, k",
+        [(generate("cycle", n), k) for n in (3, 4, 5) for k in (2, 3)]
+        + [(generate("cycle", 6), 2)]
+        + [(g, k) for g in (PAW, DIAMOND, BANNER) for k in (2, 3)]
+        + [(generate("complete_bipartite", 2, 3), 2)],
+        ids=[f"C{n}-k{k}" for n in (3, 4, 5) for k in (2, 3)]
+        + ["C6-k2"]
+        + [f"{name}-k{k}" for name in ("paw", "diamond", "banner") for k in (2, 3)]
+        + ["K23-k2"],
+    )
+    def test_matches_reference_enumeration(self, g, k):
+        # pruning forest subtrees drops exactly the candidates a forest
+        # check at every complete pattern skips: the same witness after
+        # exactly as many decided candidates
+        universe = k * g.n
+        decided, want = reference_list_search(g, k, universe)
+        got = adversarial_list_search(g, k, universe, cap=decided)
+        assert (None if got is None else got.lists) == (None if want is None else want.lists)
+        if decided > 1:  # a cap below 1 is an input error
+            with pytest.raises(ResourceCapError):
+                adversarial_list_search(g, k, universe, cap=decided - 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_empty_choice_is_last(self, k):
+        # a pruned empty choice ends its edge's options, so returning at it
+        # loses no sibling
+        assert _padded_subset_order(k)[-1] == ()
+        assert _injection_order(k)[-1] == []
+
+    @pytest.mark.parametrize("g", [generate("cycle", 4), generate("cycle", 5), BANNER], ids=["C4", "C5", "banner"])
+    def test_no_forest_is_decided(self, monkeypatch, g):
+        sharing_is_forest = []
+        decide = solver._Decider.__call__
+
+        def spy(self, constraints):
+            constraints = list(constraints)
+            sharing = UnionFind(g.n)
+            sharing_is_forest.append(all(sharing.union(u, v) for (u, v), pairs in constraints if pairs))
+            return decide(self, constraints)
+
+        monkeypatch.setattr(solver._Decider, "__call__", spy)
+        assert adversarial_list_search(g, 3, 3 * g.n) is None
+        assert sharing_is_forest and not any(sharing_is_forest)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "g",
+        [generate("path", 4), generate("complete_bipartite", 1, 3), graph_from_edges(4, ((0, 1), (2, 3)))],
+        ids=["P4", "K13", "2K2"],
+    )
+    def test_forest_decides_nothing(self, monkeypatch, g, k):
+        # forests pack for k >= 2, so no candidate is decided; the input
+        # checks still come first
+        decided = []
+        decide = solver._Decider.__call__
+        monkeypatch.setattr(solver._Decider, "__call__", lambda self, c: decided.append(c) or decide(self, c))
+        assert adversarial_list_search(g, k, k * g.n, cap=1) is None
+        assert decided == []
+        with pytest.raises(ValueError):
+            adversarial_list_search(g, k, k - 1)
+        with pytest.raises(ValueError):
+            adversarial_list_search(g, k, k * g.n, cap=0)
+
+    def test_forest_k1_still_searched(self):
+        # one coloring is a proper coloring from the lists, which an edge
+        # whose ends have one shared color cannot have
+        found = adversarial_list_search(generate("path", 2), 1, 2)
+        assert found is not None and found.lists == ((0,), (0,))
 
     @BAD_SOLVES
     def test_solver_packing_is_validated(self, monkeypatch, bad):
