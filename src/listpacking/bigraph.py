@@ -16,8 +16,8 @@ both read its columns.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from listpacking.graphs import json_int
@@ -64,17 +64,24 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def _raw_column_masks(s: int, rows) -> list[int]:
-    """The transpose of ``rows``: bit ``i`` of column ``j`` is bit ``j`` of row ``i``."""
+# _SPREAD[b] puts bit j of the byte b at bit 16 * j: OR-ing _SPREAD[byte] << i
+# over the rows sets bit i of the 16-bit field j exactly when row i has bit j.
+_SPREAD = tuple(sum(1 << 16 * j for j in range(8) if b >> j & 1) for b in range(256))
+_UNPACK_COLUMNS = (None,) + tuple(struct.Struct(f"<{s}H").unpack_from for s in range(1, 17))
 
-    cols = [0] * s
+
+def _raw_column_masks(s: int, rows) -> list[int]:
+    """The transpose of ``rows``: bit ``i`` of column ``j`` is bit ``j`` of row ``i``.
+
+    A byte-spread table transpose: the low and high bytes of the rows fill
+    eight 16-bit column fields each, read back as one little-endian buffer.
+    """
+
+    lo = hi = 0
     for i, r in enumerate(rows):
-        m = r
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    return cols
+        lo |= _SPREAD[r & 255] << i
+        hi |= _SPREAD[r >> 8] << i
+    return list(_UNPACK_COLUMNS[s]((lo | hi << 128).to_bytes(32, "little")))
 
 
 def bigraph_from_edges(s: int, edges) -> Bigraph:
@@ -103,11 +110,13 @@ def degree_profile(h: Bigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def is_st(h: Bigraph, s: int, t: int) -> bool:
     """True when the part size is ``s`` and the minimum degree is >= ``t``."""
 
-    return (
-        h.s == s
-        and all(r.bit_count() >= t for r in h.rows)
-        and all(c.bit_count() >= t for c in h.column_masks())
-    )
+    return h.s == s and _raw_min_degree_at_least(s, h.rows, t)
+
+
+def _raw_min_degree_at_least(s: int, rows, t: int) -> bool:
+    """Every row and every column of ``rows`` has at least ``t`` edges."""
+
+    return min(map(int.bit_count, rows)) >= t and min(map(int.bit_count, _raw_column_masks(s, rows))) >= t
 
 
 # ---------------------------------------------------------------------------
@@ -397,23 +406,36 @@ def _raw_obstructions(rows, otype: int) -> Iterator[tuple[tuple[int, ...], int, 
     """Every type-``otype`` obstruction among the rows of an 8x8 bigraph,
     as (X, N(X) mask, x1, the columns x1 adds outside N(X)), in
     lexicographic subset order and then by x1.  Types 1 and 4 have no x1
-    (None, no columns)."""
+    (None, no columns).
+
+    X grows by depth-first search in lexicographic order, and a prefix whose
+    neighborhood already spans more than 3 columns is not extended.
+    """
 
     s = 8
-    for comb in combinations(range(s), 5 if otype == 1 else 4):
-        n = _neighborhood(rows, comb)
-        if n.bit_count() != 3:
-            continue
-        if otype in (1, 4):
-            yield comb, n, None, []
-            continue
-        want = 1 if otype == 2 else 2
-        for x1 in range(s):
-            if x1 in comb:
-                continue
-            outside = rows[x1] & ~n
-            if outside.bit_count() == want:
-                yield comb, n, x1, bits(outside)
+    size = 5 if otype == 1 else 4
+    want = 1 if otype == 2 else 2
+
+    def grow(x: tuple[int, ...], start: int, n: int):
+        if len(x) == size:
+            if n.bit_count() != 3:
+                return
+            if otype in (1, 4):
+                yield x, n, None, []
+                return
+            for x1 in range(s):
+                if x1 in x:
+                    continue
+                outside = rows[x1] & ~n
+                if outside.bit_count() == want:
+                    yield x, n, x1, bits(outside)
+            return
+        for i in range(start, s - size + len(x) + 1):
+            grown = n | rows[i]
+            if grown.bit_count() <= 3:
+                yield from grow(x + (i,), i + 1, grown)
+
+    return grow((), 0, 0)
 
 
 def classify_obstruction(h: Bigraph) -> Obstruction | None:

@@ -10,7 +10,11 @@ instance check, which a randomized trial applies to the instance it draws
 and an exhaustive run applies to every enumerated instance.  Counterexamples
 to a randomly drawn instance are shrunk by greedy precondition-preserving
 edge removal before they are reported; planted and exchanged instances are
-reported as built.  A lemma verifier reporting a counterexample is a
+reported as built.  Every draw goes through :func:`_below`, :func:`_sample`
+and :func:`_choice`, which make exactly the ``getrandbits`` calls of
+``randrange``, ``sample`` and ``choice`` in CPython 3.11 and so draw the
+same instance stream with less interpreter work around each call; the
+tests pin that stream by digest.  A lemma verifier reporting a counterexample is a
 release-blocking event; the uniqueness observations about typed
 obstructions are weaker lore and are surfaced as warnings instead.
 """
@@ -27,6 +31,7 @@ from listpacking.bigraph import (
     _neighborhood,
     _raw_column_masks,
     _raw_has_one_factor,
+    _raw_min_degree_at_least,
     _raw_obstructions,
     allowed_edges,
     bigraph_to_json,
@@ -80,6 +85,51 @@ class StructuredInstance:
 
 
 # ---------------------------------------------------------------------------
+# Draws.  Each helper repeats the ``getrandbits`` calls of the ``Random``
+# method it replaces, as CPython 3.11 makes them, so the instance stream is
+# the same; the tests compare them with ``Random`` value by value and state
+# by state.
+# ---------------------------------------------------------------------------
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for ``n >= 1``: rejection sampling over
+    ``n.bit_length()`` random bits."""
+
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _sample(rng: random.Random, population, k: int) -> list:
+    """``rng.sample(population, k)`` for a population of at most 21 items,
+    where ``Random.sample`` always takes its pool branch."""
+
+    pool = list(population)
+    n = len(pool)
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result = []
+    for m in range(n, n - k, -1):
+        b = m.bit_length()
+        j = getrandbits(b)
+        while j >= m:
+            j = getrandbits(b)
+        result.append(pool[j])
+        pool[j] = pool[m - 1]
+    return result
+
+
+def _choice(rng: random.Random, seq):
+    """``rng.choice(seq)`` for a nonempty sequence."""
+
+    return seq[_below(rng, len(seq))]
+
+
+# ---------------------------------------------------------------------------
 # Instance generation.
 # ---------------------------------------------------------------------------
 
@@ -87,19 +137,32 @@ class StructuredInstance:
 def _repair_min_degree(rng: random.Random, s: int, rows: list[int], t: int) -> list[int]:
     for i in range(s):
         while rows[i].bit_count() < t:
-            rows[i] |= 1 << rng.randrange(s)
+            rows[i] |= 1 << _below(rng, s)
+    cols = _raw_column_masks(s, rows)
     while True:
-        cols = _raw_column_masks(s, rows)
         weak = [j for j in range(s) if cols[j].bit_count() < t]
         if not weak:
             return rows
         for j in weak:
-            rows[rng.randrange(s)] |= 1 << j
+            i = _below(rng, s)
+            rows[i] |= 1 << j
+            cols[j] |= 1 << i
+
+
+def _random_st_rows(rng: random.Random, s: int, t: int, p: float) -> list[int]:
+    draw = rng.random
+    rows = []
+    for _ in range(s):
+        r = 0
+        for j in range(s):
+            if draw() < p:
+                r |= 1 << j
+        rows.append(r)
+    return _repair_min_degree(rng, s, rows, t)
 
 
 def random_st_bigraph(rng: random.Random, s: int, t: int, p: float = 0.45) -> Bigraph:
-    rows = [sum(1 << j for j in range(s) if rng.random() < p) for _ in range(s)]
-    return Bigraph(s, tuple(_repair_min_degree(rng, s, rows, t)))
+    return Bigraph(s, tuple(_random_st_rows(rng, s, t, p)))
 
 
 def _mask_of(items) -> int:
@@ -119,8 +182,8 @@ def planted_obstruction(rng: random.Random, otype: int) -> StructuredInstance:
     """
 
     s = 8
-    a_perm = rng.sample(range(s), s)
-    b_perm = rng.sample(range(s), s)
+    a_perm = _sample(rng, range(s), s)
+    b_perm = _sample(rng, range(s), s)
     x_size = 5 if otype == 1 else 4
     x = a_perm[:x_size]
     nbhd = b_perm[:3]
@@ -138,25 +201,26 @@ def planted_obstruction(rng: random.Random, otype: int) -> StructuredInstance:
     elif otype == 2:
         x1, others = rest[0], rest[1:]
         e1_col = outside[0]
-        rows[x1] = _mask_of(rng.sample(nbhd, rng.choice((2, 3)))) | 1 << e1_col
+        rows[x1] = _mask_of(_sample(rng, nbhd, _choice(rng, (2, 3)))) | 1 << e1_col
         far = [j for j in outside if j != e1_col]
         for i in others:
             rows[i] = _mask_of(far)
-        for i in rng.sample(others, 2):
+        for i in _sample(rng, others, 2):
             rows[i] |= 1 << e1_col
         deco.update(x1=x1, e1=(x1, e1_col))
     else:  # otype == 3
         x1, others = rest[0], rest[1:]
         e_cols = outside[:2]
-        rows[x1] = _mask_of(rng.sample(nbhd, rng.choice((1, 2, 3)))) | _mask_of(e_cols)
+        rows[x1] = _mask_of(_sample(rng, nbhd, _choice(rng, (1, 2, 3)))) | _mask_of(e_cols)
         for i in others:
             rows[i] = _mask_of(outside)
         deco.update(x1=x1, e1=(x1, e_cols[0]), e2=(x1, e_cols[1]))
 
     # harmless extras: non-configuration rows may also reach into N(X)
+    draw = rng.random
     for i in rest if otype in (1, 4) else rest[1:]:
         for j in nbhd:
-            if rng.random() < 0.3:
+            if draw() < 0.3:
                 rows[i] |= 1 << j
     return StructuredInstance(Bigraph(s, tuple(rows)), deco)
 
@@ -164,8 +228,8 @@ def planted_obstruction(rng: random.Random, otype: int) -> StructuredInstance:
 def _planted_cycles(rng: random.Random, lengths: tuple[int, ...]) -> StructuredInstance:
     s = 8
     total = sum(lengths) // 2
-    xs = rng.sample(range(s), total)
-    ys = rng.sample(range(s), total)
+    xs = _sample(rng, range(s), total)
+    ys = _sample(rng, range(s), total)
     rows = [0] * s
     cycles = []
     pos = 0
@@ -180,8 +244,8 @@ def _planted_cycles(rng: random.Random, lengths: tuple[int, ...]) -> StructuredI
             rows[cx[(i + 1) % half]] |= 1 << cy[i]
             cyc.extend([("a", cx[i]), ("b", cy[i])])
         cycles.append(cyc)
-    m_a = rng.sample(range(s), 5)
-    m_b = rng.sample(range(s), 5)
+    m_a = _sample(rng, range(s), 5)
+    m_b = _sample(rng, range(s), 5)
     matching = list(zip(m_a, m_b))
     for i, j in matching:
         rows[i] |= 1 << j
@@ -193,8 +257,8 @@ def _planted_cycles(rng: random.Random, lengths: tuple[int, ...]) -> StructuredI
 
 def _switcher_double_plant(rng: random.Random, k: int) -> StructuredInstance:
     s = 2 * k
-    a_perm = rng.sample(range(s), s)
-    b_perm = rng.sample(range(s), s)
+    a_perm = _sample(rng, range(s), s)
+    b_perm = _sample(rng, range(s), s)
     x = a_perm[: k + 1]
     nbhd = b_perm[: k - 1]
     rows = [0] * s
@@ -205,7 +269,7 @@ def _switcher_double_plant(rng: random.Random, k: int) -> StructuredInstance:
         rows[i] = _mask_of(outside)
     tilde = []
     if rng.random() < 0.5:
-        e = (rng.choice(x), rng.choice(outside))
+        e = (_choice(rng, x), _choice(rng, outside))
         rows[e[0]] |= 1 << e[1]
         tilde.append(e)
     return StructuredInstance(
@@ -290,26 +354,44 @@ def _check_easy_prop(h: Bigraph) -> TrialResult:
     return (True, None, None) if has_one_factor(h) else _no_factor(h, h.s // 2)
 
 
+def _violator_outside_bounds(rows, s: int, t: int) -> int | None:
+    """The smallest size outside ``t+1 .. s-t`` of a Hall violator among
+    ``rows``, or None; an (s,t)-bigraph has none."""
+
+    for size in range(1, s + 1):
+        if t + 1 <= size <= s - t:
+            continue
+        for comb in combinations(range(s), size):
+            if _neighborhood(rows, comb).bit_count() < size:
+                return size
+    return None
+
+
 def _trial_easy_prop(rng: random.Random) -> TrialResult:
-    t = rng.choice((3, 4))
+    t = _choice(rng, (3, 4))
     result = _check_easy_prop(random_st_bigraph(rng, 2 * t, t))
     if not result[0]:
         return result
     # violator size bounds on a looser instance
-    s, t2 = rng.choice(((5, 2), (6, 2), (7, 3), (8, 3)))
-    h2 = random_st_bigraph(rng, s, t2, p=0.3)
-    for size in range(1, s + 1):
-        if t2 + 1 <= size <= s - t2:
-            continue
-        for comb in combinations(range(s), size):
-            if _neighborhood(h2.rows, comb).bit_count() < size:
-                pre = lambda b: is_st(b, s, t2)
-                return False, _counterexample(h2, f"violator of size {size} outside bounds in ({s},{t2})-bigraph", pre, lambda b: False), None
+    s, t2 = _choice(rng, ((5, 2), (6, 2), (7, 3), (8, 3)))
+    rows = _random_st_rows(rng, s, t2, 0.3)
+    size = _violator_outside_bounds(rows, s, t2)
+    if size is not None:
+        return (
+            False,
+            _counterexample(
+                Bigraph(s, tuple(rows)),
+                f"violator of size {size} outside bounds in ({s},{t2})-bigraph",
+                lambda b: is_st(b, s, t2),
+                lambda b: _violator_outside_bounds(b.rows, s, t2) is not None,
+            ),
+            None,
+        )
     return True, None, None
 
 
 def _trial_matching_lem_1(rng: random.Random) -> TrialResult:
-    k = rng.choice((2, 3))
+    k = _choice(rng, (2, 3))
     h = random_st_bigraph(rng, 2 * k + 1, k + 1)
     allowed = allowed_edges(h)
     if allowed is None:
@@ -333,8 +415,8 @@ def _plant_no_factor(rng: random.Random, k: int) -> Bigraph:
     """A (2k+1,k)-bigraph with no 1-factor: a (k+1)-by-(k+1) empty block."""
 
     s = 2 * k + 1
-    a_perm = rng.sample(range(s), s)
-    b_perm = rng.sample(range(s), s)
+    a_perm = _sample(rng, range(s), s)
+    b_perm = _sample(rng, range(s), s)
     x = a_perm[: k + 1]
     y = b_perm[: k + 1]
     x_mask, y_mask = _mask_of(x), _mask_of(y)
@@ -348,7 +430,7 @@ def _plant_no_factor(rng: random.Random, k: int) -> Bigraph:
 
 
 def _trial_matching_lem_2(rng: random.Random) -> TrialResult:
-    k = rng.choice((2, 3))
+    k = _choice(rng, (2, 3))
     s = 2 * k + 1
     h = _plant_no_factor(rng, k)
     if has_one_factor(h):
@@ -395,13 +477,14 @@ def _usable_counts(h: Bigraph) -> tuple[list[int], list[int]] | None:
 
 
 def _trial_one_gives_two(rng: random.Random) -> TrialResult:
-    k = rng.choice((2, 3))
+    k = _choice(rng, (2, 3))
     for _ in range(50):
-        h = random_st_bigraph(rng, 2 * k + 1, k)
-        if has_one_factor(h):
+        rows = _random_st_rows(rng, 2 * k + 1, k, 0.45)
+        if _raw_has_one_factor(2 * k + 1, rows):
             break
     else:
         return True, None, "generator never produced a 1-factor instance"
+    h = Bigraph(2 * k + 1, tuple(rows))
     usable_a, _ = _usable_counts(h)
     exceptional = sum(1 for c in usable_a if c < 2)
     if exceptional > 1:
@@ -464,7 +547,7 @@ def _check_girth5_condition(h: Bigraph) -> TrialResult:
 
 
 def _trial_type_prop(rng: random.Random) -> TrialResult:
-    otype = rng.randrange(1, 5)
+    otype = 1 + _below(rng, 4)
     inst = planted_obstruction(rng, otype)
     h = inst.h if rng.random() < 0.5 else swap(inst.h)
     if has_one_factor(h):
@@ -518,10 +601,10 @@ def _trial_matching_inc(rng: random.Random) -> TrialResult:
         # near-threshold: four A-rows confined to three columns
         h = planted_obstruction(rng, 4).h
     else:
-        rows = list(random_st_bigraph(rng, 8, 1, p=0.5).rows)
+        rows = _random_st_rows(rng, 8, 1, 0.5)
         for i in range(8):
-            while rows[i].bit_count() < rng.choice((3, 4)):
-                rows[i] |= 1 << rng.randrange(8)
+            while rows[i].bit_count() < _choice(rng, (3, 4)):
+                rows[i] |= 1 << _below(rng, 8)
         h = Bigraph(8, tuple(rows))
     if not _meets_profile(h, mins_weak):
         return True, None, None  # generator missed the precondition; skip
@@ -544,16 +627,18 @@ def _trial_matching_inc(rng: random.Random) -> TrialResult:
 
 
 def _random_matching(rng: random.Random, s: int, size: int) -> list[tuple[int, int]]:
-    return list(zip(rng.sample(range(s), size), rng.sample(range(s), size)))
+    return list(zip(_sample(rng, range(s), size), _sample(rng, range(s), size)))
 
 
-def _apply_matchings(h: Bigraph, add, remove) -> Bigraph:
-    rows = list(h.rows)
+def _apply_matchings(rows, add, remove) -> list[int]:
+    """A copy of ``rows`` with the edges ``add`` added, then ``remove`` removed."""
+
+    rows = list(rows)
     for i, j in add:
         rows[i] |= 1 << j
     for i, j in remove:
         rows[i] &= ~(1 << j)
-    return Bigraph(h.s, tuple(rows))
+    return rows
 
 
 def _switcher_trial(rng: random.Random, otype: int) -> TrialResult:
@@ -565,41 +650,43 @@ def _switcher_trial(rng: random.Random, otype: int) -> TrialResult:
     outside = [j for j in range(8) if j not in nbhd]
     sources = list(x) + ([deco["x1"]] if otype in (2, 3) else [])
     need = 1 if otype == 4 else 2
-    src = rng.sample(sources, need)
-    dst = rng.sample(outside, need)
+    src = _sample(rng, sources, need)
+    dst = _sample(rng, outside, need)
     required = list(zip(src, dst))
 
-    def draw() -> Bigraph:
-        extra_add = [p for p in _random_matching(rng, 8, rng.randrange(0, 3)) if p[0] not in src and p[1] not in dst]
+    def draw() -> list[int]:
+        extra_add = [p for p in _random_matching(rng, 8, _below(rng, 3)) if p[0] not in src and p[1] not in dst]
         add = required + extra_add
-        remove = [p for p in _random_matching(rng, 8, rng.randrange(0, 9)) if p not in add]
-        return _apply_matchings(h, add, remove)
+        remove = [p for p in _random_matching(rng, 8, _below(rng, 9)) if p not in add]
+        return _apply_matchings(h.rows, add, remove)
 
     return _exchange(h, required, draw, 3, f"type-{otype} exchange", "could not build a min-degree-3 exchanged instance")
 
 
 def _exchange(
-    h: Bigraph, required: list[tuple[int, int]], draw: Callable[[], Bigraph], t: int, what: str, give_up: str
+    h: Bigraph, required: list[tuple[int, int]], draw: Callable[[], list[int]], t: int, what: str, give_up: str
 ) -> TrialResult:
-    """The first of 60 ``draw()`` results (``h`` with ``required`` and random
-    matchings exchanged) of minimum degree ``t``, else ``h`` plus ``required``,
-    must have a 1-factor; with neither, the trial is skipped as ``give_up``."""
+    """The first of 60 ``draw()`` results (the rows of ``h`` with
+    ``required`` and random matchings exchanged) of minimum degree ``t``,
+    else ``h`` plus ``required``, must have a 1-factor; with neither, the
+    trial is skipped as ``give_up``."""
 
+    s = h.s
     for _ in range(60):
-        h2 = draw()
-        if is_st(h2, h.s, t):
+        rows = draw()
+        if _raw_min_degree_at_least(s, rows, t):
             break
     else:
-        h2 = _apply_matchings(h, required, [])
-        if not is_st(h2, h.s, t):
+        rows = _apply_matchings(h.rows, required, [])
+        if not _raw_min_degree_at_least(s, rows, t):
             return True, None, give_up
-    if not has_one_factor(h2):
+    if not _raw_has_one_factor(s, rows):
         return (
             False,
             {
                 "note": f"{what} left no 1-factor",
                 "instance": bigraph_to_json(h),
-                "exchanged": bigraph_to_json(h2),
+                "exchanged": bigraph_to_json(Bigraph(s, tuple(rows))),
                 "required": [list(p) for p in required],
             },
             None,
@@ -609,11 +696,12 @@ def _exchange(
 
 def _trial_switcher_simple(rng: random.Random) -> TrialResult:
     for _ in range(50):
-        h = random_st_bigraph(rng, 8, 3, p=0.4)
-        if has_one_factor(h):
+        rows = _random_st_rows(rng, 8, 3, 0.4)
+        if _raw_has_one_factor(8, rows):
             break
     else:
         return True, None, "generator never produced a 1-factor instance"
+    h = Bigraph(8, tuple(rows))
     m = max_matching(h)
     rem = removable_edges(h, m)
     if len(rem) < 6:
@@ -637,18 +725,18 @@ def _trial_switcher_double(rng: random.Random, k: int) -> TrialResult:
     x = inst.decorations["x"]
     tilde = inst.decorations["tilde"]
     # targets live in B minus the neighborhood taken without the tilde edge
-    n_mask = _neighborhood(_apply_matchings(h, [], tilde).rows, x)
+    n_mask = _neighborhood(_apply_matchings(h.rows, [], tilde), x)
     targets = [j for j in range(s) if not n_mask >> j & 1]
-    src = rng.sample(x, 2)
-    dst = rng.sample(targets, 2)
+    src = _sample(rng, x, 2)
+    dst = _sample(rng, targets, 2)
     required = list(zip(src, dst))
 
-    def draw() -> Bigraph:
-        a1 = required[:1] + [p for p in _random_matching(rng, s, rng.randrange(0, k)) if p[0] != required[0][0] and p[1] != required[0][1]]
-        a2 = required[1:] + [p for p in _random_matching(rng, s, rng.randrange(0, k)) if p[0] != required[1][0] and p[1] != required[1][1]]
-        r1 = [p for p in _random_matching(rng, s, rng.randrange(0, s)) if p not in a1 and p not in a2]
-        r2 = [p for p in _random_matching(rng, s, rng.randrange(0, s)) if p not in a1 and p not in a2]
-        return _apply_matchings(_apply_matchings(h, a1, r1), a2, r2)
+    def draw() -> list[int]:
+        a1 = required[:1] + [p for p in _random_matching(rng, s, _below(rng, k)) if p[0] != required[0][0] and p[1] != required[0][1]]
+        a2 = required[1:] + [p for p in _random_matching(rng, s, _below(rng, k)) if p[0] != required[1][0] and p[1] != required[1][1]]
+        r1 = [p for p in _random_matching(rng, s, _below(rng, s)) if p not in a1 and p not in a2]
+        r2 = [p for p in _random_matching(rng, s, _below(rng, s)) if p not in a1 and p not in a2]
+        return _apply_matchings(_apply_matchings(h.rows, a1, r1), a2, r2)
 
     return _exchange(h, required, draw, k - 1, f"two-matching exchange (k={k})", "could not build a min-degree exchanged instance")
 
@@ -660,28 +748,32 @@ def _walk_edges(walk: list[tuple[str, int]]) -> list[tuple[int, int]]:
     return [(va, vb) if sa == "a" else (vb, va) for (sa, va), (_, vb) in zip(walk, walk[1:])]
 
 
+def _path_pairs(cycles: list[list[tuple[str, int]]]) -> Iterator[list[tuple[int, int]]]:
+    """The edges of each candidate path pair, in a fixed order: every two
+    vertex-disjoint 2-edge paths along the planted cycles, then each planted
+    4-cycle as a whole (its edges split into two edge-disjoint 2-edge
+    paths)."""
+
+    p3s: list[list[tuple[str, int]]] = []
+    for cyc in cycles:
+        around = cyc + cyc[:2]
+        p3s.extend(around[i : i + 3] for i in range(len(cyc)))
+    for p, q in combinations(p3s, 2):
+        if not (set(p) & set(q)):
+            yield _walk_edges(p) + _walk_edges(q)
+    for cyc in cycles:
+        if len(cyc) == 4:
+            yield _walk_edges(cyc + cyc[:1])
+
+
 def _trial_key1factor(rng: random.Random, kind: str) -> TrialResult:
     inst = _planted_cycles(rng, (10,) if kind == "cycle10_plus_M5" else (6, 4))
     h = inst.h
     matching = inst.decorations["matching"]
-    p3s: list[list[tuple[str, int]]] = []
-    for cyc in inst.decorations["cycles"]:
-        around = cyc + cyc[:2]
-        p3s.extend(around[i : i + 3] for i in range(len(cyc)))
-    # candidate path pairs: vertex-disjoint, plus a planted 4-cycle as a
-    # whole (its edges split into two edge-disjoint 2-edge paths)
-    candidates: list[list[tuple[int, int]]] = []
-    for p, q in combinations(p3s, 2):
-        if not (set(p) & set(q)):
-            candidates.append(_walk_edges(p) + _walk_edges(q))
-    for cyc in inst.decorations["cycles"]:
-        if len(cyc) == 4:
-            candidates.append(_walk_edges(cyc + cyc[:1]))
-    for base in candidates:
-        for e1, e2 in combinations(matching, 2):
-            rows = list(h.rows)
-            for i, j in base + [e1, e2]:
-                rows[i] &= ~(1 << j)
+    pairs = list(combinations(matching, 2))
+    for base in _path_pairs(inst.decorations["cycles"]):
+        for e1, e2 in pairs:
+            rows = _apply_matchings(h.rows, [], base + [e1, e2])
             if _raw_has_one_factor(8, rows):
                 return True, None, None
     return (
@@ -699,7 +791,7 @@ def _trial_k_kplus1(rng: random.Random) -> TrialResult:
     k = 3
     cover_k = 2 * k - 1
     for _ in range(200):
-        n = rng.randrange(5, 8)
+        n = 5 + _below(rng, 3)
         edges = {tuple(sorted(e)) for e in combinations(range(n), 2) if rng.random() < 0.5}
         g = graph_from_edges(n, edges)
         deg = g.degrees()
@@ -716,7 +808,7 @@ def _trial_k_kplus1(rng: random.Random) -> TrialResult:
     else:
         return True, None, "no qualifying edge found"
     v = pick[0]
-    perms = [Perm(tuple(rng.sample(range(cover_k), cover_k))) for _ in g.sorted_edges()]
+    perms = [Perm(tuple(_sample(rng, range(cover_k), cover_k))) for _ in g.sorted_edges()]
     arcs = dict(zip(g.sorted_edges(), perms))
     cover = CorrespondenceCover(g, cover_k, arcs)
     reduced_graph = graph_from_edges(g.n, [e for e in g.edges if v not in e])

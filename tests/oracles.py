@@ -11,7 +11,9 @@ search's enumeration one whole cover at a time through the public
 a forest check at every complete pattern instead of pruning, each pattern
 solved on its own; and :func:`reference_extensions` is the extension engine
 with a full-frontier lookahead, which Hall-checks every later vertex that
-has a packed neighbor.
+has a packed neighbor.  Two bigraph kernels keep their plain form here:
+:func:`reference_column_masks` transposes bit by bit, and
+:func:`reference_obstructions` scans every subset of the obstruction size.
 """
 
 from __future__ import annotations
@@ -231,3 +233,41 @@ def reference_extensions(k, adj, maps, assign, order):
         assign.pop(v, None)
 
     return rec(0)
+
+
+def reference_column_masks(s, rows):
+    """The transpose of ``rows``, one set bit at a time."""
+
+    cols = [0] * s
+    for i, r in enumerate(rows):
+        m = r
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return cols
+
+
+def reference_obstructions(rows, otype):
+    """``_raw_obstructions`` by a scan over every subset of the obstruction
+    size in ``combinations`` order, then over x1."""
+
+    from listpacking.bigraph import bits
+
+    s = 8
+    for comb in combinations(range(s), 5 if otype == 1 else 4):
+        n = 0
+        for i in comb:
+            n |= rows[i]
+        if n.bit_count() != 3:
+            continue
+        if otype in (1, 4):
+            yield comb, n, None, []
+            continue
+        want = 1 if otype == 2 else 2
+        for x1 in range(s):
+            if x1 in comb:
+                continue
+            outside = rows[x1] & ~n
+            if outside.bit_count() == want:
+                yield comb, n, x1, bits(outside)

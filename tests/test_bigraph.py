@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 from listpacking.bigraph import (
     Bigraph,
     _raw_allowed_columns,
+    _raw_column_masks,
+    _raw_obstructions,
     Obstruction,
     allowed_edges,
     bigraph_from_edges,
     bigraph_from_json,
     bigraph_to_json,
+    bits,
     classify_obstruction,
     count_one_factors,
     degree_profile,
@@ -23,7 +26,8 @@ from listpacking.bigraph import (
     removable_edges,
     swap,
 )
-from oracles import oracle_one_factor_count
+from listpacking.lemmas import planted_obstruction
+from oracles import oracle_one_factor_count, reference_column_masks, reference_obstructions
 
 # the four reference obstruction shapes (types 1..4, reading clockwise from
 # the canonical drawings): X rows see three columns, the rest see the others
@@ -292,6 +296,73 @@ class TestClassification:
         for i in obs.x:
             n |= TYPE1.rows[i]
         assert {j for j in range(8) if n >> j & 1} == set(obs.nbhd)
+
+
+
+def _random_row_sets(count, seed):
+    """8x8 row sets of mixed density, sparse enough that many have typed
+    obstructions."""
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.choice((0.2, 0.35, 0.5))
+        out.append(tuple(sum(1 << j for j in range(8) if rng.random() < p) for _ in range(8)))
+    return out
+
+
+def _planted_row_sets():
+    out = []
+    for otype in (1, 2, 3, 4):
+        for seed in range(50):
+            h = planted_obstruction(random.Random(seed), otype).h
+            out += [h.rows, swap(h).rows]
+    return out
+
+
+def _reference_classification(h):
+    """``classify_obstruction`` spelled out over ``reference_obstructions``."""
+
+    if has_one_factor(h):
+        return None
+    for otype in (1, 2, 3, 4):
+        for side, rows in (("A", h.rows), ("B", reference_column_masks(8, h.rows))):
+            for x, n, x1, cols in reference_obstructions(rows, otype):
+                e1 = (x1, cols[0]) if cols else None
+                e2 = (x1, cols[1]) if otype == 3 else None
+                return Obstruction(side, frozenset(x), frozenset(bits(n)), otype, x1, e1, e2)
+    return "ValueError"
+
+
+class TestKernelsAgainstReferences:
+    def test_column_masks(self):
+        rng = random.Random(12)
+        for trial in range(50_000):
+            s = trial % 16 + 1
+            rows = [rng.getrandbits(s) for _ in range(s)]
+            assert _raw_column_masks(s, rows) == reference_column_masks(s, rows)
+
+    @pytest.mark.parametrize("source", ["random", "planted"])
+    def test_obstruction_yield_sequences(self, source):
+        row_sets = _random_row_sets(2_000, 7) if source == "random" else _planted_row_sets()
+        hits = 0
+        for rows in row_sets:
+            for otype in (1, 2, 3, 4):
+                got = list(_raw_obstructions(rows, otype))
+                assert got == list(reference_obstructions(rows, otype))
+                hits += len(got)
+        assert hits > len(row_sets) // 4  # the comparison is not vacuous
+
+    @pytest.mark.parametrize("source", ["random", "planted"])
+    def test_classification(self, source):
+        row_sets = _random_row_sets(2_000, 7) if source == "random" else _planted_row_sets()
+        for rows in row_sets:
+            h = Bigraph(8, rows)
+            try:
+                got = classify_obstruction(h)
+            except ValueError:
+                got = "ValueError"
+            assert got == _reference_classification(h)
 
 
 class TestJson:

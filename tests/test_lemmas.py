@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import count, product
@@ -10,9 +11,13 @@ from listpacking.lemmas import (
     MAX_COUNTEREXAMPLES,
     REGISTRY,
     LemmaSpec,
+    _below,
+    _choice,
     _counterexample,
     _planted_cycles,
+    _sample,
     _switcher_double_plant,
+    _violator_outside_bounds,
     planted_obstruction,
     random_st_bigraph,
     shrink_bigraph,
@@ -169,6 +174,55 @@ class TestShrinker:
             assert not (pre(cand) and fails(cand))
 
 
+class TestViolatorBounds:
+    def test_helper(self):
+        # a zero row is a violator of size 1, below the bounds 3..3 of (6,3)
+        assert _violator_outside_bounds([0, 63, 63, 63, 63, 63], 6, 3) == 1
+        assert _violator_outside_bounds([63] * 6, 6, 3) is None
+        # two rows inside one column: a size-2 violator, below 3..3
+        assert _violator_outside_bounds([1, 1, 63, 63, 63, 63], 6, 3) == 2
+        for seed in range(200):
+            rng = random.Random(seed)
+            s, t = rng.choice(((5, 2), (6, 2), (7, 3), (8, 3)))
+            assert _violator_outside_bounds(random_st_bigraph(rng, s, t, p=0.3).rows, s, t) is None
+
+    def test_counterexample_shrinks_and_keeps_the_violator(self):
+        start = Bigraph(6, (0, 63, 63, 7, 56, 63))
+        still_fails = lambda b: _violator_outside_bounds(b.rows, 6, 3) is not None
+        failure = _counterexample(start, "violator", lambda b: True, still_fails)
+        shrunk = bigraph_from_json(failure["shrunk"])
+        assert shrunk.edge_count() < start.edge_count()
+        assert _violator_outside_bounds(shrunk.rows, 6, 3) == 1
+
+
+class TestDrawHelpers:
+    """The draw helpers against the ``Random`` methods they stand in for:
+    equal values and equal generator state afterwards."""
+
+    def test_sample(self):
+        for n in range(1, 17):
+            for k in range(n + 1):
+                for seed in range(100):
+                    for population in (range(n), [f"v{i}" for i in range(n)]):
+                        ours, theirs = random.Random(seed), random.Random(seed)
+                        assert _sample(ours, population, k) == theirs.sample(population, k)
+                        assert ours.getstate() == theirs.getstate()
+
+    def test_sample_rejects_bad_sizes(self):
+        for k in (-1, 4):
+            with pytest.raises(ValueError):
+                _sample(random.Random(0), range(3), k)
+
+    def test_below_and_choice(self):
+        for n in range(1, 40):
+            seq = tuple(range(100, 100 + n))
+            for seed in range(100):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert _below(ours, n) == theirs.randrange(n)
+                assert _choice(ours, seq) == theirs.choice(seq)
+                assert ours.getstate() == theirs.getstate()
+
+
 class TestStructuredBuilders:
     @pytest.mark.parametrize("otype", [1, 2, 3, 4])
     def test_planted_obstructions_classify(self, otype):
@@ -233,3 +287,43 @@ class TestGenerators:
             rng = random.Random(seed)
             s, t = rng.choice(((4, 2), (6, 3), (8, 3), (8, 4)))
             assert is_st(random_st_bigraph(rng, s, t), s, t)
+
+
+class TestInstanceStream:
+    """sha256 over trials 0..299 of ``repr((trial(rng), rng.getstate()))``
+    with ``rng = Random(i)``: every drawn instance, every verdict and the
+    generator state each trial leaves behind.  A speedup of the verifiers
+    must leave these digests as they are; only a deliberate change of the
+    instance distribution may move one, and says so."""
+
+    DIGESTS = {
+        "canalwaysswap": "141a38786da73e1981c56170cb842e5aae44db2f76dc10cb91261258d2e0e4a5",
+        "easy_prop": "a8bb68ce2197e8ac27ad6be88f2d2b81a3f1df0242d977925137e585816ae0cb",
+        "girth5_condition": "c7e9b25e614bf0bfc9174f9391ec693ee95a19a780aaad97d20b6774cacd4562",
+        "key1factor": "2120ea9b1642b2aef059a8513ebb9febad4311f2e1f0ecb33ce12b5cebcb949b",
+        "key1factorB": "d5a709ff76b385738b4728bd7a98c019aa2957b11fd6445b74dc31985fc287ea",
+        "matching_inc": "70fce0454675dbe42372397b584a94d746d2a47153317d0cf62eb44f467b663d",
+        "matching_lem_1": "f15f20c2386341024a309dbf8c32a78525928ee0e1ca85e3c78d012015420a98",
+        "matching_lem_2": "b304a2ea390da0d2e16222fab2528f81e72ec4261c0c6010a6cef64738a4d890",
+        "one_gives_two": "6759cd44add36f3c0f27667b85a02e7d919200350ab9c0ead2a0c6c17ac05657",
+        "switcher_double_k4": "5a079793c496040bab6c4a43b7a10bf2dc739bbf248554f9d76c850df2f90084",
+        "switcher_double_k5": "9a17d6acd6bd72092f4891bdb22630d252231dec0af138e8aa86c8b69fa9d1e2",
+        "switcher_general_type1": "e84d92b928048c4e828cf57d08d0030e14bc2cd57277bdc99d51aa4bede045eb",
+        "switcher_general_type2": "e1bf9161527d778b53959c5de903652c9a45cfd98ed6805d670692d3028a8220",
+        "switcher_general_type3": "2df9ff00581e84040201dc3ac4bf63c571ddfc81b9c10c775daf0064e67e7f7c",
+        "switcher_general_type4": "b012e2b2cf3494b8a352e11a93da877817f251afde3256fa72096b82e51609c3",
+        "switcher_simple": "54abd4fe6836e4f863ad8be555523dba7cd591dd672272356b8e9bc871fdcbd3",
+        "type_prop": "2e77f2e29b0e972d640646a8b7f94888c5c6fd5b720bcdee6b089353591013a1",
+    }
+
+    def test_covers_every_cheap_randomized_verifier(self):
+        assert set(self.DIGESTS) == {name for name, spec in REGISTRY.items() if spec.trial} - {"k_kplus1"}
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name):
+        trial = REGISTRY[name].trial
+        digest = hashlib.sha256()
+        for i in range(300):
+            rng = random.Random(i)
+            digest.update(repr((trial(rng), rng.getstate())).encode())
+        assert digest.hexdigest() == self.DIGESTS[name]
