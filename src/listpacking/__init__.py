@@ -8,8 +8,8 @@ The package is organized around a handful of small immutable value types:
   named generators used throughout.
 * :class:`~listpacking.bigraph.Bigraph` -- balanced bipartite graphs on
   parts of size at most 16, stored as bitmask rows.  All matching, Hall
-  violator, 1-factor counting, and obstruction classification work happens
-  here.
+  violator, 1-factor enumeration, and obstruction classification work
+  happens here; counting 1-factors is left to the test oracles.
 * :class:`~listpacking.covers.CorrespondenceCover` and
   :class:`~listpacking.covers.ListAssignment` -- the two flavors of
   coloring constraints, with conversion, straightening, and validation.
@@ -26,7 +26,6 @@ from listpacking.bigraph import (
     Bigraph,
     Obstruction,
     classify_obstruction,
-    count_one_factors,
     degree_profile,
     hall_violator,
     has_one_factor,
@@ -40,7 +39,6 @@ from listpacking.covers import (
     ListAssignment,
     Packing,
     Perm,
-    extension_bigraph,
     list_to_cover,
     straighten,
     validate_list_packing,

@@ -5,13 +5,14 @@ Part A is ``a_0 .. a_{s-1}`` (colors), part B is ``b_0 .. b_{s-1}``
 here is deterministic: matchings use a fixed augmenting order, searches use
 lexicographic subset order, so downstream results are reproducible.
 
-The hot primitives (:func:`max_matching`, :func:`hall_violator`, the
-allowed-edge analysis) also exist as module-private functions over raw
-``(s, rows)`` pairs so the verification harness can call them in tight loops
-without object churn.  Whether an edge lies in some 1-factor is decided in
-one place, :func:`_raw_allowed_columns`, by a bitmask reachability closure
-over alternating paths; :func:`allowed_edges` and :func:`removable_edges`
-both read its columns.
+The hot primitives (matching, 1-factor enumeration, the allowed-edge
+analysis) are module-private functions over raw ``(s, rows)`` pairs so the
+solvers and the verification harness can call them in tight loops without
+object churn.  :func:`hall_violator`, a subset search no loop calls, reads
+the Bigraph directly and has no raw twin.  Whether an edge lies in some
+1-factor is decided in one place, :func:`_raw_allowed_columns`, by a bitmask
+reachability closure over alternating paths; :func:`allowed_edges` and
+:func:`removable_edges` both read its columns.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class Bigraph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, r in enumerate(self.rows) for j in bits(r)]
-
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
 
 
 def bits(mask: int) -> list[int]:
@@ -183,8 +181,9 @@ def has_one_factor(h: Bigraph) -> bool:
     return _raw_has_one_factor(h.s, h.rows)
 
 
-def _raw_hall_violator(s: int, rows) -> tuple[int, int] | None:
-    """A maximum-cardinality Hall violator as (X mask, N(X) mask), or None.
+def hall_violator(h: Bigraph) -> tuple[frozenset[int], frozenset[int]] | None:
+    """None when a 1-factor exists; otherwise a maximum-cardinality violator
+    X (subset of A) together with N(X).
 
     A largest violator is always of the form {a : N(a) is inside T} for some
     T (take T = N(X) of any violator X to get one at least as large), so the
@@ -194,10 +193,10 @@ def _raw_hall_violator(s: int, rows) -> tuple[int, int] | None:
     T, which makes the result deterministic.
     """
 
+    s, rows = h.s, h.rows
     if _raw_has_one_factor(s, rows):
         return None
-    best: tuple[int, int] | None = None
-    best_size = 0
+    best_x = best_n = 0
     for t_mask in range(1 << s):
         x_mask = 0
         n_mask = 0
@@ -206,20 +205,9 @@ def _raw_hall_violator(s: int, rows) -> tuple[int, int] | None:
                 x_mask |= 1 << i
                 n_mask |= rows[i]
         size = x_mask.bit_count()
-        if size > n_mask.bit_count() and size > best_size:
-            best, best_size = (x_mask, n_mask), size
-    return best
-
-
-def hall_violator(h: Bigraph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """None when a 1-factor exists; otherwise the maximal-cardinality
-    violator X (subset of A) together with N(X)."""
-
-    raw = _raw_hall_violator(h.s, h.rows)
-    if raw is None:
-        return None
-    x_mask, n_mask = raw
-    return frozenset(bits(x_mask)), frozenset(bits(n_mask))
+        if size > n_mask.bit_count() and size > best_x.bit_count():
+            best_x, best_n = x_mask, n_mask
+    return frozenset(bits(best_x)), frozenset(bits(best_n))
 
 
 def _raw_one_factors(s: int, rows) -> Iterator[tuple[int, ...]]:
@@ -247,12 +235,6 @@ def _raw_one_factors(s: int, rows) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0)
 
 
-def iter_one_factors(h: Bigraph) -> Iterator[tuple[int, ...]]:
-    """The 1-factors of h, as :func:`_raw_one_factors` yields them."""
-
-    yield from _raw_one_factors(h.s, h.rows)
-
-
 def _invert(cols: tuple[int, ...]) -> tuple[int, ...]:
     """The inverse of a 1-factor: entry ``j`` is the A-vertex matched to
     ``b_j``.  With colors as A and colorings as B, this is the per-coloring
@@ -262,27 +244,6 @@ def _invert(cols: tuple[int, ...]) -> tuple[int, ...]:
     for i, j in enumerate(cols):
         out[j] = i
     return tuple(out)
-
-
-def count_one_factors(h: Bigraph) -> int:
-    """Exact number of 1-factors (the permanent of the biadjacency matrix),
-    by dynamic programming over subsets of B."""
-
-    s = h.s
-    rows = h.rows
-    size = 1 << s
-    f = [0] * size
-    f[0] = 1
-    for mask in range(1, size):
-        i = mask.bit_count() - 1
-        m = rows[i] & mask
-        acc = 0
-        while m:
-            low = m & -m
-            acc += f[mask ^ low]
-            m ^= low
-        f[mask] = acc
-    return f[size - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, Sequence
 
-from listpacking.bigraph import Bigraph
 from listpacking.graphs import (
     Graph,
     UnionFind,
@@ -54,9 +53,6 @@ class Perm:
         """Composition self(other(x))."""
 
         return Perm(tuple(self.image[other.image[i]] for i in range(self.k)))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.image))
 
     @staticmethod
     def identity(k: int) -> "Perm":
@@ -298,17 +294,6 @@ def extension_rows(v: int, k: int, adj, maps, assign: Mapping[int, tuple[int, ..
             if t >= 0:
                 rows[t] &= ~(1 << j)
     return rows
-
-
-def extension_bigraph(cover: CorrespondenceCover, packing: Packing, v: int) -> Bigraph:
-    """The extension bigraph at the unpacked vertex v (see
-    :func:`extension_rows`), with colors as rows."""
-
-    if v in packing.assign:
-        raise ValueError(f"vertex {v} is already packed")
-    maps = forbidden_maps(cover, (v,), packing.assign)
-    rows = extension_rows(v, cover.k, cover.graph.adjacency, maps, packing.assign)
-    return Bigraph(cover.k, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

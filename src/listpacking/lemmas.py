@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
 from listpacking.bigraph import (
@@ -319,26 +319,15 @@ TrialResult = tuple[bool, dict | None, str | None]
 
 
 def _iter_4x4(t: int) -> Iterator[Bigraph]:
-    """All labeled 4x4 bit-matrices with minimum degree >= t on both parts."""
+    """All labeled 4x4 bit-matrices with minimum degree >= t on both parts,
+    in ascending order of the 16-bit code with row 0 lowest.  Every row
+    already has t bits, so only the columns are checked."""
 
-    pop = [bin(x).count("1") for x in range(16)]
-    for code in range(1 << 16):
-        r0 = code & 15
-        r1 = code >> 4 & 15
-        r2 = code >> 8 & 15
-        r3 = code >> 12 & 15
-        if min(pop[r0], pop[r1], pop[r2], pop[r3]) < t:
-            continue
-        c_ok = True
-        for j in range(4):
-            bit = 1 << j
-            col = (1 if r0 & bit else 0) + (1 if r1 & bit else 0) + (1 if r2 & bit else 0) + (1 if r3 & bit else 0)
-            if col < t:
-                c_ok = False
-                break
-        if not c_ok:
-            continue
-        yield Bigraph(4, (r0, r1, r2, r3))
+    rows_with_t_bits = [r for r in range(16) if r.bit_count() >= t]
+    for r3, r2, r1, r0 in product(rows_with_t_bits, repeat=4):
+        rows = (r0, r1, r2, r3)
+        if min(map(int.bit_count, _raw_column_masks(4, rows))) >= t:
+            yield Bigraph(4, rows)
 
 
 def _no_factor(h: Bigraph, t: int) -> TrialResult:
@@ -839,7 +828,7 @@ def _trial_k_kplus1(rng: random.Random) -> TrialResult:
 @dataclass(frozen=True)
 class LemmaSpec:
     name: str
-    trial: Callable[[random.Random], TrialResult] | None
+    trial: Callable[[random.Random], TrialResult]
     exhaustive: Callable[[], Iterable[TrialResult]] | None
     default_trials: int
 
@@ -879,6 +868,8 @@ def verify(
 
     Randomized runs draw each trial from ``Random(seed * stride + index)``,
     so reports are reproducible and trials are independent of each other.
+    The seed must be nonnegative: ``Random`` seeds by absolute value, so a
+    negative seed would replay the trials of other seeds under its own name.
     An exhaustive run checks every enumerated instance and takes no trial
     count.  Randomized counterexamples record their ``trial`` index.
     """
@@ -886,6 +877,8 @@ def verify(
     spec = REGISTRY.get(name)
     if spec is None:
         raise ValueError(f"unknown lemma {name!r}; known: {', '.join(sorted(REGISTRY))}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if exhaustive:
         if trials is not None:
             raise ValueError("an exhaustive run takes no trial count")
@@ -894,8 +887,6 @@ def verify(
         results = ((None, result) for result in spec.exhaustive())
         strategy = "exhaustive"
     else:
-        if spec.trial is None:
-            raise ValueError(f"lemma {name!r} is exhaustive-only")
         n = trials if trials is not None else spec.default_trials
         if n < 1:
             raise ValueError(f"trials must be positive, got {n}")

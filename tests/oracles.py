@@ -14,6 +14,10 @@ with a full-frontier lookahead, which Hall-checks every later vertex that
 has a packed neighbor.  Two bigraph kernels keep their plain form here:
 :func:`reference_column_masks` transposes bit by bit, and
 :func:`reference_obstructions` scans every subset of the obstruction size.
+The library enumerates 1-factors but never counts them, so both counters
+live here: :func:`oracle_one_factor_count` tries every column permutation,
+and :func:`count_one_factors` is the permanent by dynamic programming over
+subsets of B.
 """
 
 from __future__ import annotations
@@ -113,6 +117,27 @@ def oracle_one_factor_count(h) -> int:
         if all(h.rows[i] >> perm[i] & 1 for i in range(h.s)):
             count += 1
     return count
+
+
+def count_one_factors(h) -> int:
+    """Exact number of 1-factors (the permanent of the biadjacency matrix),
+    by dynamic programming over subsets of B."""
+
+    s = h.s
+    rows = h.rows
+    size = 1 << s
+    f = [0] * size
+    f[0] = 1
+    for mask in range(1, size):
+        i = mask.bit_count() - 1
+        m = rows[i] & mask
+        acc = 0
+        while m:
+            low = m & -m
+            acc += f[mask ^ low]
+            m ^= low
+        f[mask] = acc
+    return f[size - 1]
 
 
 def replay_degeneracy(g, order) -> int:

@@ -12,8 +12,8 @@ from listpacking.covers import (
     apply_relabel,
     cover_from_json,
     cover_to_json,
-    extension_bigraph,
     extension_rows,
+    forbidden_maps,
     list_assignment,
     list_assignment_from_json,
     list_assignment_to_json,
@@ -26,6 +26,7 @@ from listpacking.covers import (
     validate_list_packing,
     validate_packing,
 )
+from listpacking.bigraph import _raw_column_masks
 from listpacking.graphs import Graph, generate, graph_from_edges
 from listpacking.solver import _list_pattern_maps, solve_packing
 from oracles import oracle_cover_solvable
@@ -41,7 +42,7 @@ class TestPerm:
     def test_algebra(self):
         p = Perm((1, 2, 0))
         assert p.inverse().image == (2, 0, 1)
-        assert p.after(p.inverse()).is_identity()
+        assert p.after(p.inverse()) == Perm.identity(p.k)
         assert Perm.identity(3)(1) == 1
 
     def test_rejects_non_bijection(self):
@@ -76,8 +77,8 @@ class TestStraighten:
         ident = Perm.identity(2)
         cover = CorrespondenceCover(g, 2, {e: ident for e in g.sorted_edges()})
         out, rho = straighten(cover, [(0, 1), (1, 2)])
-        assert all(p.is_identity() for p in out.arcs.values())
-        assert all(p.is_identity() for p in rho.values())
+        assert all(p == Perm.identity(p.k) for p in out.arcs.values())
+        assert all(p == Perm.identity(p.k) for p in rho.values())
 
     def test_rejects_cycles_in_tree(self):
         g = generate("cycle", 3)
@@ -102,7 +103,7 @@ class TestStraighten:
         for cover in all_covers(g, k):
             out, rho = straighten(cover, tree)
             for u, v in tree:
-                assert out.perm_along(u, v).is_identity()
+                assert out.perm_along(u, v) == Perm.identity(out.k)
             before = solve_packing(cover)
             after = solve_packing(out)
             assert (before is None) == (after is None)
@@ -114,7 +115,7 @@ class TestStraighten:
         g = generate("path", 2)
         cover = CorrespondenceCover(g, 2, {(0, 1): Perm((1, 0))})
         out, rho = straighten(cover, [(0, 1)])
-        assert out.perm_along(0, 1).is_identity()
+        assert out.perm_along(0, 1) == Perm.identity(out.k)
         p = solve_packing(out)
         assert validate_packing(cover, apply_relabel(p, rho, inverse=True)).ok
 
@@ -124,7 +125,7 @@ class TestListToCover:
         g = generate("cycle", 4)
         la = list_assignment(g, 2, [[5, 9]] * 4)
         cover, indexing = list_to_cover(la)
-        assert all(p.is_identity() for p in cover.arcs.values())
+        assert all(p == Perm.identity(p.k) for p in cover.arcs.values())
         assert indexing[0] == (5, 9)
 
     def test_disjoint_lists_deterministic(self):
@@ -160,8 +161,8 @@ class TestExtensionBigraphs:
     def test_no_packed_neighbors(self):
         g = generate("cycle", 5)
         cover = random_cover(g, 3, 1)
-        h = extension_bigraph(cover, Packing(3), 0)
-        assert h.rows == (7, 7, 7)
+        rows = extension_rows(0, 3, g.adjacency, forbidden_maps(cover, (0,), {}), {})
+        assert rows == [7, 7, 7]
 
     def test_degree_bound(self):
         rng = random.Random(4)
@@ -175,8 +176,8 @@ class TestExtensionBigraphs:
                 if rng.random() < 0.7:
                     packing.assign[w] = tuple(rng.sample(range(4), 4))
                     packed += 1
-            h = extension_bigraph(cover, packing, v)
-            degs = [r.bit_count() for r in h.rows] + [c.bit_count() for c in h.column_masks()]
+            rows = extension_rows(v, 4, g.adjacency, forbidden_maps(cover, (v,), packing.assign), packing.assign)
+            degs = [r.bit_count() for r in rows] + [c.bit_count() for c in _raw_column_masks(4, rows)]
             assert min(degs) >= 4 - packed
 
     def test_closing_arc_example_cover_form(self):
@@ -185,8 +186,9 @@ class TestExtensionBigraphs:
         arcs = {(i, i + 1): Perm.identity(3) for i in range(4)}
         arcs[(0, 4)] = Perm((1, 0, 2))
         cover = CorrespondenceCover(g, 3, arcs)
-        h = extension_bigraph(cover, Packing(3, {0: (0, 1, 2)}), 4)
-        missing = {(i, j) for i in range(3) for j in range(3) if not h.has_edge(i, j)}
+        assign = {0: (0, 1, 2)}
+        rows = extension_rows(4, 3, g.adjacency, forbidden_maps(cover, (4,), assign), assign)
+        missing = {(i, j) for i in range(3) for j in range(3) if not rows[i] >> j & 1}
         assert missing == {(0, 1), (1, 0), (2, 2)}
 
     def test_closing_arc_example_list_form(self):
@@ -201,12 +203,6 @@ class TestExtensionBigraphs:
         # forbidden for coloring 1
         assert missing == {(1, 0), (0, 1)}
         assert sum(r.bit_count() for r in rows) == 7
-
-    def test_packed_vertex_rejected(self):
-        g = generate("path", 2)
-        cover = random_cover(g, 2, 0)
-        with pytest.raises(ValueError):
-            extension_bigraph(cover, Packing(2, {0: (0, 1)}), 0)
 
 
 class TestValidators:

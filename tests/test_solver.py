@@ -4,13 +4,13 @@ from itertools import combinations, permutations, product
 import pytest
 
 from listpacking import solver
-from listpacking.bigraph import _invert, has_one_factor, iter_one_factors
+from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors
 from listpacking.covers import (
     CorrespondenceCover,
     Packing,
     Perm,
     cover_to_json,
-    extension_bigraph,
+    extension_rows,
     forbidden_maps,
     list_assignment,
     random_cover,
@@ -171,7 +171,8 @@ def nested_factor_extensions(cover, packing, order):
         yield ()
         return
     v = order[0]
-    for cols in iter_one_factors(extension_bigraph(cover, packing, v)):
+    rows = extension_rows(v, cover.k, cover.graph.adjacency, forbidden_maps(cover, (v,), packing.assign), packing.assign)
+    for cols in _raw_one_factors(cover.k, rows):
         packing.assign[v] = _invert(cols)
         for rest in nested_factor_extensions(cover, packing, order[1:]):
             yield (packing.assign[v], *rest)
@@ -308,8 +309,9 @@ class TestExtensions:
         g = graph_from_edges(4, ((0, 2), (1, 2), (1, 3)))
         cover = CorrespondenceCover(g, 2, {(0, 2): Perm.identity(2), (2, 1): Perm.identity(2), (3, 1): Perm((1, 0))})
         packing = Packing(2, {2: (0, 1), 3: (0, 1)})
-        assert has_one_factor(extension_bigraph(cover, packing, 0))
-        assert not has_one_factor(extension_bigraph(cover, packing, 1))
+        maps = forbidden_maps(cover, (0, 1), packing.assign)
+        assert _raw_has_one_factor(2, extension_rows(0, 2, g.adjacency, maps, packing.assign))
+        assert not _raw_has_one_factor(2, extension_rows(1, 2, g.adjacency, maps, packing.assign))
         calls = count_kernel_calls(monkeypatch)
         assert engine_extensions(cover, packing, (0, 1)) == []
         assert calls["_raw_one_factors"] == 0
@@ -321,7 +323,7 @@ class TestAdversarialCovers:
         w = adversarial_cover_search(g, 3)
         assert w is not None
         assert solve_packing(w) is None
-        free_arcs = [p for p in w.arcs.values() if not p.is_identity()]
+        free_arcs = [p for p in w.arcs.values() if p != Perm.identity(p.k)]
         assert len(free_arcs) == 1
         moved = sum(1 for i, j in enumerate(free_arcs[0].image) if i != j)
         assert moved == 2  # a single transposition
@@ -390,7 +392,7 @@ class TestAdversarialCovers:
         g = generate("complete", 4)
         w = adversarial_cover_search(g, 3)
         assert sorted(w.arcs) == g.sorted_edges()
-        assert all(p.is_identity() for p in w.arcs.values())
+        assert all(p == Perm.identity(p.k) for p in w.arcs.values())
         assert adversarial_cover_search(g, 4, cap=13_824) is None
         with pytest.raises(ResourceCapError):
             adversarial_cover_search(g, 4, cap=13_823)
