@@ -8,8 +8,8 @@ matching clause, direction).  Three preset rules ship with the package:
 
 * ``P4``:    every 3-vertex takes 1/3 from each neighbor;
 * ``P5``:    every 3-vertex takes 1/6 from each neighbor of degree >= 4;
-* ``openB``: every 3-vertex takes 1/4 from each neighbor (the k = 3 case of
-  the degree-k rule, available via :func:`degree_k_rule`).
+* ``openB``: every 3-vertex takes 1/4 from each neighbor, the k = 3 case of
+  :func:`degree_k_rule`.
 
 Each preset has a companion exclusion predicate describing the graphs the
 rule is meant for; on those graphs the audited minimum final charge is
@@ -29,7 +29,6 @@ from listpacking.graphs import Graph, graph_from_edges
 
 @dataclass(frozen=True)
 class Clause:
-    label: str
     recipient: Callable[[int], bool]
     donor: Callable[[int], bool]
     amount: Fraction
@@ -41,7 +40,6 @@ class Clause:
 
 @dataclass(frozen=True)
 class DischargingRule:
-    name: str
     clauses: tuple[Clause, ...]
 
 
@@ -93,22 +91,13 @@ def discharge_audit(g: Graph, rule: DischargingRule) -> ChargeLedger:
 def degree_k_rule(k: int) -> DischargingRule:
     """Every k-vertex takes 1/(k+1) from each neighbor."""
 
-    return DischargingRule(
-        f"open_{k}",
-        (Clause(f"deg{k}-takes", lambda d, k=k: d == k, lambda d: True, Fraction(1, k + 1)),),
-    )
+    return DischargingRule((Clause(lambda d, k=k: d == k, lambda d: True, Fraction(1, k + 1)),))
 
 
 RULES: dict[str, DischargingRule] = {
-    "P4": DischargingRule(
-        "P4", (Clause("3-takes-1/3", lambda d: d == 3, lambda d: True, Fraction(1, 3)),)
-    ),
-    "P5": DischargingRule(
-        "P5", (Clause("3-takes-1/6", lambda d: d == 3, lambda d: d >= 4, Fraction(1, 6)),)
-    ),
-    "openB": DischargingRule(
-        "openB", (Clause("3-takes-1/4", lambda d: d == 3, lambda d: True, Fraction(1, 4)),)
-    ),
+    "P4": DischargingRule((Clause(lambda d: d == 3, lambda d: True, Fraction(1, 3)),)),
+    "P5": DischargingRule((Clause(lambda d: d == 3, lambda d: d >= 4, Fraction(1, 6)),)),
+    "openB": degree_k_rule(3),
 }
 
 RULE_THRESHOLDS: dict[str, Fraction] = {

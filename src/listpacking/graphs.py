@@ -2,8 +2,10 @@
 
 Graphs are immutable and hashable, and each instance caches its expensive
 measurements (girth, exact maximum average degree).  Vertex numbering of
-every named generator is frozen; see the individual docstrings.  All density
-arithmetic is exact (:class:`fractions.Fraction`), never floating point.
+every named generator is frozen; see the individual docstrings.  The maximum
+average degree comes from integer max-flows under Dinkelbach's iteration and
+is returned as a :class:`fractions.Fraction`; no density is ever rounded or
+held in floating point.
 """
 
 from __future__ import annotations
@@ -64,7 +66,15 @@ class Graph:
 
     @cached_property
     def _mad(self) -> Fraction:
-        return _mad_flow(self)
+        # (e, s) counts the edges and vertices of an explicit vertex set,
+        # starting from the whole graph; each flow either finds a strictly
+        # denser set or proves that none exists, so 2e/s is exact
+        edges = self.sorted_edges()
+        e, s = len(edges), self.n
+        while part := _denser_part(self.n, edges, e, s):
+            inside = set(part)
+            e, s = sum(u in inside and v in inside for u, v in edges), len(part)
+        return Fraction(2 * e, s)
 
     @property
     def m(self) -> int:
@@ -304,104 +314,61 @@ class UnionFind:
             self.parent[x] = x
 
 
-class _Dinic:
-    """Max-flow with exact Fraction capacities (small networks only)."""
+def _denser_part(n: int, edges: list[tuple[int, int]], e: int, s: int) -> list[int]:
+    """The vertices the source still reaches after one integer max-flow, by
+    shortest augmenting paths, in Goldberg's network for the density e/s:
+    source -> edge node with capacity s, edge node -> each endpoint
+    unbounded (s*m + 1 exceeds the source's total), vertex -> sink with
+    capacity e.  A cut keeping vertex set S on the source side costs
+    s*(m - e(S)) + e*|S|, so the set is nonempty exactly when some S has
+    s*e(S) - e*|S| > 0, and then it is such a set."""
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[Fraction] = []
+    m = len(edges)
+    src, snk = n + m, n + m + 1  # vertices 0..n-1, edge nodes n..n+m-1
+    head: list[list[int]] = [[] for _ in range(n + m + 2)]
+    to: list[int] = []
+    cap: list[int] = []
 
-    def add(self, u: int, v: int, c: Fraction) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(Fraction(0))
+    def arc(u: int, v: int, c: int) -> None:  # arc a's residual twin is a ^ 1
+        head[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(0)
 
-    def max_flow(self, s: int, t: int) -> Fraction:
-        flow = Fraction(0)
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = [s]
-            while q:
-                nq = []
-                for u in q:
-                    for e in self.head[u]:
-                        if self.cap[e] > 0 and level[self.to[e]] < 0:
-                            level[self.to[e]] = level[u] + 1
-                            nq.append(self.to[e])
-                q = nq
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: Fraction) -> Fraction:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got > 0:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return Fraction(0)
-
-            while True:
-                pushed = dfs(s, Fraction(10**18))
-                if pushed <= 0:
-                    break
-                flow += pushed
-
-
-def _dense_excess(g: Graph, guess: Fraction) -> Fraction:
-    """max over S of e(S) - guess*|S|, via edge-selection min cut."""
-
-    m = g.m
-    src, snk = 0, 1
-    net = _Dinic(2 + m + g.n)
-    for idx, (u, v) in enumerate(g.sorted_edges()):
-        node = 2 + idx
-        net.add(src, node, Fraction(1))
-        big = Fraction(m + 1)
-        net.add(node, 2 + m + u, big)
-        net.add(node, 2 + m + v, big)
-    for v in range(g.n):
-        net.add(2 + m + v, snk, guess)
-    return Fraction(m) - net.max_flow(src, snk)
-
-
-def _mad_flow(g: Graph) -> Fraction:
-    """Exact densest subgraph via parametric min-cut binary search."""
-
-    n, m = g.n, g.m
-    if m == 0:
-        return Fraction(0)
-    lo, hi = Fraction(0), Fraction(m)  # density rho = e/|S| lies in (0, m]
-    gap = Fraction(1, 2 * n * n + 1)  # below the spacing of denominator<=n fractions
-    while hi - lo > gap:
-        mid = (lo + hi) / 2
-        if _dense_excess(g, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    rho = ((lo + hi) / 2).limit_denominator(n)
-    if _dense_excess(g, rho) != 0:
-        raise AssertionError("densest-subgraph search failed to converge exactly")
-    return 2 * rho
+    for i, (u, v) in enumerate(edges):
+        arc(src, n + i, s)
+        arc(n + i, u, s * m + 1)
+        arc(n + i, v, s * m + 1)
+    for v in range(n):
+        arc(v, snk, e)
+    while True:
+        via = [-1] * (n + m + 2)  # the arc each reached node was reached by
+        via[src] = len(to)  # reached, by no arc; paths stop at the source
+        queue = [src]
+        for u in queue:
+            for a in head[u]:
+                if cap[a] and via[to[a]] < 0:
+                    via[to[a]] = a
+                    queue.append(to[a])
+        if via[snk] < 0:
+            return [v for v in range(n) if via[v] >= 0]
+        path = []
+        v = snk
+        while v != src:
+            path.append(via[v])
+            v = to[via[v] ^ 1]
+        push = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= push
+            cap[a ^ 1] += push
 
 
 def mad(g: Graph) -> Fraction:
     """Exact maximum average degree: max over nonempty subgraphs H of
-    2|E(H)|/|V(H)|, by parametric min-cut.  Computed once per graph
-    instance.
+    2|E(H)|/|V(H)|, by integer max-flow under Dinkelbach's iteration (see
+    ``Graph._mad``).  Computed once per graph instance.
     """
 
     if g.n == 0:

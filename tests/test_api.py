@@ -26,7 +26,6 @@ ALLOWED = {
     "packing_from_json": "the reader of the packing wire format the CLI writes",
     "RepairTrace.max_budget_used": "the repair budget acceptance criterion 6 and perfbench's class_pack bound",
     "ChargeLedger.conserved": "charge conservation, checked by acceptance criterion 8",
-    "degree_k_rule": "the degree-k discharging family whose k = 3 case is the openB preset",
     "generate_rule_instance": "the in-class instances of acceptance criterion 8",
     "random_planar_triangulation_min5": "the planar inputs of acceptance criterion 9 and perfbench's class_pack",
 }

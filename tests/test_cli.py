@@ -144,6 +144,7 @@ class TestExitCodes:
             ["verify-lemma", "easy_prop", "--trials", "0"],
             ["verify-lemma", "easy_prop", "--exhaustive", "--trials", "3"],
             ["verify-lemma", "easy_prop", "--seed", "-1"],
+            ["verify-lemma", "easy_prop", "--exhaustive", "--seed", "7"],
             ["chromatic", "--mode", "list", "--upper", "0"],
             ["adversary", "--mode", "list", "--k", "2", "--universe", "1"],
             ["adversary", "--mode", "list", "--k", "2", "--universe", "0"],

@@ -68,7 +68,7 @@ class TestAudit:
 
     def test_positive_amounts_only(self):
         with pytest.raises(ValueError):
-            Clause("bad", lambda d: True, lambda d: True, Fraction(0))
+            Clause(lambda d: True, lambda d: True, Fraction(0))
 
     def test_degree_k_rule(self):
         rule = degree_k_rule(3)

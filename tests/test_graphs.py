@@ -181,8 +181,24 @@ class TestMad:
         assert ref() is None
 
     def test_large_graph_uses_flow(self):
-        g = generate("grid", 5, 5)  # 25 vertices: takes the flow path
+        g = generate("grid", 5, 5)  # 25 vertices: beyond the subset oracle
         assert mad(g) == Fraction(2 * g.m, g.n)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_triangulation_is_its_own_densest_part(self, seed):
+        # a planar graph on s >= 3 vertices has at most 3s - 6 edges (Euler),
+        # so no subgraph of a triangulation is denser than the whole
+        g = random_planar_triangulation_min5(seed)
+        assert 56 <= g.n <= 69
+        assert mad(g) == Fraction(6 * g.n - 12, g.n)
+
+    def test_densest_part_is_proper(self):
+        # K6 with a 30-vertex pendant path: the whole graph has average
+        # degree 5/2, so the iteration must step past it to the K6
+        edges = [(u, v) for u in range(6) for v in range(u + 1, 6)] + [(i, i + 1) for i in range(5, 35)]
+        g = graph_from_edges(36, edges)
+        assert Fraction(2 * g.m, g.n) == Fraction(5, 2)
+        assert mad(g) == 5
 
 
 class TestLightTriangle:
