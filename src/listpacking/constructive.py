@@ -8,19 +8,22 @@ Supported regimes (the cover's k must match):
 * ``planar_k8`` -- planar, k = 8 (planarity is trusted, not tested).
 
 Each step finds a reducible configuration, removes its removable vertices,
-packs the rest, and extends back over the removed set.  Every extension runs
-through the solver's backtracking generator (:func:`solver._extensions`):
-each removed vertex in turn takes a 1-factor of its extension bigraph.  When
-the direct extension is blocked, each set of at most ``budget`` (at most 2)
-packed neighbors is unpacked in turn, repacked through the same generator
-(at most ``REPACK_CAP`` repackings), and the extension is tried again.  The
-hand case analyses behind these repair moves are not transcribed; bounded
-exhaustive repair subsumes them, and every emitted packing is validated
-before it is returned.
+packs the rest, and extends back over the removed set.  The whole plan is
+peeled first, with each remaining vertex's degree kept up to date as
+vertices go (:func:`_plan`).  Every extension runs through the solver's
+backtracking generator (:func:`solver._extensions`): each removed vertex in
+turn takes a 1-factor of its extension bigraph.  When the direct extension
+is blocked, each set of at most ``budget`` (at most 2) packed neighbors is
+unpacked in turn, repacked through the same generator (at most
+``REPACK_CAP`` repackings), and the extension is tried again.  The hand case
+analyses behind these repair moves are not transcribed; bounded exhaustive
+repair subsumes them, and every emitted packing is validated before it is
+returned.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
@@ -106,26 +109,27 @@ class PackOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _active_degrees(g: Graph, active: frozenset[int]) -> dict[int, int]:
-    return {v: sum(1 for w in g.adjacency[v] if w in active) for v in active}
-
-
-def find_reduction(g: Graph, regime: str, active: frozenset[int] | None = None) -> Reduction:
+def find_reduction(g: Graph, regime: str, active: Collection[int] | None = None) -> Reduction:
     """A configuration the regime's class guarantees to exist.
 
     Searched in priority order with index tie-breaks, over the subgraph
-    induced by ``active`` (defaults to the whole graph).  Raises
-    ClassViolationError when nothing is found, which means the input is not
-    in the declared class.
+    induced by ``active`` (defaults to the whole graph).  ``active`` may be a
+    mapping from each active vertex to its degree in that subgraph, which is
+    then read instead of recounted.  Raises ClassViolationError when nothing
+    is found, which means the input is not in the declared class.
     """
 
     if regime not in REGIME_K:
         raise ValueError(f"unknown regime {regime!r}")
     if active is None:
-        active = frozenset(range(g.n))
+        active = range(g.n)
     if not active:
         raise ClassViolationError("no vertices to reduce")
-    deg = _active_degrees(g, active)
+    if isinstance(active, Mapping):
+        deg = active
+    else:
+        active = frozenset(active)
+        deg = {v: sum(1 for w in g.adjacency[v] if w in active) for v in active}
     low_cut = REGIME_K[regime] // 2
 
     for v in sorted(active):
@@ -234,6 +238,25 @@ def extend_with_repair(
 # ---------------------------------------------------------------------------
 
 
+def _plan(g: Graph, regime: str) -> list[Reduction]:
+    """The regime's reductions, peeled until no vertex is left: each is
+    :func:`find_reduction` on the vertices the earlier ones left, whose
+    degrees in their subgraph are kept up to date as vertices go."""
+
+    adj = g.adjacency
+    active = {v: len(adj[v]) for v in range(g.n)}
+    plan = []
+    while active:
+        red = find_reduction(g, regime, active)
+        plan.append(red)
+        for v in red.removable():
+            del active[v]
+            for w in adj[v]:
+                if w in active:
+                    active[w] -= 1
+    return plan
+
+
 def _check_class(g: Graph, regime: str) -> str | None:
     if regime == "mad4_k5":
         if mad(g) >= Fraction(4):
@@ -273,13 +296,8 @@ def pack_constructive(
 
     # Peel the whole reduction plan first, then extend in reverse order; the
     # total of the frontier sizes is exactly the vertex count.
-    plan: list[Reduction] = []
-    active = frozenset(range(g.n))
     try:
-        while active:
-            red = find_reduction(g, regime, active)
-            plan.append(red)
-            active = active - set(red.removable())
+        plan = _plan(g, regime)
     except ClassViolationError as exc:
         return PackOutcome(False, None, trace, f"class_violation: {exc}")
 

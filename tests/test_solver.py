@@ -188,23 +188,63 @@ def brute_force_extensions(cover, packing, order) -> set[tuple[tuple[int, ...], 
     return found
 
 
-def count_kernel_calls(monkeypatch) -> dict[str, int]:
-    """Count the engine's 1-factor enumerations and Hall checks, by patching
-    both kernels where ``solver`` reads them."""
+class KernelCalls(dict):
+    """Call counts by name; ``enumerated`` holds the rows of every
+    ``_raw_one_factors`` call, in call order."""
 
-    calls = {"_raw_one_factors": 0, "_raw_has_one_factor": 0}
-    for name in calls:
+    def __init__(self) -> None:
+        super().__init__(_factors=0, _hall=0, _raw_one_factors=0, _raw_has_one_factor=0)
+        self.enumerated: list[tuple[int, ...]] = []
 
-        def counting(*args, name=name, real=getattr(solver, name)):
+
+class CountedTable(dict):
+    """An engine table that counts its lookups in ``calls[name]`` and keeps
+    their keys, in order, in ``asked``."""
+
+    def __init__(self, name: str, calls: KernelCalls) -> None:
+        super().__init__()
+        self.name, self.calls, self.asked = name, calls, []
+
+    def get(self, key, default=None):
+        self.calls[self.name] += 1
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Empty engine tables for one test, so that a patched kernel is really
+    called; the warm tables come back afterwards."""
+
+    monkeypatch.setattr(solver, "_hall", {})
+    monkeypatch.setattr(solver, "_factors", {})
+
+
+def count_kernel_calls(monkeypatch) -> KernelCalls:
+    """Count the engine's 1-factor enumerations and Hall checks at two
+    levels, on cold tables: lookups in ``_factors`` and ``_hall`` are the
+    enumerations and checks the engine asks for, and calls of the kernels
+    ``_raw_one_factors`` and ``_raw_has_one_factor``, patched where
+    ``solver`` reads them, are the table misses (or the reference engine's
+    calls, which has no tables)."""
+
+    calls = KernelCalls()
+    for name in ("_raw_one_factors", "_raw_has_one_factor"):
+
+        def counting(s, rows, name=name, real=getattr(solver, name)):
             calls[name] += 1
-            return real(*args)
+            if name == "_raw_one_factors":
+                calls.enumerated.append(tuple(rows))
+            return real(s, rows)
 
         monkeypatch.setattr(solver, name, counting)
+    for name in ("_factors", "_hall"):
+        monkeypatch.setattr(solver, name, CountedTable(name, calls))
     return calls
 
 
 def counted_run(engine, calls, k, adj, maps, assign, order):
-    """Every extension ``engine`` yields, and the kernel calls it made."""
+    """Every extension ``engine`` yields, and the calls it made."""
 
     before = dict(calls)
     got = [tuple(assign[v] for v in order) for _ in engine(k, adj, maps, assign, order)]
@@ -218,6 +258,17 @@ COVER_PANEL = [(kind, seed) for kind in ("dodecahedron", "grid", "cube") for see
     ("cube", 46),
     ("cube", 75),
 ]
+
+
+def panel_extensions(kind: str, seed: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every extension of the empty packing of a panel cover at k=3."""
+
+    g = generate(kind, 4, 5) if kind == "grid" else generate(kind)
+    cover = random_cover(g, 3, seed)
+    maps = forbidden_maps(cover, range(g.n), ())
+    order = solver._solve_order(g)
+    assign: dict[int, tuple[int, ...]] = {}
+    return [tuple(assign[v] for v in order) for _ in _extensions(3, g.adjacency, maps, assign, order)]
 
 
 class TestExtensions:
@@ -241,6 +292,7 @@ class TestExtensions:
         assert got == list(nested_factor_extensions(cover, packing.copy(), order))
         assert set(got) == brute_force_extensions(cover, packing, order)
 
+    @pytest.mark.usefixtures("cold_tables")
     def test_lookahead_prunes_only_dead_branches(self, monkeypatch):
         # packing the path's end vertex 0 first leaves vertex 1 without a
         # 1-factor for some choices; those branches are cut at vertex 0
@@ -261,10 +313,16 @@ class TestExtensions:
         calls = count_kernel_calls(monkeypatch)
         start = dict(assign)
         want, ref_calls = counted_run(reference_extensions, calls, k, adj, maps, assign, order)
+        # the rows the reference rebuilt for each enumeration, in order
+        rebuilt = list(calls.enumerated)
         got, new_calls = counted_run(_extensions, calls, k, adj, maps, assign, order)
         assert assign == start
         assert got == want
-        assert new_calls["_raw_one_factors"] == ref_calls["_raw_one_factors"]
+        # the kept rows equal the rebuilt ones at every enumeration
+        assert solver._factors.asked == rebuilt
+        assert new_calls["_factors"] == ref_calls["_raw_one_factors"]
+        assert new_calls["_hall"] <= ref_calls["_raw_has_one_factor"]
+        assert new_calls["_raw_one_factors"] <= ref_calls["_raw_one_factors"]
         assert new_calls["_raw_has_one_factor"] <= ref_calls["_raw_has_one_factor"]
 
     @pytest.mark.parametrize("kind, seed", COVER_PANEL, ids=[f"{kind}-{seed}" for kind, seed in COVER_PANEL])
@@ -296,11 +354,56 @@ class TestExtensions:
         self.assert_matches_reference(monkeypatch, k, cover.graph.adjacency, maps, dict(packing.assign), order)
 
     def test_pinned_work_count(self, monkeypatch):
-        # the full-frontier lookahead refutes this cover with the same 43
-        # enumerations and 234 Hall checks
+        # the engine asks for 43 enumerations and 138 Hall checks (the
+        # full-frontier lookahead: 43 and 234); on cold tables only 9 and 15
+        # of them reach the kernels
         calls = count_kernel_calls(monkeypatch)
         assert solve_packing(random_cover(generate("dodecahedron"), 3, 0)) is None
-        assert calls == {"_raw_one_factors": 43, "_raw_has_one_factor": 138}
+        assert calls == {"_factors": 43, "_hall": 138, "_raw_one_factors": 9, "_raw_has_one_factor": 15}
+
+    def test_warm_rerun_is_identical(self, monkeypatch):
+        # a second pass over the panel reads every answer from the tables
+        calls = count_kernel_calls(monkeypatch)
+        runs = []
+        for _ in range(2):
+            before = dict(calls)
+            runs.append([panel_extensions(kind, seed) for kind, seed in COVER_PANEL])
+            made = {name: calls[name] - before[name] for name in calls}
+            assert made["_factors"] > 0
+        assert runs[0] == runs[1]
+        assert made["_raw_one_factors"] == made["_raw_has_one_factor"] == 0
+
+    @pytest.mark.usefixtures("cold_tables")
+    def test_tables_hold_kernel_answers(self):
+        # solving a solvable cover closes enumerations early: they must
+        # leave nothing behind, and every stored entry is the kernel's answer
+        for kind, seed in [("dodecahedron", 0), ("grid", 163), ("cube", 46), ("cube", 75)]:
+            g = generate(kind, 4, 5) if kind == "grid" else generate(kind)
+            assert (solve_packing(random_cover(g, 3, seed)) is None) == (kind == "dodecahedron")
+        assert solver._hall and solver._factors
+        for rows, ok in solver._hall.items():
+            assert ok == _raw_has_one_factor(len(rows), rows)
+        for rows, packed in solver._factors.items():
+            assert packed == tuple(_invert(cols) for cols in _raw_one_factors(len(rows), rows))
+
+    @pytest.mark.usefixtures("cold_tables")
+    def test_small_table_cap_changes_nothing(self, monkeypatch):
+        want = [panel_extensions(kind, seed) for kind, seed in COVER_PANEL]
+        monkeypatch.setattr(solver, "TABLE_CAP", 8)
+        sizes = []
+        real = solver._remember
+
+        def remember(table, rows, value):
+            real(table, rows, value)
+            sizes.append((len(solver._hall), len(solver._factors)))
+
+        monkeypatch.setattr(solver, "_remember", remember)
+        solver._hall.clear()
+        solver._factors.clear()
+        assert [panel_extensions(kind, seed) for kind, seed in COVER_PANEL] == want
+        assert max(max(pair) for pair in sizes) == 8
+        # the tables were cleared on the way
+        assert any(sum(after) < sum(before) for before, after in zip(sizes, sizes[1:]))
 
     def test_root_check_before_first_vertex(self, monkeypatch):
         # vertex 1 is not adjacent to vertex 0, and its packed neighbors 2
@@ -314,7 +417,7 @@ class TestExtensions:
         assert not _raw_has_one_factor(2, extension_rows(1, 2, g.adjacency, maps, packing.assign))
         calls = count_kernel_calls(monkeypatch)
         assert engine_extensions(cover, packing, (0, 1)) == []
-        assert calls["_raw_one_factors"] == 0
+        assert calls["_factors"] == calls["_raw_one_factors"] == 0
 
 
 class TestAdversarialCovers:
