@@ -127,7 +127,7 @@ def _cmd_adversary(args) -> int:
             return EXIT_OK
         _emit({"status": "witness", "k": args.k, "cover": covers.cover_to_json(witness)}, args.out)
         return EXIT_WITNESS
-    universe = args.universe if args.universe is not None else args.k * g.n
+    universe = args.universe if args.universe is not None else args.k * max(g.n, 1)
     witness = solver.adversarial_list_search(g, args.k, universe=universe, cap=args.cap)
     if witness is None:
         _emit({"status": "none", "k": args.k, "universe": universe}, args.out)
@@ -251,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["list", "correspondence"], required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
-        "--universe", type=int, default=None, help="list mode only: color universe, at least k (default k*n)"
+        "--universe", type=int, default=None, help="list mode only: color universe, at least k (default k*max(n, 1))"
     )
     p.add_argument("--cap", type=int, default=4_000_000, help=_CAP_HELP)
     p.add_argument("--out")

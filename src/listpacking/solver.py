@@ -26,17 +26,23 @@ search takes with a spanning forest pinned to identity permutations, and it
 is what makes exhausting list size 3 on small cycles affordable.  The
 pattern's classes are tracked through union and rollback
 (:class:`_PatternClasses`), so a pattern that cannot be consistent is cut at
-the union that breaks it.  Forests pack for k >= 2, so a subtree whose
-patterns can share only along a forest is cut at the empty choice that makes
-it one, and a forest graph has no witness to enumerate.
+the union that breaks it, and a vertex's later back edges try only the
+options whose pairs each break nothing alone and that keep every pair
+already one class (:meth:`_PatternClasses.pair_masks`): the others fail
+anyway before any candidate is decided.  Forests pack for k >= 2, so a
+subtree whose patterns can share only along a forest is cut at the empty
+choice that makes it one, and a forest graph has no witness to enumerate.
 
 Both searches decide a candidate, a set of forbidden pairs per edge, in one
-place (:class:`_Decider`).  Nearly every candidate is solvable, and one
+place (:class:`_Decider`).  The decider takes it also as one integer with
+k*k cells per edge, one per value pair, which the searches build by OR-ing
+precomputed per-option masks.  Nearly every candidate is solvable, and one
 packing often packs many neighbouring candidates, so the decider keeps a
-pool of the ``POOL_CAP`` most recently useful packings of the same search
-and tries them before solving; a candidate a pooled packing fits is
-solvable, with that packing as its certificate.  Every packing the solver
-returns is validated against its candidate before it enters the pool.
+pool of the ``POOL_CAP`` most recently useful packings of the same search,
+each as the mask of the cells its colorings use, and tries them before
+solving: a pooled packing fits exactly when the two masks share no bit, and
+is then the candidate's certificate.  Every packing the solver returns is
+validated against its candidate's forbidden pairs before it enters the pool.
 """
 
 from __future__ import annotations
@@ -312,12 +318,26 @@ def _fits(cols, constraints) -> bool:
     return all(cols[u][a] != cols[v][b] for (u, v), pairs in constraints for a, b in pairs)
 
 
+def _cells(k: int, pairs) -> int:
+    """Pairs (a, b) of one edge as cells of its k*k-bit slot: bit a*k + b."""
+
+    return sum(1 << (a * k + b) for a, b in pairs)
+
+
 class _Decider:
-    """Decides a search's candidates, each given as ``constraints`` in the
-    :func:`_fits` form.  A call counts against ``cap`` (past it,
-    ResourceCapError with ``message``), tries the pool, and solves only on a
-    miss; a solved packing must be a permutation of range(k) at every vertex
-    and fit the constraints (else AssertionError) before it enters the pool.
+    """Decides a search's candidates.  A call takes a candidate twice: as
+    one integer ``cand``, whose cell ``slot[(u, v)] + a*k + b`` is set when
+    it forbids value a at u together with value b at v (``slot[(u, v)]`` is
+    e*k*k for the index e of (u, v), u < v, in ``g.sorted_edges()``), and
+    as ``constraints`` in the :func:`_fits` form, read only on a miss.
+
+    A call counts against ``cap`` (past it, ResourceCapError with
+    ``message``) and tries the pool.  The pool keeps each packing as the
+    mask of the cells its colorings use (:meth:`used`), so a pooled packing
+    fits exactly when ``cand & used == 0``.  Only a miss is solved; a solved
+    packing must be a permutation of range(k) at every vertex and meet
+    ``constraints`` by :func:`_fits` (else AssertionError) before it enters
+    the pool.
     """
 
     def __init__(self, g: Graph, k: int, cap: int, message: str) -> None:
@@ -327,17 +347,26 @@ class _Decider:
             raise ValueError(f"cap must be at least 1, got {cap}")
         self.g, self.k, self.left, self.message = g, k, cap, message
         self.order = _solve_order(g)
-        self.pool: list[tuple[tuple[int, ...], ...]] = []
+        self.slot = {e: i * k * k for i, e in enumerate(g.sorted_edges())}
+        self.pool: list[int] = []
 
-    def __call__(self, constraints) -> bool:
+    def used(self, found: dict[int, tuple[int, ...]]) -> int:
+        """The cells a packing uses: coloring j puts value found[u][j] at u
+        and found[v][j] at v, which is cell (found[u][j], found[v][j]) of
+        edge (u, v)."""
+
+        k = self.k
+        return sum(_cells(k, zip(found[u], found[v])) << s for (u, v), s in self.slot.items())
+
+    def __call__(self, cand: int, constraints) -> bool:
         """Whether the candidate packs; a pooled packing that fits moves up."""
 
         if self.left <= 0:
             raise ResourceCapError(self.message)
         self.left -= 1
         pool = self.pool
-        for idx, cols in enumerate(pool):
-            if _fits(cols, constraints):
+        for idx, used in enumerate(pool):
+            if not cand & used:
                 if idx:
                     pool.insert(0, pool.pop(idx))
                 return True
@@ -350,7 +379,7 @@ class _Decider:
         cols = tuple(_invert(found[v]) for v in range(g.n))
         if not _fits(cols, constraints):
             raise AssertionError(f"solver produced a packing that breaks its candidate: {found}")
-        pool.insert(0, cols)
+        pool.insert(0, self.used(found))
         del pool[POOL_CAP:]
         return True
 
@@ -364,20 +393,29 @@ def adversarial_cover_search(
     equivalent to one of this shape), all edges are oriented low-to-high,
     and the free edges run through all permutation tuples in lexicographic
     order.  Each candidate is decided by the search's :class:`_Decider`
-    (pool, then solver, every packing validated), and only the witness is
+    (pool, then solver, every packing validated), as the OR of its arcs'
+    precomputed cell masks and as forbidden pairs, and only the witness is
     built as a cover.  Raises ResourceCapError after ``cap`` decided
     candidates, and ValueError when ``k < 1`` or ``cap < 1``.
     """
 
     decide = _Decider(g, k, cap, f"cover enumeration exceeded cap={cap}")
+    slot = decide.slot
     tree = _spanning_forest(g)
     free = [e for e in g.sorted_edges() if e not in tree]
-    # each arc's forbidden pairs (a, p(a)) for its permutation p
-    tree_pairs = [(e, tuple(enumerate(range(k)))) for e in tree]
+    # each arc's forbidden pairs (a, p(a)) for its permutation p, and their
+    # cells in the arc's slot
+    identity = tuple(enumerate(range(k)))
+    tree_pairs = [(e, identity) for e in tree]
+    tree_cells = sum(_cells(k, identity) << slot[e] for e in tree)
     options = [tuple(enumerate(p)) for p in permutations(range(k))]
-    for choice in product(options, repeat=len(free)):
-        constraints = tree_pairs + list(zip(free, choice))
-        if not decide(constraints):
+    arc_options = [[(pairs, _cells(k, pairs) << slot[e]) for pairs in options] for e in free]
+    for choice in product(*arc_options):
+        cand = tree_cells
+        for _, cells in choice:
+            cand |= cells
+        constraints = tree_pairs + [(e, pairs) for e, (pairs, _) in zip(free, choice)]
+        if not decide(cand, constraints):
             return CorrespondenceCover(
                 g, k, {e: Perm(tuple(b for _, b in pairs)) for e, pairs in constraints}
             )
@@ -486,6 +524,47 @@ class _PatternClasses:
         self.trail.append((ra, ma, rb, mb, crossed))
         return ok
 
+    def pair_masks(self, x: int, v: int) -> tuple[int, int]:
+        """Two k*k-bit masks over the pairs (i, t) of edge (x, v), not yet
+        chosen, bit i*k + t: ``ok``, the pairs whose union alone breaks
+        nothing (no class touches a vertex twice, and no chosen edge shares
+        more classes than it has pairs), and ``fixed``, the pairs already
+        one class.  Classes only merge and touches and shares only grow, so
+        an option with a pair outside ``ok`` fails :meth:`choose`, and one
+        without every pair of ``fixed`` fails :meth:`choose` or
+        :meth:`closed`."""
+
+        k, find = self.k, self.uf.find
+        roots_v = [find(v * k + t) for t in range(k)]
+        ok = fixed = 0
+        bit = 1
+        for i in range(k):
+            ra = find(x * k + i)
+            for rb in roots_v:
+                if ra == rb:
+                    ok |= bit
+                    fixed |= bit
+                elif not self._breaks(ra, rb):
+                    ok |= bit
+                bit <<= 1
+        return ok, fixed
+
+    def _breaks(self, ra: int, rb: int) -> bool:
+        """Whether merging the classes of roots ra and rb breaks the
+        pattern: both touch one vertex, or a chosen edge would share more
+        classes than it has pairs."""
+
+        ma, mb = self.touches[ra], self.touches[rb]
+        if ma & mb:
+            return True
+        for a in bits(ma):
+            for b in bits(self.nbrs[a] & mb):
+                e = (a, b) if a < b else (b, a)
+                pairs = self.chosen.get(e)
+                if pairs is not None and self.share[e] >= len(pairs):
+                    return True
+        return False
+
     def closed(self, v: int, backs: Sequence[int]) -> bool:
         """Each chosen edge (u, v), u in ``backs``, shares exactly its pairs'
         classes; an edge can share more before it is chosen."""
@@ -534,11 +613,15 @@ def adversarial_list_search(
     forest g returns None at once, and when an edge chooses no pairs while the edges
     still able to share (the unchosen ones and the chosen ones with pairs)
     form a forest, the search returns from that choice: no candidate whose
-    sharing graph is a forest is enumerated.  Every candidate is decided by
-    the search's :class:`_Decider` (pool, then solver, every packing
-    validated).  Raises ResourceCapError after ``cap`` decided
-    candidates (pool hits, solved, realizable or not), and ValueError when
-    ``k < 1``, ``cap < 1`` or ``universe < k``.
+    sharing graph is a forest is enumerated.  A vertex's first back edge
+    tries every option; its later back edges try only the options
+    :meth:`_PatternClasses.pair_masks` passes, in the same order, since
+    every other one fails a union or the closing check.  Every candidate is
+    decided by the search's :class:`_Decider` (pool, then solver, every
+    packing validated), with its cells carried down the recursion.  Raises
+    ResourceCapError after ``cap`` decided candidates (pool hits, solved,
+    realizable or not), and ValueError when ``k < 1``, ``cap < 1`` or
+    ``universe < k``.
     """
 
     decide = _Decider(g, k, cap, "list-pattern enumeration exceeded its cap")
@@ -558,24 +641,38 @@ def adversarial_list_search(
     if n == 0 or (k >= 2 and is_forest(everything)):
         return None
     # a vertex's labels are still free at its first back edge, so that edge
-    # pins its targets to a prefix; later back edges take any injection
-    first_pairs = [[(src, t) for t, src in enumerate(dom)] for dom in _padded_subset_order(k)]
-    later_pairs = _injection_order(k)
+    # pins its targets to a prefix, and its unions cannot fail; later back
+    # edges take any injection that passes the classes' pair masks.  Each
+    # option comes with its cells (bit i*k + t per pair (i, t)).
+    first_pairs = ([(src, t) for t, src in enumerate(dom)] for dom in _padded_subset_order(k))
+    first_options = [(pairs, _cells(k, pairs)) for pairs in first_pairs]
+    later_options = [(pairs, _cells(k, pairs)) for pairs in _injection_order(k)]
     classes = _PatternClasses(g, k)
     chosen = classes.chosen
+    slot = decide.slot
     edge_bit = {e: 1 << i for i, e in enumerate(edges)}
     back_edges: list[list[int]] = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
 
-    def place(v: int, edge_idx: int, allowed: int) -> ListAssignment | None:
+    def place(v: int, edge_idx: int, allowed: int, cand: int) -> ListAssignment | None:
         # allowed: the edges still able to share, the unchosen ones and the
-        # chosen ones with pairs; at a leaf, the sharing graph itself
+        # chosen ones with pairs; at a leaf, the sharing graph itself.
+        # cand: the cells of the chosen pairs, the candidate as the decider
+        # takes it
         if v == n:
-            return None if decide(chosen.items()) else _realize_lists(g, k, classes.uf, universe)
+            return None if decide(cand, chosen.items()) else _realize_lists(g, k, classes.uf, universe)
         backs = back_edges[v]
         if edge_idx == len(backs):
-            return place(v + 1, 0, allowed) if classes.closed(v, backs) else None
+            return place(v + 1, 0, allowed, cand) if classes.closed(v, backs) else None
         u = backs[edge_idx]
-        for pairs in first_pairs if edge_idx == 0 else later_pairs:
+        shift = slot[(u, v)]
+        if edge_idx == 0:
+            options = first_options
+        else:
+            # only options within `ok` that hold all of `fixed`: every other
+            # one fails `choose` or `closed` before a candidate is decided
+            ok, fixed = classes.pair_masks(u, v)
+            options = [(pairs, cells) for pairs, cells in later_options if not cells & ~ok and not fixed & ~cells]
+        for pairs, cells in options:
             if not pairs:
                 allowed &= ~edge_bit[(u, v)]
                 if k >= 2 and is_forest(allowed):
@@ -585,13 +682,13 @@ def adversarial_list_search(
                     return None
             mark = classes.mark()
             if classes.choose(u, v, pairs):
-                got = place(v, edge_idx + 1, allowed)
+                got = place(v, edge_idx + 1, allowed, cand | cells << shift)
                 if got is not None:
                     return got
             classes.rollback(mark)
         return None
 
-    return place(0, 0, everything)
+    return place(0, 0, everything, 0)
 
 
 def packing_number(
@@ -600,8 +697,9 @@ def packing_number(
     """Least k <= upper with no adversarial witness.
 
     ``mode`` is "list" or "correspondence".  List search uses the fully
-    general universe k * n.  Raises ResourceCapError when every k up to
-    ``upper`` still has a witness.
+    general universe k * max(n, 1), as ``adversary`` does by default.
+    Raises ResourceCapError when every k up to ``upper`` still has a
+    witness.
     """
 
     if mode not in ("list", "correspondence"):
@@ -612,7 +710,7 @@ def packing_number(
         if mode == "correspondence":
             witness = adversarial_cover_search(g, k, cap=cap)
         else:
-            witness = adversarial_list_search(g, k, universe=max(1, k * g.n), cap=cap)
+            witness = adversarial_list_search(g, k, universe=k * max(g.n, 1), cap=cap)
         if witness is None:
             return k
     raise ResourceCapError(f"no packing below the bound: witnesses exist up to k={upper}")

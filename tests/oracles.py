@@ -9,7 +9,9 @@ search's enumeration one whole cover at a time through the public
 ``solve_packing``, apart from the search's own candidate decision;
 :func:`reference_list_search` is the list search's pattern enumeration with
 a forest check at every complete pattern instead of pruning, each pattern
-solved on its own; and :func:`reference_extensions` is the extension engine
+solved on its own (it takes every option of every back edge, where the
+search passes only those its pair masks let through); and
+:func:`reference_extensions` is the extension engine
 with a full-frontier lookahead, which Hall-checks every later vertex that
 has a packed neighbor.  Two bigraph kernels keep their plain form here:
 :func:`reference_column_masks` transposes bit by bit, and
@@ -17,7 +19,9 @@ has a packed neighbor.  Two bigraph kernels keep their plain form here:
 The library enumerates 1-factors but never counts them, so both counters
 live here: :func:`oracle_one_factor_count` tries every column permutation,
 and :func:`count_one_factors` is the permanent by dynamic programming over
-subsets of B.
+subsets of B.  :func:`candidate_cells` and :func:`packing_cells` build
+the one-integer forms the candidate decider compares, straight from the
+forbidden pairs and from a packing's colorings.
 """
 
 from __future__ import annotations
@@ -176,6 +180,35 @@ def reference_cover_search(g, k):
     return decided, None
 
 
+def candidate_cells(g, k, constraints) -> int:
+    """The candidate ``constraints`` (``((u, v), pairs)`` entries, either
+    orientation) as one integer: bit e*k*k + a*k + b for edge e = (x, y),
+    x < y, of ``g.sorted_edges()`` when value a at x and value b at y may
+    not share a coloring."""
+
+    index = {e: i for i, e in enumerate(g.sorted_edges())}
+    out = 0
+    for (u, v), pairs in constraints:
+        if u > v:
+            u, v, pairs = v, u, [(b, a) for a, b in pairs]
+        for a, b in pairs:
+            out |= 1 << (index[(u, v)] * k * k + a * k + b)
+    return out
+
+
+def packing_cells(g, k, cols) -> int:
+    """The cells a packing uses, in the :func:`candidate_cells` layout:
+    ``cols[v][a]`` is the coloring that uses value a at v, and each coloring
+    uses one cell (a, b) of every edge."""
+
+    out = 0
+    for i, (u, v) in enumerate(g.sorted_edges()):
+        for a in range(k):
+            b = next(b for b in range(k) if cols[v][b] == cols[u][a])
+            out |= 1 << (i * k * k + a * k + b)
+    return out
+
+
 def reference_list_search(g, k, universe):
     """The list search's enumeration of position patterns, vertex by vertex
     and edge by edge in the search's option order, with every complete,
@@ -206,7 +239,8 @@ def reference_list_search(g, k, universe):
             if all(sharing.union(u, v) for (u, v), pairs in classes.chosen.items() if pairs):
                 return None
         decided += 1
-        return None if decide(classes.chosen.items()) else _realize_lists(g, k, classes.uf, universe)
+        chosen = classes.chosen.items()
+        return None if decide(candidate_cells(g, k, chosen), chosen) else _realize_lists(g, k, classes.uf, universe)
 
     def place(v, edge_idx):
         if v == n:

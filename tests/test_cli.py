@@ -73,6 +73,16 @@ class TestSolving:
         code, out = run(capsys, "solve", "--cover", cover_path)
         assert code == 1 and json.loads(out) == {"status": "none"}
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_adversary_empty_graph(self, tmp_path, capsys, k):
+        # nothing to pack in either mode; list mode's default universe is
+        # k * max(n, 1), the one packing_number searches with
+        path = write_json(tmp_path, "empty.json", {"n": 0, "edges": []})
+        code, out = run(capsys, "adversary", "--graph", path, "--mode", "list", "--k", str(k))
+        assert code == 0 and json.loads(out) == {"status": "none", "k": k, "universe": k}
+        code, out = run(capsys, "adversary", "--graph", path, "--mode", "correspondence", "--k", str(k))
+        assert code == 0 and json.loads(out) == {"status": "none", "k": k}
+
     def test_solve_list(self, tmp_path, capsys):
         g = generate("cycle", 4)
         payload = {

@@ -32,14 +32,17 @@ from listpacking.solver import (
     solve_packing,
 )
 from oracles import (
+    candidate_cells,
     oracle_cover_solvable,
     oracle_list_solvable,
+    packing_cells,
     reference_cover_search,
     reference_extensions,
     reference_list_search,
 )
 
 DIAMOND = graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
+DIAMOND_HUBS_FIRST = graph_from_edges(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))  # degree-3 vertices first
 PAW = graph_from_edges(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
 BANNER = graph_from_edges(5, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 4)))  # C4 plus a pendant vertex
 
@@ -65,6 +68,22 @@ def transposition_cycle_cover(n: int, k: int) -> CorrespondenceCover:
     arcs = {(i, i + 1): Perm.identity(k) for i in range(n - 1)}
     arcs[(0, n - 1)] = Perm(tuple(image))
     return CorrespondenceCover(g, k, arcs)
+
+
+def assert_cells_are_pairs(monkeypatch, g: Graph, k: int, search) -> None:
+    """Run ``search`` and check that every candidate it decides comes with
+    the cells of its forbidden pairs."""
+
+    agree = []
+    decide = solver._Decider.__call__
+
+    def spy(self, cand, constraints):
+        agree.append(cand == candidate_cells(g, k, constraints))
+        return decide(self, cand, constraints)
+
+    monkeypatch.setattr(solver._Decider, "__call__", spy)
+    search()
+    assert agree and all(agree)
 
 
 class TestSolvePacking:
@@ -478,6 +497,14 @@ class TestAdversarialCovers:
             adversarial_cover_search(generate("cycle", 4), 2)
 
     @pytest.mark.parametrize(
+        "g, k", [(generate("cycle", 5), 3), (DIAMOND, 4), (generate("complete", 4), 4)], ids=["C5-k3", "diamond-k4", "K4-k4"]
+    )
+    def test_candidate_cells_are_its_pairs(self, monkeypatch, g, k):
+        # the cells ORed from the tree's and the free arcs' masks are the
+        # candidate's forbidden pairs, at every decided candidate
+        assert_cells_are_pairs(monkeypatch, g, k, lambda: adversarial_cover_search(g, k))
+
+    @pytest.mark.parametrize(
         "g",
         [generate("cycle", 4), generate("cycle", 5), generate("complete", 4)],
         ids=["C4-k3", "C5-k3", "K4-k3"],
@@ -547,6 +574,27 @@ class TestAdversarialLists:
             adversarial_list_search(g, k, universe, cap=solved - 1)
 
     @pytest.mark.parametrize(
+        "g, calls",
+        [(generate("cycle", 5), 32_390), (DIAMOND, 9_644), (DIAMOND_HUBS_FIRST, 10_420)],
+        ids=["C5", "diamond", "diamond-hubs-first"],
+    )
+    def test_choose_calls(self, monkeypatch, g, calls):
+        # later back edges try only the options their pair masks pass:
+        # trying every option takes 82,033, 72,443 and 66,228 calls, most
+        # of which fail; here none fails, and the decided counts are
+        # test_cap's and test_matches_reference_enumeration's
+        verdicts = []
+        choose = _PatternClasses.choose
+
+        def spy(self, u, v, pairs):
+            verdicts.append(choose(self, u, v, pairs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(_PatternClasses, "choose", spy)
+        assert adversarial_list_search(g, 3, 3 * g.n) is None
+        assert len(verdicts) == calls and all(verdicts)
+
+    @pytest.mark.parametrize(
         "g, k",
         [(generate("cycle", n), k) for n in (3, 4, 5) for k in (2, 3)]
         + [(generate("cycle", 6), 2)]
@@ -569,6 +617,15 @@ class TestAdversarialLists:
             with pytest.raises(ResourceCapError):
                 adversarial_list_search(g, k, universe, cap=decided - 1)
 
+    @pytest.mark.parametrize(
+        "g, k", [(generate("cycle", 4), 3), (DIAMOND, 3), (BANNER, 3), (generate("cycle", 6), 2)],
+        ids=["C4-k3", "diamond-k3", "banner-k3", "C6-k2"],
+    )
+    def test_candidate_cells_are_its_pairs(self, monkeypatch, g, k):
+        # the cells carried down the recursion are the candidate's
+        # forbidden pairs, at every decided candidate
+        assert_cells_are_pairs(monkeypatch, g, k, lambda: adversarial_list_search(g, k, k * g.n))
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_empty_choice_is_last(self, k):
         # a pruned empty choice ends its edge's options, so returning at it
@@ -581,11 +638,11 @@ class TestAdversarialLists:
         sharing_is_forest = []
         decide = solver._Decider.__call__
 
-        def spy(self, constraints):
+        def spy(self, cand, constraints):
             constraints = list(constraints)
             sharing = UnionFind(g.n)
             sharing_is_forest.append(all(sharing.union(u, v) for (u, v), pairs in constraints if pairs))
-            return decide(self, constraints)
+            return decide(self, cand, constraints)
 
         monkeypatch.setattr(solver._Decider, "__call__", spy)
         assert adversarial_list_search(g, 3, 3 * g.n) is None
@@ -602,7 +659,9 @@ class TestAdversarialLists:
         # checks still come first
         decided = []
         decide = solver._Decider.__call__
-        monkeypatch.setattr(solver._Decider, "__call__", lambda self, c: decided.append(c) or decide(self, c))
+        monkeypatch.setattr(
+            solver._Decider, "__call__", lambda self, cand, c: decided.append(c) or decide(self, cand, c)
+        )
         assert adversarial_list_search(g, k, k * g.n, cap=1) is None
         assert decided == []
         with pytest.raises(ValueError):
@@ -694,7 +753,7 @@ class TestPackingNumbers:
         assert packing_number(generate("cycle", 4), "list", 4) == 3
 
     def test_list_empty_graph(self):
-        # universe k * n is 0 here; the search still runs at universe 1
+        # the universe is k * max(n, 1), not k * n = 0
         assert packing_number(Graph(0, frozenset()), "list", 2) == 1
 
     def test_list_k3(self):
@@ -725,13 +784,20 @@ def solved_cols(cover: CorrespondenceCover) -> tuple[tuple[int, ...], ...]:
 
 
 def pool_only(monkeypatch, g: Graph, k: int, pool: list) -> solver._Decider:
-    """A decider holding ``pool`` whose solver packs nothing, so that a
-    candidate is decided solvable only by a pooled packing."""
+    """A decider holding the packings ``pool`` (as :func:`solved_cols`
+    gives them) whose solver packs nothing, so that a candidate is decided
+    solvable only by a pooled packing."""
 
     monkeypatch.setattr(solver, "_core_solve", lambda g, k, maps, order=None: None)
     decide = solver._Decider(g, k, 10, "cap")
-    decide.pool = pool
+    decide.pool = [packing_cells(g, k, cols) for cols in pool]
     return decide
+
+
+def ask(decide: solver._Decider, constraints) -> bool:
+    """Decide ``constraints`` in the call form the searches use."""
+
+    return decide(candidate_cells(decide.g, decide.k, constraints), constraints)
 
 
 class TestPool:
@@ -739,13 +805,14 @@ class TestPool:
 
     def test_hit_moves_to_front(self, monkeypatch):
         cover = random_cover(generate("cycle", 5), 3, 1)
+        g = cover.graph
         constraints = [(arc, tuple(enumerate(p.image))) for arc, p in cover.arcs.items()]
         fits = solved_cols(cover)
         other = tuple(tuple(reversed(c)) for c in fits)
         assert not _fits(other, constraints)
-        decide = pool_only(monkeypatch, cover.graph, 3, [other, fits])
-        assert decide(constraints)
-        assert decide.pool == [fits, other]
+        decide = pool_only(monkeypatch, g, 3, [other, fits])
+        assert ask(decide, constraints)
+        assert decide.pool == [packing_cells(g, 3, fits), packing_cells(g, 3, other)]
 
     def test_one_broken_pair_misses(self, monkeypatch):
         # pattern form: the pairs of a list assignment, plus one pair the
@@ -762,8 +829,8 @@ class TestPool:
         a = next(a for a in range(3) if all(a != x for x, _ in pairs))
         b = cols[v].index(cols[u][a])
         decide = pool_only(monkeypatch, g, 3, [cols])
-        assert decide(constraints)
-        assert not decide(constraints[1:] + [((u, v), pairs + ((a, b),))])
+        assert ask(decide, constraints)
+        assert not ask(decide, constraints[1:] + [((u, v), pairs + ((a, b),))])
 
     def test_one_broken_arc_misses(self, monkeypatch):
         # cover form: replace one arc's permutation by one that the packing
@@ -778,7 +845,75 @@ class TestPool:
         constraints = [(arc, tuple(enumerate(p.image))) for arc, p in arcs.items()]
         broken = [(a, b) for (x, y), pairs in constraints for a, b in pairs if cols[x][a] == cols[y][b]]
         assert broken == [(0, sigma[0])]
-        assert not pool_only(monkeypatch, cover.graph, 3, [cols])(constraints)
+        assert not ask(pool_only(monkeypatch, cover.graph, 3, [cols]), constraints)
+
+
+CELL_GRAPHS = pytest.mark.parametrize(
+    "g",
+    [
+        generate("path", 2),
+        generate("path", 3),
+        generate("cycle", 3),
+        generate("cycle", 4),
+        DIAMOND,
+        generate("complete", 4),
+    ],
+    ids=["P2", "P3", "C3", "C4", "diamond", "K4"],
+)
+
+
+class TestCells:
+    """A candidate and a pooled packing as cell masks: one AND decides
+    what :func:`_fits` decides."""
+
+    @pytest.mark.parametrize("form", ["pattern", "cover"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @CELL_GRAPHS
+    def test_and_equals_fits(self, g, k, form):
+        # candidates as the searches build them (each edge's option cells
+        # shifted to its slot), packings as the decider pools them; half the
+        # edges take an option the packing meets, so both verdicts occur
+        rng = random.Random(f"{g.n}-{g.m}-{k}-{form}")
+        decide = solver._Decider(g, k, 1, "cap")
+        if form == "pattern":
+            options = _injection_order(k)
+        else:
+            options = [list(enumerate(p)) for p in permutations(range(k))]
+        verdicts = set()
+        for _ in range(200):
+            found = {v: tuple(rng.sample(range(k), k)) for v in range(g.n)}
+            cols = tuple(_invert(found[v]) for v in range(g.n))
+            constraints = []
+            for e in g.sorted_edges():
+                meets = [pairs for pairs in options if _fits(cols, [(e, pairs)])]
+                constraints.append((e, rng.choice(meets if rng.random() < 0.5 else options)))
+            cand = 0
+            for e, pairs in constraints:
+                cand |= solver._cells(k, pairs) << decide.slot[e]
+            used = decide.used(found)
+            assert cand == candidate_cells(g, k, constraints)
+            assert used == packing_cells(g, k, cols)
+            fits = _fits(cols, constraints)
+            assert (cand & used == 0) == fits
+            verdicts.add(fits)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @CELL_GRAPHS
+    def test_last_cell(self, g, k):
+        # the highest cell: value k-1 at both ends of the last edge
+        decide = solver._Decider(g, k, 1, "cap")
+        u, v = e = g.sorted_edges()[-1]
+        constraints = [(e, [(k - 1, k - 1)])]
+        cand = solver._cells(k, [(k - 1, k - 1)]) << decide.slot[e]
+        assert cand == 1 << (g.m * k * k - 1) == candidate_cells(g, k, constraints)
+        same = {w: tuple(range(k)) for w in range(g.n)}
+        shifted = {**same, v: tuple(range(1, k)) + (0,)}
+        for found in (same, shifted):
+            cols = tuple(_invert(found[w]) for w in range(g.n))
+            used = decide.used(found)
+            assert used == packing_cells(g, k, cols)
+            assert (cand & used == 0) == _fits(cols, constraints) == (found is shifted)
 
 
 def rebuilt_consistent(uf: UnionFind, k: int, chosen, upto: int) -> bool:
@@ -861,3 +996,48 @@ class TestPatternClasses:
                 classes.rollback(mark)
                 uf.rollback(uf_mark)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate("cycle", 4),
+            generate("cycle", 5),
+            DIAMOND,
+            generate("complete_bipartite", 2, 3),
+            generate("complete", 4),
+        ],
+        ids=["C4", "C5", "diamond", "K23", "K4"],
+    )
+    def test_pair_masks_drop_only_failing_options(self, g, k):
+        # random patterns built vertex by vertex: at each back edge, every
+        # option outside `ok` or without all of `fixed` fails `choose` or,
+        # since shares only grow, `closed` over the edges chosen so far
+        rng = random.Random(f"masks-{g.n}-{g.m}-{k}")
+        options = [(pairs, solver._cells(k, pairs)) for pairs in _injection_order(k)]
+        backs_of = [sorted(u for u in g.adjacency[v] if u < v) for v in range(g.n)]
+        dropped = {"ok": 0, "fixed": 0}
+        for _ in range(60):
+            classes = _PatternClasses(g, k)
+            for v, backs in enumerate(backs_of):
+                for idx, u in enumerate(backs):
+                    ok, fixed = classes.pair_masks(u, v)
+                    if idx == 0:
+                        # the first back edge's unions cannot fail
+                        assert (ok, fixed) == ((1 << k * k) - 1, 0)
+                    kept = []
+                    for pairs, cells in options:
+                        if not cells & ~ok and not fixed & ~cells:
+                            kept.append(pairs)
+                            continue
+                        dropped["ok" if cells & ~ok else "fixed"] += 1
+                        mark = classes.mark()
+                        assert not (classes.choose(u, v, pairs) and classes.closed(v, backs[: idx + 1]))
+                        classes.rollback(mark)
+                    if not classes.choose(u, v, rng.choice(kept)):
+                        break
+                else:
+                    if classes.closed(v, backs):
+                        continue
+                break
+        assert dropped["ok"] and dropped["fixed"]
