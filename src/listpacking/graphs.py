@@ -65,6 +65,22 @@ class Graph:
         return best
 
     @cached_property
+    def _degeneracy(self) -> tuple[int, tuple[int, ...]]:
+        deg = list(self.degrees())
+        alive = [True] * self.n
+        order: list[int] = []
+        d = 0
+        for _ in range(self.n):
+            v = min((x for x in range(self.n) if alive[x]), key=lambda x: (deg[x], x))
+            d = max(d, deg[v])
+            order.append(v)
+            alive[v] = False
+            for w in self.adjacency[v]:
+                if alive[w]:
+                    deg[w] -= 1
+        return d, tuple(order)
+
+    @cached_property
     def _mad(self) -> Fraction:
         # (e, s) counts the edges and vertices of an explicit vertex set,
         # starting from the whole graph; each flow either finds a strictly
@@ -238,24 +254,12 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Peel minimum-degree vertices; return (d, removal order).
 
     Read back-to-front, no vertex in the order has more than ``d`` neighbors
-    among later-removed vertices.
+    among later-removed vertices.  Computed once per graph instance.
     """
 
     if g.n == 0:
         raise ValueError("degeneracy needs at least one vertex")
-    deg = list(g.degrees())
-    alive = [True] * g.n
-    order: list[int] = []
-    d = 0
-    for _ in range(g.n):
-        v = min((x for x in range(g.n) if alive[x]), key=lambda x: (deg[x], x))
-        d = max(d, deg[v])
-        order.append(v)
-        alive[v] = False
-        for w in g.adjacency[v]:
-            if alive[w]:
-                deg[w] -= 1
-    return d, tuple(order)
+    return g._degeneracy
 
 
 def forest_walk(g: Graph) -> Iterator[tuple[int, int]]:

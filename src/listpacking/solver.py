@@ -8,13 +8,15 @@ maps (shared colors, identified by list position).  One backtracking
 generator over these maps, :func:`_extensions`, extends a partial packing
 through the 1-factors of the extension bigraphs; it gives both exact solvers
 and the constructive packer's extension and repair.  It keeps each unpacked
-vertex's rows and clears bits in them as neighbors are packed, and it sends
-every Hall check and 1-factor enumeration through two module-level tables
-keyed by the rows, ``_hall`` and ``_factors``.  A row set recurs far more
-often than it is new: one pass over the benchmark's cover panel makes
-339,765 Hall checks on 638 distinct row sets.  Both tables are pure
-functions of the rows, so what the engine yields, and in what order, does
-not depend on what they hold.
+vertex's rows as one integer, k*k bits under a sentinel bit, and clears bits
+in it as neighbors are packed with one AND, by a mask from the module-level
+table ``_clear``.  It sends every Hall check and 1-factor enumeration
+through two more tables keyed by that integer, ``_hall`` and ``_factors``,
+and unpacks the rows only on a miss.  A row set recurs far more often than
+it is new: one pass over the benchmark's cover panel makes 339,765 Hall
+checks on 638 distinct row sets.  All three tables are pure functions of
+their keys, so what the engine yields, and in what order, does not depend
+on what they hold.
 
 Adversarial list search does not enumerate raw color lists.  Two
 assignments whose per-edge shared-color position patterns agree are
@@ -48,7 +50,7 @@ validated against its candidate's forbidden pairs before it enters the pool.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Iterator, Sequence
 
 from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors, bits
@@ -91,39 +93,77 @@ def _solve_order(g: Graph) -> tuple[int, ...]:
     return tuple(reversed(order))
 
 
-# Both tables are keyed by the rows of an extension bigraph as a tuple.
-# _hall holds a row set's Hall verdict; _factors holds its inverted 1-factors
-# in _raw_one_factors order, stored only once an enumeration has run to the
-# end.  Each entry is a pure function of its key.  Both are cleared together
-# when either holds TABLE_CAP entries, so every row set at k <= 4 fits.
+# Each table is keyed by the rows of an extension bigraph as one integer
+# (:func:`_key`).  _hall holds a row set's Hall verdict; _factors holds its
+# inverted 1-factors in _raw_one_factors order, stored only once an
+# enumeration has run to the end.  _clear holds, per forbidden map, the mask
+# that packing a neighbor with a coloring leaves of a key (at most k! entries
+# per map).  Each entry is a pure function of its keys.  All three are
+# cleared together when one holds TABLE_CAP entries, so every row set at
+# k <= 4 fits.
 TABLE_CAP = 1 << 16
-_hall: dict[tuple[int, ...], bool] = {}
-_factors: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+_hall: dict[int, bool] = {}
+_factors: dict[int, tuple[tuple[int, ...], ...]] = {}
+_clear: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
 
-def _remember(table: dict, rows: tuple[int, ...], value) -> None:
+def _remember(table: dict, key, value) -> None:
     if len(table) >= TABLE_CAP:
         _hall.clear()
         _factors.clear()
-    table[rows] = value
+        _clear.clear()
+    table[key] = value
 
 
-def _hall_miss(k: int, rows: tuple[int, ...]) -> bool:
-    ok = _raw_has_one_factor(k, rows)
-    _remember(_hall, rows, ok)
+def _key(k: int, rows: Sequence[int]) -> int:
+    """Rows as one integer: row t in bits t*k .. t*k + k - 1, under the
+    sentinel bit k*k, so that no two row sets share a key, whatever k."""
+
+    key = 1
+    for row in reversed(rows):
+        key = key << k | row
+    return key
+
+
+def _rows(k: int, key: int) -> tuple[int, ...]:
+    """The rows that :func:`_key` put in ``key``."""
+
+    full = (1 << k) - 1
+    return tuple(key >> t * k & full for t in range(k))
+
+
+def _clear_miss(masks: dict, fmap: Sequence[int], packed: tuple[int, ...]) -> int:
+    """What packing a neighbor with ``packed`` leaves of a key: coloring c
+    puts value packed[c] at the neighbor, which forbids value
+    fmap[packed[c]] at the vertex, so bit c of that row is cleared."""
+
+    k = len(packed)
+    mask = (2 << k * k) - 1
+    for c, x in enumerate(packed):
+        t = fmap[x]
+        if t >= 0:
+            mask &= ~(1 << t * k + c)
+    masks[packed] = mask
+    return mask
+
+
+def _hall_miss(k: int, key: int) -> bool:
+    ok = _raw_has_one_factor(k, _rows(k, key))
+    _remember(_hall, key, ok)
     return ok
 
 
-def _fresh_factors(k: int, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The inverted 1-factors of ``rows`` in :func:`_raw_one_factors` order;
-    the list is remembered only when the enumeration runs to the end."""
+def _fresh_factors(k: int, key: int, rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The inverted 1-factors of ``rows``, the rows of ``key``, in
+    :func:`_raw_one_factors` order; the list is remembered only when the
+    enumeration runs to the end."""
 
     got = []
     for cols in _raw_one_factors(k, rows):
         packed = _invert(cols)
         got.append(packed)
         yield packed
-    _remember(_factors, rows, tuple(got))
+    _remember(_factors, key, tuple(got))
 
 
 def _extensions(
@@ -133,12 +173,14 @@ def _extensions(
     unpacked vertices ``order``, with all of them assigned in ``assign``.
 
     ``maps[(u, v)]`` is the forbidden map described in the module docstring,
-    needed for each v in ``order`` and each neighbor u.  Vertices are packed
-    in ``order``, each through the 1-factors of its extension bigraph in
-    :func:`_raw_one_factors` order.  The rows of every unpacked vertex of
-    ``order`` are built once, by :func:`covers.extension_rows`, and kept:
-    packing a vertex clears at most k bits in each later neighbor's rows,
-    and trying the next 1-factor or backtracking restores them.
+    as a tuple, needed for each v in ``order`` and each neighbor u.
+    Vertices are packed in ``order``, each through the 1-factors of its
+    extension bigraph in :func:`_raw_one_factors` order.  The rows of every
+    unpacked vertex of ``order`` are built once, by
+    :func:`covers.extension_rows`, and kept as one integer (:func:`_key`):
+    packing a vertex ANDs each later neighbor's key with one mask from the
+    ``_clear`` table, which clears at most k bits, and trying the next
+    1-factor or backtracking restores the key.
 
     A Hall check asks that a vertex's remaining options admit a 1-factor.
     Before the first vertex, every later vertex with a packed neighbor is
@@ -148,16 +190,22 @@ def _extensions(
     kept the options it had when it last passed.  Packing more vertices only
     removes options, so only dead branches are dropped.  Every Hall check
     and 1-factor enumeration goes through the ``_hall`` and ``_factors``
-    tables.  Exhausting the generator restores ``assign``.
+    tables, keyed by the integer.  Exhausting the generator restores
+    ``assign``.
     """
 
     n = len(order)
-    rows = [tuple(extension_rows(v, k, adj, maps, assign)) for v in order]
+    built = [extension_rows(v, k, adj, maps, assign) for v in order]
+    keys = [_key(k, rows) for rows in built]
+    # a key still equal to its first value holds the rows built for it, so a
+    # table miss on it needs no unpacking: the packer's one-vertex orders
+    # miss on nearly every call
+    first = keys[:]
     hall, factors = _hall.get, _factors.get
-    # later[i]: (position, forbidden map) of each neighbor of order[i] packed
-    # after it, in order.  The packer's orders are nearly all one vertex,
-    # which has none, so they skip the position table.
-    later: list[list[tuple[int, Sequence[int]]]] = [[] for _ in order]
+    # later[i]: (position, forbidden map, its _clear masks) of each neighbor
+    # of order[i] packed after it, in order.  The packer's orders are nearly
+    # all one vertex, which has none, so they skip the position table.
+    later: list[list[tuple[int, Sequence[int], dict]]] = [[] for _ in order]
     if n > 1:
         pos = dict(zip(order, range(n)))
         for j in range(1, n):
@@ -165,8 +213,12 @@ def _extensions(
             for w in adj[u]:
                 i = pos.get(w, n)
                 if i < j:
-                    later[i].append((j, maps[(w, u)]))
-    keep = [~(1 << c) for c in range(k)]
+                    fmap = maps[(w, u)]
+                    masks = _clear.get(fmap)
+                    if masks is None:
+                        masks = {}
+                        _remember(_clear, fmap, masks)
+                    later[i].append((j, fmap, masks))
 
     def rec(idx: int) -> Iterator[None]:
         if idx == n:
@@ -174,19 +226,18 @@ def _extensions(
             return
         v = order[idx]
         check = later[idx]
-        before = [rows[j] for j, _ in check]
-        options = factors(rows[idx])
+        before = [keys[j] for j, _, _ in check]
+        key = keys[idx]
+        options = factors(key)
         if options is None:
-            options = _fresh_factors(k, rows[idx])
+            options = _fresh_factors(k, key, built[idx] if key == first[idx] else _rows(k, key))
         for packed in options:
             assign[v] = packed
-            for (j, fmap), old in zip(check, before):
-                new = list(old)
-                for x, mask in zip(packed, keep):
-                    t = fmap[x]
-                    if t >= 0:
-                        new[t] &= mask
-                new = rows[j] = tuple(new)
+            for (j, fmap, masks), old in zip(check, before):
+                mask = masks.get(packed)
+                if mask is None:
+                    mask = _clear_miss(masks, fmap, packed)
+                new = keys[j] = old & mask
                 ok = hall(new)
                 if ok is None:
                     ok = _hall_miss(k, new)
@@ -194,15 +245,15 @@ def _extensions(
                     break
             else:
                 yield from rec(idx + 1)
-        for (j, _), old in zip(check, before):
-            rows[j] = old
+        for (j, _, _), old in zip(check, before):
+            keys[j] = old
         assign.pop(v, None)
 
     for j in range(1, n):
         if any(w in assign for w in adj[order[j]]):
-            ok = hall(rows[j])
+            ok = hall(keys[j])
             if ok is None:
-                ok = _hall_miss(k, rows[j])
+                ok = _hall_miss(k, keys[j])
             if not ok:
                 return iter(())
     return rec(0)
@@ -329,7 +380,8 @@ class _Decider:
     one integer ``cand``, whose cell ``slot[(u, v)] + a*k + b`` is set when
     it forbids value a at u together with value b at v (``slot[(u, v)]`` is
     e*k*k for the index e of (u, v), u < v, in ``g.sorted_edges()``), and
-    as ``constraints`` in the :func:`_fits` form, read only on a miss.
+    as ``constraints``, an iterable of entries in the :func:`_fits` form,
+    read once and only on a miss.
 
     A call counts against ``cap`` (past it, ResourceCapError with
     ``message``) and tries the pool.  The pool keeps each packing as the
@@ -371,6 +423,7 @@ class _Decider:
                     pool.insert(0, pool.pop(idx))
                 return True
         g, k = self.g, self.k
+        constraints = tuple(constraints)
         found = _core_solve(g, k, _pattern_maps(k, constraints), self.order)
         if found is None:
             return False
@@ -394,9 +447,10 @@ def adversarial_cover_search(
     and the free edges run through all permutation tuples in lexicographic
     order.  Each candidate is decided by the search's :class:`_Decider`
     (pool, then solver, every packing validated), as the OR of its arcs'
-    precomputed cell masks and as forbidden pairs, and only the witness is
-    built as a cover.  Raises ResourceCapError after ``cap`` decided
-    candidates, and ValueError when ``k < 1`` or ``cap < 1``.
+    precomputed cell masks and as forbidden pairs, which are gathered only
+    on a pool miss, and only the witness is built as a cover.  Raises
+    ResourceCapError after ``cap`` decided candidates, and ValueError when
+    ``k < 1`` or ``cap < 1``.
     """
 
     decide = _Decider(g, k, cap, f"cover enumeration exceeded cap={cap}")
@@ -409,13 +463,14 @@ def adversarial_cover_search(
     tree_pairs = [(e, identity) for e in tree]
     tree_cells = sum(_cells(k, identity) << slot[e] for e in tree)
     options = [tuple(enumerate(p)) for p in permutations(range(k))]
-    arc_options = [[(pairs, _cells(k, pairs) << slot[e]) for pairs in options] for e in free]
+    arc_options = [[((e, pairs), _cells(k, pairs) << slot[e]) for pairs in options] for e in free]
     for choice in product(*arc_options):
         cand = tree_cells
         for _, cells in choice:
             cand |= cells
-        constraints = tree_pairs + [(e, pairs) for e, (pairs, _) in zip(free, choice)]
-        if not decide(cand, constraints):
+        # the decider reads the forbidden pairs only on a pool miss
+        if not decide(cand, chain(tree_pairs, (arc for arc, _ in choice))):
+            constraints = tree_pairs + [arc for arc, _ in choice]
             return CorrespondenceCover(
                 g, k, {e: Perm(tuple(b for _, b in pairs)) for e, pairs in constraints}
             )

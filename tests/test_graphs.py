@@ -116,6 +116,12 @@ class TestDegeneracy:
         assert d == 5
         assert replay_degeneracy(g, order) == d
 
+    def test_peeled_once_per_instance(self):
+        g = generate("dodecahedron")
+        assert degeneracy(g) is degeneracy(g)
+        with pytest.raises(ValueError):
+            degeneracy(Graph(0, frozenset()))
+
     @given(small_graphs())
     @settings(max_examples=100, deadline=None)
     def test_witness_replay(self, g):

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, permutations, product
 
@@ -78,6 +79,7 @@ def assert_cells_are_pairs(monkeypatch, g: Graph, k: int, search) -> None:
     decide = solver._Decider.__call__
 
     def spy(self, cand, constraints):
+        constraints = list(constraints)
         agree.append(cand == candidate_cells(g, k, constraints))
         return decide(self, cand, constraints)
 
@@ -237,6 +239,16 @@ def cold_tables(monkeypatch):
 
     monkeypatch.setattr(solver, "_hall", {})
     monkeypatch.setattr(solver, "_factors", {})
+    monkeypatch.setattr(solver, "_clear", {})
+
+
+def key_rows(key: int) -> tuple[int, ...]:
+    """The rows behind an engine table key: k*k bits under one sentinel bit,
+    row t in bits t*k .. t*k + k - 1."""
+
+    k = math.isqrt(key.bit_length() - 1)
+    assert key >> k * k == 1
+    return tuple(key >> t * k & (1 << k) - 1 for t in range(k))
 
 
 def count_kernel_calls(monkeypatch) -> KernelCalls:
@@ -290,6 +302,19 @@ def panel_extensions(kind: str, seed: int) -> list[tuple[tuple[int, ...], ...]]:
     return [tuple(assign[v] for v in order) for _ in _extensions(3, g.adjacency, maps, assign, order)]
 
 
+def list_panel_packings() -> list[dict | None]:
+    """The packings of 40 seeded list assignments of C5 at k=3 over 6
+    colors, or None where none exists."""
+
+    rng = random.Random(5)
+    g = generate("cycle", 5)
+    out = []
+    for _ in range(40):
+        got = solve_list_packing(list_assignment(g, 3, [rng.sample(range(6), 3) for _ in range(5)]))
+        out.append(None if got is None else got.assign)
+    return out
+
+
 class TestExtensions:
     """The one extension engine, behind both the solver and the packer."""
 
@@ -338,7 +363,7 @@ class TestExtensions:
         assert assign == start
         assert got == want
         # the kept rows equal the rebuilt ones at every enumeration
-        assert solver._factors.asked == rebuilt
+        assert [key_rows(key) for key in solver._factors.asked] == rebuilt
         assert new_calls["_factors"] == ref_calls["_raw_one_factors"]
         assert new_calls["_hall"] <= ref_calls["_raw_has_one_factor"]
         assert new_calls["_raw_one_factors"] <= ref_calls["_raw_one_factors"]
@@ -400,29 +425,67 @@ class TestExtensions:
             g = generate(kind, 4, 5) if kind == "grid" else generate(kind)
             assert (solve_packing(random_cover(g, 3, seed)) is None) == (kind == "dodecahedron")
         assert solver._hall and solver._factors
-        for rows, ok in solver._hall.items():
+        for key, ok in solver._hall.items():
+            rows = key_rows(key)
             assert ok == _raw_has_one_factor(len(rows), rows)
-        for rows, packed in solver._factors.items():
+        for key, packed in solver._factors.items():
+            rows = key_rows(key)
             assert packed == tuple(_invert(cols) for cols in _raw_one_factors(len(rows), rows))
 
     @pytest.mark.usefixtures("cold_tables")
     def test_small_table_cap_changes_nothing(self, monkeypatch):
+        # the panel's covers have 6 forbidden maps at k=3; the list
+        # assignments' partial maps are many more, and fill _clear too
         want = [panel_extensions(kind, seed) for kind, seed in COVER_PANEL]
+        want_lists = list_panel_packings()
         monkeypatch.setattr(solver, "TABLE_CAP", 8)
         sizes = []
         real = solver._remember
 
-        def remember(table, rows, value):
-            real(table, rows, value)
-            sizes.append((len(solver._hall), len(solver._factors)))
+        def remember(table, key, value):
+            real(table, key, value)
+            sizes.append((len(solver._hall), len(solver._factors), len(solver._clear)))
 
         monkeypatch.setattr(solver, "_remember", remember)
         solver._hall.clear()
         solver._factors.clear()
+        solver._clear.clear()
         assert [panel_extensions(kind, seed) for kind, seed in COVER_PANEL] == want
-        assert max(max(pair) for pair in sizes) == 8
-        # the tables were cleared on the way
-        assert any(sum(after) < sum(before) for before, after in zip(sizes, sizes[1:]))
+        assert list_panel_packings() == want_lists
+        for table in range(3):
+            assert max(size[table] for size in sizes) == 8
+            # each table was cleared on the way
+            assert any(after[table] < before[table] for before, after in zip(sizes, sizes[1:]))
+
+    def test_keys_unique_across_k(self):
+        # without the sentinel bit, rows (1,) at k=1 and (1, 0) at k=2 would
+        # both be key 1
+        assert solver._key(1, (1,)) != solver._key(2, (1, 0))
+        keys = {}
+        for k in (1, 2, 3):
+            for rows in product(range(1 << k), repeat=k):
+                keys[solver._key(k, rows)] = rows
+                assert solver._rows(k, solver._key(k, rows)) == rows
+        assert len(keys) == 2 + 4**2 + 8**3
+        assert all(key_rows(key) == rows for key, rows in keys.items())
+
+    @pytest.mark.usefixtures("cold_tables")
+    def test_clear_masks_recompute(self):
+        # every stored mask, applied to all-open rows, leaves what
+        # extension_rows builds with the neighbor packed, and keeps the
+        # sentinel bit
+        for kind, seed in COVER_PANEL[:3]:
+            panel_extensions(kind, seed)
+        list_panel_packings()
+        edge = graph_from_edges(2, ((0, 1),))
+        seen = 0
+        for fmap, masks in solver._clear.items():
+            for packed, mask in masks.items():
+                k = len(packed)
+                want = tuple(extension_rows(1, k, edge.adjacency, {(0, 1): fmap}, {0: packed}))
+                assert key_rows(mask) == want
+                seen += 1
+        assert len(solver._clear) > 8 and seen > len(solver._clear)
 
     def test_root_check_before_first_vertex(self, monkeypatch):
         # vertex 1 is not adjacent to vertex 0, and its packed neighbors 2
