@@ -112,7 +112,7 @@ class ListAssignment:
         if len(self.lists) != self.graph.n:
             raise ValueError("need one list per vertex")
         for v, colors in enumerate(self.lists):
-            if len(set(colors)) != self.k:
+            if len(colors) != self.k or len(set(colors)) != self.k:
                 raise ValueError(f"list at vertex {v} does not have {self.k} distinct colors")
             if any(c < 0 for c in colors):
                 raise ValueError("colors are non-negative integers")
@@ -252,8 +252,7 @@ def pull_back_list_packing(indexing: tuple[tuple[int, ...], ...], packing: Packi
 
 
 # ---------------------------------------------------------------------------
-# Extension bigraphs: which (color, coloring) pairs remain possible at an
-# unpacked vertex, given the packing of its neighbors.
+# Forbidden maps: what a color at one end of an arc forbids at the other.
 # ---------------------------------------------------------------------------
 
 
@@ -275,29 +274,6 @@ def forbidden_maps(
                 perm = arcs.get((u, v))
                 maps[(u, v)] = _invert(arcs[(v, u)].image) if perm is None else perm.image
     return maps
-
-
-def extension_rows(v: int, k: int, adj, maps, assign: Mapping[int, tuple[int, ...]]) -> list[int]:
-    """Rows of the extension bigraph at v: bit j of row i is set when
-    coloring j may still use value i at v.
-
-    ``maps[(u, v)]`` takes the value at u to the value it forbids at v (-1
-    when it forbids none), and ``assign`` holds the packed vertices, as in
-    :attr:`Packing.assign`; unpacked neighbors impose nothing.
-    """
-
-    full = (1 << k) - 1
-    rows = [full] * k
-    for u in adj[v]:
-        got = assign.get(u)
-        if got is None:
-            continue
-        fmap = maps[(u, v)]
-        for j in range(k):
-            t = fmap[got[j]]
-            if t >= 0:
-                rows[t] &= ~(1 << j)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -386,7 +386,7 @@ LIGHT_TRIANGLE_MAX_SUM = 17
 
 
 def find_light_triangle(
-    g: Graph, active: frozenset[int] | None = None
+    g: Graph, active: Collection[int] | None = None
 ) -> tuple[int, int, int] | None:
     """First triangle (u, v, w), u < v < w lexicographic, of the subgraph
     induced by ``active`` (defaults to the whole graph) whose degree sum in
@@ -436,10 +436,12 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(obj: dict) -> Graph:
     try:
         n = json_int(obj["n"])
-        edges = [(json_int(u), json_int(v)) for u, v in obj["edges"]]
+        edges = [_normalize_edge(json_int(u), json_int(v)) for u, v in obj["edges"]]
+        if len(set(edges)) != len(edges):
+            raise ValueError("an edge appears twice")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
-    return graph_from_edges(n, edges)
+    return Graph(n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,16 @@ induce total maps (the arc permutations); list assignments induce partial
 maps (shared colors, identified by list position).  One backtracking
 generator over these maps, :func:`_extensions`, extends a partial packing
 through the 1-factors of the extension bigraphs; it gives both exact solvers
-and the constructive packer's extension and repair.  It keeps each unpacked
-vertex's rows as one integer, k*k bits under a sentinel bit, and clears bits
-in it as neighbors are packed with one AND, by a mask from the module-level
-table ``_clear``.  It sends every Hall check and 1-factor enumeration
-through two more tables keyed by that integer, ``_hall`` and ``_factors``,
-and unpacks the rows only on a miss.  A row set recurs far more often than
-it is new: one pass over the benchmark's cover panel makes 339,765 Hall
-checks on 638 distinct row sets.  All three tables are pure functions of
-their keys, so what the engine yields, and in what order, does not depend
-on what they hold.
+and the constructive packer's extension and repair.  It builds each
+unpacked vertex's rows as one integer, k*k bits under a sentinel bit, and
+clears bits in it as neighbors are packed with one AND, by a mask kept in
+the module-level table ``_clear``.  It sends every Hall check and 1-factor
+enumeration through two more tables keyed by that integer, ``_hall`` and
+``_factors``, and unpacks the rows only on a miss.  A row set recurs far
+more often than it is new: one pass over the benchmark's cover panel makes
+339,765 Hall checks on 638 distinct row sets.  All three tables are pure
+functions of their keys, so what the engine yields, and in what order, does
+not depend on what they hold.
 
 Adversarial list search does not enumerate raw color lists.  Two
 assignments whose per-edge shared-color position patterns agree are
@@ -59,7 +59,6 @@ from listpacking.covers import (
     ListAssignment,
     Packing,
     Perm,
-    extension_rows,
     forbidden_maps,
     validate_list_packing,
     validate_packing,
@@ -94,13 +93,12 @@ def _solve_order(g: Graph) -> tuple[int, ...]:
 
 
 # Each table is keyed by the rows of an extension bigraph as one integer
-# (:func:`_key`).  _hall holds a row set's Hall verdict; _factors holds its
-# inverted 1-factors in _raw_one_factors order, stored only once an
-# enumeration has run to the end.  _clear holds, per forbidden map, the mask
-# that packing a neighbor with a coloring leaves of a key (at most k! entries
-# per map).  Each entry is a pure function of its keys.  All three are
-# cleared together when one holds TABLE_CAP entries, so every row set at
-# k <= 4 fits.
+# (:func:`_extension_key`).  _hall holds a row set's Hall verdict; _factors
+# holds its inverted 1-factors in _raw_one_factors order, stored only once an
+# enumeration has run to the end.  _clear holds, per forbidden map, the
+# :func:`_cleared` mask of each coloring (at most k! entries per map).  Each
+# entry is a pure function of its keys.  All three are cleared together when
+# one holds TABLE_CAP entries, so every row set at k <= 4 fits.
 TABLE_CAP = 1 << 16
 _hall: dict[int, bool] = {}
 _factors: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -115,36 +113,37 @@ def _remember(table: dict, key, value) -> None:
     table[key] = value
 
 
-def _key(k: int, rows: Sequence[int]) -> int:
-    """Rows as one integer: row t in bits t*k .. t*k + k - 1, under the
-    sentinel bit k*k, so that no two row sets share a key, whatever k."""
-
-    key = 1
-    for row in reversed(rows):
-        key = key << k | row
-    return key
-
-
-def _rows(k: int, key: int) -> tuple[int, ...]:
-    """The rows that :func:`_key` put in ``key``."""
-
-    full = (1 << k) - 1
-    return tuple(key >> t * k & full for t in range(k))
-
-
-def _clear_miss(masks: dict, fmap: Sequence[int], packed: tuple[int, ...]) -> int:
+def _cleared(k: int, fmap: Sequence[int], packed: tuple[int, ...]) -> int:
     """What packing a neighbor with ``packed`` leaves of a key: coloring c
     puts value packed[c] at the neighbor, which forbids value
     fmap[packed[c]] at the vertex, so bit c of that row is cleared."""
 
-    k = len(packed)
-    mask = (2 << k * k) - 1
+    gone = 0
     for c, x in enumerate(packed):
         t = fmap[x]
         if t >= 0:
-            mask &= ~(1 << t * k + c)
-    masks[packed] = mask
-    return mask
+            gone |= 1 << t * k + c
+    return ((2 << k * k) - 1) ^ gone
+
+
+def _extension_key(v: int, k: int, adj, maps, assign) -> int:
+    """v's extension rows as one integer, ``maps`` and ``assign`` as in
+    :func:`_extensions`: bit t*k + c is set when coloring c may still use
+    value t at v, and bit k*k is a sentinel, so keys never collide across k."""
+
+    key = (2 << k * k) - 1
+    for u in adj[v]:
+        packed = assign.get(u)
+        if packed is not None:
+            key &= _cleared(k, maps[(u, v)], packed)
+    return key
+
+
+def _rows(k: int, key: int) -> tuple[int, ...]:
+    """The rows in ``key``, row t from bits t*k .. t*k + k - 1."""
+
+    full = (1 << k) - 1
+    return tuple([key >> t * k & full for t in range(k)])
 
 
 def _hall_miss(k: int, key: int) -> bool:
@@ -153,13 +152,12 @@ def _hall_miss(k: int, key: int) -> bool:
     return ok
 
 
-def _fresh_factors(k: int, key: int, rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The inverted 1-factors of ``rows``, the rows of ``key``, in
-    :func:`_raw_one_factors` order; the list is remembered only when the
-    enumeration runs to the end."""
+def _fresh_factors(k: int, key: int) -> Iterator[tuple[int, ...]]:
+    """The inverted 1-factors of ``key``'s rows in :func:`_raw_one_factors`
+    order, remembered only when the enumeration runs to the end."""
 
     got = []
-    for cols in _raw_one_factors(k, rows):
+    for cols in _raw_one_factors(k, _rows(k, key)):
         packed = _invert(cols)
         got.append(packed)
         yield packed
@@ -176,11 +174,11 @@ def _extensions(
     as a tuple, needed for each v in ``order`` and each neighbor u.
     Vertices are packed in ``order``, each through the 1-factors of its
     extension bigraph in :func:`_raw_one_factors` order.  The rows of every
-    unpacked vertex of ``order`` are built once, by
-    :func:`covers.extension_rows`, and kept as one integer (:func:`_key`):
-    packing a vertex ANDs each later neighbor's key with one mask from the
-    ``_clear`` table, which clears at most k bits, and trying the next
-    1-factor or backtracking restores the key.
+    unpacked vertex of ``order`` are built once, as one integer
+    (:func:`_extension_key`): packing a vertex ANDs each later neighbor's
+    key with its :func:`_cleared` mask, kept in the ``_clear`` table, which
+    clears at most k bits, and trying the next 1-factor or backtracking
+    restores the key.
 
     A Hall check asks that a vertex's remaining options admit a 1-factor.
     Before the first vertex, every later vertex with a packed neighbor is
@@ -190,17 +188,12 @@ def _extensions(
     kept the options it had when it last passed.  Packing more vertices only
     removes options, so only dead branches are dropped.  Every Hall check
     and 1-factor enumeration goes through the ``_hall`` and ``_factors``
-    tables, keyed by the integer.  Exhausting the generator restores
-    ``assign``.
+    tables, keyed by the integer; a miss unpacks the rows with
+    :func:`_rows`.  Exhausting the generator restores ``assign``.
     """
 
     n = len(order)
-    built = [extension_rows(v, k, adj, maps, assign) for v in order]
-    keys = [_key(k, rows) for rows in built]
-    # a key still equal to its first value holds the rows built for it, so a
-    # table miss on it needs no unpacking: the packer's one-vertex orders
-    # miss on nearly every call
-    first = keys[:]
+    keys = [_extension_key(v, k, adj, maps, assign) for v in order]
     hall, factors = _hall.get, _factors.get
     # later[i]: (position, forbidden map, its _clear masks) of each neighbor
     # of order[i] packed after it, in order.  The packer's orders are nearly
@@ -230,13 +223,13 @@ def _extensions(
         key = keys[idx]
         options = factors(key)
         if options is None:
-            options = _fresh_factors(k, key, built[idx] if key == first[idx] else _rows(k, key))
+            options = _fresh_factors(k, key)
         for packed in options:
             assign[v] = packed
             for (j, fmap, masks), old in zip(check, before):
                 mask = masks.get(packed)
                 if mask is None:
-                    mask = _clear_miss(masks, fmap, packed)
+                    mask = masks[packed] = _cleared(k, fmap, packed)
                 new = keys[j] = old & mask
                 ok = hall(new)
                 if ok is None:

@@ -4,24 +4,24 @@ These deliberately avoid the library's algorithms: solvability is decided
 by enumerating raw assignments and checking the defining constraints
 directly, girth by per-root breadth-first search, densest subgraphs by
 plain subset enumeration.  The two exceptions are references for an
-optimized path: :func:`reference_cover_search` replays the adversarial cover
-search's enumeration one whole cover at a time through the public
+optimized path: :func:`reference_cover_search` replays the adversarial
+cover search's enumeration one whole cover at a time through the public
 ``solve_packing``, apart from the search's own candidate decision;
 :func:`reference_list_search` is the list search's pattern enumeration with
 a forest check at every complete pattern instead of pruning, each pattern
 solved on its own (it takes every option of every back edge, where the
 search passes only those its pair masks let through); and
-:func:`reference_extensions` is the extension engine
-with a full-frontier lookahead, which Hall-checks every later vertex that
-has a packed neighbor.  Two bigraph kernels keep their plain form here:
-:func:`reference_column_masks` transposes bit by bit, and
-:func:`reference_obstructions` scans every subset of the obstruction size.
-The library enumerates 1-factors but never counts them, so both counters
-live here: :func:`oracle_one_factor_count` tries every column permutation,
-and :func:`count_one_factors` is the permanent by dynamic programming over
-subsets of B.  :func:`candidate_cells` and :func:`packing_cells` build
-the one-integer forms the candidate decider compares, straight from the
-forbidden pairs and from a packing's colorings.
+:func:`reference_extensions` is the extension engine with a full-frontier
+lookahead, which Hall-checks every later vertex that has a packed neighbor,
+on rows :func:`extension_rows` rebuilds as lists.  Two bigraph kernels keep
+their plain form here: :func:`reference_column_masks` transposes bit by
+bit, and :func:`reference_obstructions` scans every subset of the
+obstruction size.  The library enumerates 1-factors but never counts them,
+so both counters live here: :func:`oracle_one_factor_count` tries every
+column permutation, and :func:`count_one_factors` is the permanent by
+dynamic programming over subsets of B.  :func:`candidate_cells` and
+:func:`packing_cells` build the one-integer forms the candidate decider
+compares, straight from the forbidden pairs and from a packing's colorings.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Mapping
 
 
 def oracle_cover_solvable(cover) -> bool:
@@ -262,6 +263,29 @@ def reference_list_search(g, k, universe):
     return decided, found
 
 
+def extension_rows(v: int, k: int, adj, maps, assign: Mapping[int, tuple[int, ...]]) -> list[int]:
+    """Rows of the extension bigraph at v: bit j of row i is set when
+    coloring j may still use value i at v.
+
+    ``maps[(u, v)]`` takes the value at u to the value it forbids at v (-1
+    when it forbids none), and ``assign`` holds the packed vertices, as in
+    :attr:`Packing.assign`; unpacked neighbors impose nothing.
+    """
+
+    full = (1 << k) - 1
+    rows = [full] * k
+    for u in adj[v]:
+        got = assign.get(u)
+        if got is None:
+            continue
+        fmap = maps[(u, v)]
+        for j in range(k):
+            t = fmap[got[j]]
+            if t >= 0:
+                rows[t] &= ~(1 << j)
+    return rows
+
+
 def reference_extensions(k, adj, maps, assign, order):
     """The extension engine with the full-frontier lookahead: after each
     tentative assignment every later vertex of ``order`` that has a packed
@@ -269,7 +293,7 @@ def reference_extensions(k, adj, maps, assign, order):
     call, so a test that patches them there counts this engine's calls too.
     """
 
-    from listpacking.solver import _invert, _raw_has_one_factor, _raw_one_factors, extension_rows
+    from listpacking.solver import _invert, _raw_has_one_factor, _raw_one_factors
 
     n = len(order)
 

@@ -375,3 +375,16 @@ class TestJson:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             bigraph_from_json({"s": 3})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"s": 2, "rows": [1, 2], "edges": [[0, 1], [1, 0]]},
+            {"s": 2, "rows": [3, 3], "edges": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+            {"s": 2, "edges": [[0, 1], [1, 0], [0, 1]]},
+        ],
+    )
+    def test_rejects_ambiguous_forms(self, obj):
+        # rows beside edges, even agreeing ones, and a repeated edge
+        with pytest.raises(ValueError):
+            bigraph_from_json(obj)

@@ -199,6 +199,32 @@ class TestExitCodes:
         code, out = run(capsys, "solve-list", "--lists", str(path))
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("other", [[2, 3], [1, 3]])
+    def test_list_longer_than_k(self, tmp_path, capsys, other):
+        # [1, 2, 2] has k = 2 distinct colors but three entries
+        payload = {"k": 2, "graph": graph_to_json(generate("path", 2)), "lists": {"0": [1, 2, 2], "1": other}}
+        code, out = run(capsys, "solve-list", "--lists", write_json(tmp_path, "long.json", payload))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [["girth"], ["chromatic", "--mode", "list", "--upper", "3"]])
+    def test_repeated_edge(self, tmp_path, capsys, argv):
+        # the path 0-1-2 with its first edge given twice
+        path = write_json(tmp_path, "twice.json", {"n": 3, "edges": [[0, 1], [1, 0], [1, 2]]})
+        code, out = run(capsys, *argv, "--graph", path)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"s": 8, "rows": [7] * 5 + [248] * 3, "edges": [[0, 0]]},
+            {"s": 8, "edges": [[i, j] for i in range(8) for j in (range(3) if i < 5 else range(3, 8))] + [[0, 0]]},
+        ],
+        ids=["rows-and-edges", "repeated-edge"],
+    )
+    def test_ambiguous_bigraph(self, tmp_path, capsys, payload):
+        code, out = run(capsys, "classify", "--bigraph", write_json(tmp_path, "h.json", payload))
+        assert code == 2 and out == ""
+
     def test_repeated_arc(self, tmp_path, capsys):
         # a packing that keeps the second arc's constraint breaks the first
         arcs = [{"u": 0, "v": 1, "perm": [0, 1]}, {"u": 0, "v": 1, "perm": [1, 0]}]

@@ -12,7 +12,6 @@ from listpacking.covers import (
     apply_relabel,
     cover_from_json,
     cover_to_json,
-    extension_rows,
     forbidden_maps,
     list_assignment,
     list_assignment_from_json,
@@ -28,7 +27,7 @@ from listpacking.covers import (
 )
 from listpacking.bigraph import _raw_column_masks
 from listpacking.graphs import Graph, generate, graph_from_edges
-from listpacking.solver import _list_pattern_maps, solve_packing
+from listpacking.solver import _extension_key, _list_pattern_maps, _rows, solve_packing
 from oracles import oracle_cover_solvable
 
 
@@ -175,8 +174,8 @@ class TestExtensionBigraphs:
     def test_no_packed_neighbors(self):
         g = generate("cycle", 5)
         cover = random_cover(g, 3, 1)
-        rows = extension_rows(0, 3, g.adjacency, forbidden_maps(cover, (0,), {}), {})
-        assert rows == [7, 7, 7]
+        rows = _rows(3, _extension_key(0, 3, g.adjacency, forbidden_maps(cover, (0,), {}), {}))
+        assert rows == (7, 7, 7)
 
     def test_degree_bound(self):
         rng = random.Random(4)
@@ -190,7 +189,7 @@ class TestExtensionBigraphs:
                 if rng.random() < 0.7:
                     packing.assign[w] = tuple(rng.sample(range(4), 4))
                     packed += 1
-            rows = extension_rows(v, 4, g.adjacency, forbidden_maps(cover, (v,), packing.assign), packing.assign)
+            rows = _rows(4, _extension_key(v, 4, g.adjacency, forbidden_maps(cover, (v,), packing.assign), packing.assign))
             degs = [r.bit_count() for r in rows] + [c.bit_count() for c in _raw_column_masks(4, rows)]
             assert min(degs) >= 4 - packed
 
@@ -201,7 +200,7 @@ class TestExtensionBigraphs:
         arcs[(0, 4)] = Perm((1, 0, 2))
         cover = CorrespondenceCover(g, 3, arcs)
         assign = {0: (0, 1, 2)}
-        rows = extension_rows(4, 3, g.adjacency, forbidden_maps(cover, (4,), assign), assign)
+        rows = _rows(3, _extension_key(4, 3, g.adjacency, forbidden_maps(cover, (4,), assign), assign))
         missing = {(i, j) for i in range(3) for j in range(3) if not rows[i] >> j & 1}
         assert missing == {(0, 1), (1, 0), (2, 2)}
 
@@ -211,7 +210,7 @@ class TestExtensionBigraphs:
         g = generate("cycle", 5)
         la = list_assignment(g, 3, [[1, 2, 4]] + [[1, 2, 3]] * 4)
         # colors (2, 1, 4) at vertex 0, written as positions in its list
-        rows = extension_rows(4, 3, g.adjacency, _list_pattern_maps(la), {0: (1, 0, 2)})
+        rows = _rows(3, _extension_key(4, 3, g.adjacency, _list_pattern_maps(la), {0: (1, 0, 2)}))
         missing = {(i, j) for i in range(3) for j in range(3) if not rows[i] >> j & 1}
         # color index of 2 is 1, forbidden for coloring 0; index of 1 is 0,
         # forbidden for coloring 1
@@ -295,3 +294,8 @@ class TestJson:
     def test_list_assignment_needs_k_at_least_one(self):
         with pytest.raises(ValueError):
             ListAssignment(generate("path", 2), 0, ((), ()))
+
+    def test_list_longer_than_k_is_refused(self):
+        # three entries, two distinct colors: not a list of size 2
+        with pytest.raises(ValueError):
+            ListAssignment(generate("path", 2), 2, ((1, 2, 2), (2, 3)))

@@ -256,3 +256,10 @@ class TestJson:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             graph_from_json({"edges": [[0, 1]]})
+
+    @pytest.mark.parametrize("edges", [[[0, 1], [1, 0], [1, 2]], [[0, 1], [0, 1]]])
+    def test_rejects_repeated_edge(self, edges):
+        with pytest.raises(ValueError):
+            graph_from_json({"n": 3, "edges": edges})
+        # graph_from_edges, which the generators use, still merges them
+        assert graph_from_edges(3, edges).m == len(edges) - 1

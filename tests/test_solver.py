@@ -11,7 +11,6 @@ from listpacking.covers import (
     Packing,
     Perm,
     cover_to_json,
-    extension_rows,
     forbidden_maps,
     list_assignment,
     random_cover,
@@ -34,6 +33,7 @@ from listpacking.solver import (
 )
 from oracles import (
     candidate_cells,
+    extension_rows,
     oracle_cover_solvable,
     oracle_list_solvable,
     packing_cells,
@@ -251,6 +251,17 @@ def key_rows(key: int) -> tuple[int, ...]:
     return tuple(key >> t * k & (1 << k) - 1 for t in range(k))
 
 
+def rows_key(k: int, rows) -> int:
+    """``rows`` packed as the engine keys them, built bit by bit."""
+
+    key = 1 << k * k
+    for t, row in enumerate(rows):
+        for c in range(k):
+            if row >> c & 1:
+                key |= 1 << t * k + c
+    return key
+
+
 def count_kernel_calls(monkeypatch) -> KernelCalls:
     """Count the engine's 1-factor enumerations and Hall checks at two
     levels, on cold tables: lookups in ``_factors`` and ``_hall`` are the
@@ -460,14 +471,40 @@ class TestExtensions:
     def test_keys_unique_across_k(self):
         # without the sentinel bit, rows (1,) at k=1 and (1, 0) at k=2 would
         # both be key 1
-        assert solver._key(1, (1,)) != solver._key(2, (1, 0))
+        assert rows_key(1, (1,)) != rows_key(2, (1, 0))
         keys = {}
         for k in (1, 2, 3):
             for rows in product(range(1 << k), repeat=k):
-                keys[solver._key(k, rows)] = rows
-                assert solver._rows(k, solver._key(k, rows)) == rows
+                keys[rows_key(k, rows)] = rows
+                assert solver._rows(k, rows_key(k, rows)) == rows
         assert len(keys) == 2 + 4**2 + 8**3
         assert all(key_rows(key) == rows for key, rows in keys.items())
+
+    def test_built_keys_are_the_oracle_rows(self):
+        # seeded partial packings of the panel's covers (total maps) and of
+        # list assignments' position patterns (partial maps, -1 entries):
+        # every vertex's key keeps the sentinel and holds the rows
+        # extension_rows builds
+        rng = random.Random(18)
+        cases = []
+        for kind, seed in COVER_PANEL:
+            g = generate(kind, 4, 5) if kind == "grid" else generate(kind)
+            cases.append((g, 3, forbidden_maps(random_cover(g, 3, seed), range(g.n), ())))
+        lists = [("cycle", (5,), 2), ("cycle", (5,), 3), ("complete_bipartite", (2, 3), 3), ("complete", (5,), 4)]
+        for kind, params, k in lists:
+            g = generate(kind, *params)
+            for _ in range(10):
+                la = list_assignment(g, k, [rng.sample(range(2 * k), k) for _ in range(g.n)])
+                cases.append((g, k, solver._list_pattern_maps(la)))
+        partial = 0
+        for g, k, maps in cases:
+            partial += any(-1 in fmap for fmap in maps.values())
+            for _ in range(3):
+                assign = {v: tuple(rng.sample(range(k), k)) for v in range(g.n) if rng.random() < 0.5}
+                for v in range(g.n):
+                    key = solver._extension_key(v, k, g.adjacency, maps, assign)
+                    assert key_rows(key) == tuple(extension_rows(v, k, g.adjacency, maps, assign))
+        assert partial > 30
 
     @pytest.mark.usefixtures("cold_tables")
     def test_clear_masks_recompute(self):
