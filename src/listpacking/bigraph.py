@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator
 
-from listpacking.graphs import json_int
+from listpacking.graphs import json_fields, json_int
 
 Matching = frozenset[tuple[int, int]]
 
@@ -434,6 +434,7 @@ def bigraph_to_json(h: Bigraph) -> dict:
 
 def bigraph_from_json(obj: dict) -> Bigraph:
     try:
+        obj = json_fields(obj, "s", "rows", "edges")
         s = json_int(obj["s"])
         if "rows" in obj and "edges" in obj:
             raise ValueError("give 'rows' or 'edges', not both")

@@ -22,6 +22,7 @@ from listpacking.graphs import (
     graph_from_edges,
     graph_from_json,
     graph_to_json,
+    json_fields,
     json_int,
 )
 
@@ -356,11 +357,12 @@ def cover_to_json(cover: CorrespondenceCover) -> dict:
 
 def cover_from_json(obj: dict) -> CorrespondenceCover:
     try:
+        obj = json_fields(obj, "k", "graph", "arcs")
         g = graph_from_json(obj["graph"])
         k = json_int(obj["k"])
         given = [
             ((json_int(a["u"]), json_int(a["v"])), Perm(tuple(json_int(x) for x in a["perm"])))
-            for a in obj["arcs"]
+            for a in [json_fields(a, "u", "v", "perm") for a in obj["arcs"]]
         ]
         arcs = dict(given)
         if len(arcs) != len(given):
@@ -380,6 +382,7 @@ def list_assignment_to_json(la: ListAssignment) -> dict:
 
 def list_assignment_from_json(obj: dict) -> ListAssignment:
     try:
+        obj = json_fields(obj, "k", "graph", "lists")
         k = json_int(obj["k"])
         g = graph_from_json(obj["graph"])
         given = {_vertex_key(v): colors for v, colors in obj["lists"].items()}
@@ -411,6 +414,7 @@ def _vertex_key(key) -> int:
 
 def packing_from_json(obj: dict) -> Packing:
     try:
+        obj = json_fields(obj, "k", "assign")
         k = json_int(obj["k"])
         assign = {_vertex_key(v): tuple(json_int(c) for c in colors) for v, colors in obj["assign"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -285,12 +285,13 @@ def forest_walk(g: Graph) -> Iterator[tuple[int, int]]:
 
 
 class UnionFind:
-    """Disjoint sets over ``0..n-1`` with undo: no path compression, so
-    :meth:`rollback` can restore any earlier :meth:`mark`."""
+    """Disjoint sets over ``0..n-1``: no path compression, and the smaller
+    root stays the root, so an undo only resets the absorbed root's parent
+    link (``solver._PatternClasses`` links and undoes its own unions over
+    ``parent`` this way)."""
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
-        self.trail: list[int] = []
 
     def find(self, x: int) -> int:
         while self.parent[x] != x:
@@ -306,16 +307,7 @@ class UnionFind:
         if ra > rb:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        self.trail.append(rb)
         return True
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            x = self.trail.pop()
-            self.parent[x] = x
 
 
 def _denser_part(n: int, edges: list[tuple[int, int]], e: int, s: int) -> list[int]:
@@ -429,12 +421,27 @@ def json_int(x) -> int:
     return x
 
 
+def json_fields(obj, *keys: str) -> dict:
+    """``obj`` itself when it is a JSON object with no key outside ``keys``;
+    a key the reader would not read raises ValueError instead of being
+    ignored, and anything but an object raises TypeError.  A missing key is
+    left to the reader."""
+
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    extra = sorted(set(obj) - set(keys))
+    if extra:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, extra))}; expected only {', '.join(map(repr, keys))}")
+    return obj
+
+
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
 def graph_from_json(obj: dict) -> Graph:
     try:
+        obj = json_fields(obj, "n", "edges")
         n = json_int(obj["n"])
         edges = [_normalize_edge(json_int(u), json_int(v)) for u, v in obj["edges"]]
         if len(set(edges)) != len(edges):

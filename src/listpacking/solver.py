@@ -27,13 +27,16 @@ back into an honest list assignment.  This is the same quotient the cover
 search takes with a spanning forest pinned to identity permutations, and it
 is what makes exhausting list size 3 on small cycles affordable.  The
 pattern's classes are tracked through union and rollback
-(:class:`_PatternClasses`), so a pattern that cannot be consistent is cut at
-the union that breaks it, and a vertex's later back edges try only the
-options whose pairs each break nothing alone and that keep every pair
-already one class (:meth:`_PatternClasses.pair_masks`): the others fail
-anyway before any candidate is decided.  Forests pack for k >= 2, so a
-subtree whose patterns can share only along a forest is cut at the empty
-choice that makes it one, and a forest graph has no witness to enumerate.
+(:class:`_PatternClasses`) in flat lists: parent links, per-class vertex
+masks, and per-edge share counts and limits indexed by edge number, with
+one trail entry per union, so crossing an edge costs two list reads and a
+compare.  A pattern that cannot be consistent is cut at the union that
+breaks it, and a vertex's later back edges try only the options whose
+pairs each break nothing alone and that keep every pair already one class
+(:meth:`_PatternClasses.pair_masks`): the others fail anyway before any
+candidate is decided.  Forests pack for k >= 2, so a subtree whose patterns
+can share only along a forest is cut at the empty choice that makes it one,
+and a forest graph has no witness to enumerate.
 
 Both searches decide a candidate, a set of forbidden pairs per edge, in one
 place (:class:`_Decider`).  The decider takes it also as one integer with
@@ -500,77 +503,106 @@ def _injection_order(k: int) -> list[list[tuple[int, int]]]:
 class _PatternClasses:
     """The color classes of a partial position pattern, kept consistent.
 
-    Position i at vertex v is element ``v * k + i`` of a
-    :class:`graphs.UnionFind`; ``chosen`` maps each edge (u, v), u < v, with
-    its pairs to those pairs.  Alongside, each class root keeps the bitmask
-    of the vertices the class touches, and each edge the number of classes
-    it shares; both follow :meth:`choose` and :meth:`rollback`.  A pattern
-    is consistent when every vertex has k distinct classes (injective) and
-    every chosen edge shares exactly its pairs' classes (closed).  Classes
-    only merge, so a broken pattern never heals, and :meth:`choose` reports
-    a break at the union that makes it.
+    Position i at vertex v is element ``v * k + i`` of ``uf``, a
+    :class:`graphs.UnionFind` whose parent links this class follows and
+    sets inline (the smaller root stays the root, as in
+    :meth:`graphs.UnionFind.union`); ``chosen`` maps each edge (u, v),
+    u < v, with its pairs to those pairs.  Alongside, in flat lists: each
+    class root keeps the bitmask of the vertices the class touches, and each
+    edge, by its index in ``g.sorted_edges()`` (``eidx[x * n + y]`` for
+    either orientation), the number of classes it shares and its limit,
+    len(pairs) once chosen and k + 1 before, which no share reaches.  A
+    pattern is consistent when every vertex has k distinct classes
+    (injective) and every chosen edge shares exactly its pairs' classes
+    (closed).  Classes only merge, so a broken pattern never heals, and
+    :meth:`choose` reports a break at the union that makes it.  One trail
+    entry per union (the absorbed root, the surviving root's old mask and
+    the edges the union made shared) lets :meth:`rollback` undo it.
     """
 
     def __init__(self, g: Graph, k: int) -> None:
-        self.k = k
-        self.uf = UnionFind(g.n * k)
-        self.touches = [1 << (x // k) for x in range(g.n * k)]
-        self.nbrs = [sum(1 << u for u in g.adjacency[v]) for v in range(g.n)]
-        self.share = dict.fromkeys(g.edges, 0)
+        n = g.n
+        self.n, self.k = n, k
+        self.uf = UnionFind(n * k)
+        self.touches = [1 << (x // k) for x in range(n * k)]
+        self.nbrs = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
+        self.eidx = [-1] * (n * n)
+        for e, (u, v) in enumerate(g.sorted_edges()):
+            self.eidx[u * n + v] = self.eidx[v * n + u] = e
+        self.share = [0] * g.m
+        self.limit = [k + 1] * g.m
         self.chosen: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        # per union: the two roots, their masks, and the edges it made shared
-        self.trail: list[tuple[int, int, int, int, list[tuple[int, int]]]] = []
+        self.trail: list[tuple[int, int, list[int]]] = []
 
     def mark(self) -> tuple[int, int]:
         return len(self.trail), len(self.chosen)
 
     def rollback(self, mark: tuple[int, int]) -> None:
         unions, edges = mark
-        while len(self.trail) > unions:
-            ra, ma, rb, mb, crossed = self.trail.pop()
-            self.touches[ra], self.touches[rb] = ma, mb
+        trail, parent, touches, share = self.trail, self.uf.parent, self.touches, self.share
+        for _ in range(len(trail) - unions):
+            rb, ma, crossed = trail.pop()
+            touches[parent[rb]] = ma
+            parent[rb] = rb
             for e in crossed:
-                self.share[e] -= 1
-        self.uf.rollback(unions)
-        while len(self.chosen) > edges:
-            self.chosen.popitem()
+                share[e] -= 1
+        chosen, eidx, limit, n = self.chosen, self.eidx, self.limit, self.n
+        for _ in range(len(chosen) - edges):
+            u, v = chosen.popitem()[0]
+            limit[eidx[u * n + v]] = self.k + 1
 
     def choose(self, u: int, v: int, pairs: list[tuple[int, int]]) -> bool:
         """Choose edge (u, v) with its pairs: pair (i, t) makes position i
         at u and position t at v one class.  False when a union breaks the
         pattern, either by putting two positions of one vertex in a class or
-        by making a chosen edge share more classes than it has pairs."""
+        by making a chosen edge share more classes than it has pairs.
 
+        Each union walks the parent links to both roots, links the larger
+        root under the smaller, and counts one more share on each edge
+        between the two classes' vertex masks."""
+
+        n, k = self.n, self.k
         self.chosen[(u, v)] = pairs
-        k = self.k
+        self.limit[self.eidx[u * n + v]] = len(pairs)
+        parent, touches, nbrs = self.uf.parent, self.touches, self.nbrs
+        eidx, share, limit, trail = self.eidx, self.share, self.limit, self.trail
         for i, t in pairs:
-            if not self._union(u * k + i, v * k + t):
+            a, b = u * k + i, v * k + t
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
+                continue
+            ma, mb = touches[a], touches[b]
+            if ma & mb:
+                return False
+            if a > b:
+                a, b, ma, mb = b, a, mb, ma
+            parent[b] = a
+            touches[a] = ma | mb
+            # the merged class newly shares exactly the edges between its parts
+            crossed = []
+            ok = True
+            xs = ma
+            while xs:
+                low = xs & -xs
+                xs ^= low
+                x = low.bit_length() - 1
+                ys = nbrs[x] & mb
+                row = x * n - 1
+                while ys:
+                    low = ys & -ys
+                    ys ^= low
+                    e = eidx[row + low.bit_length()]
+                    share[e] += 1
+                    crossed.append(e)
+                    if share[e] > limit[e]:
+                        ok = False
+            trail.append((b, ma, crossed))
+            if not ok:
                 return False
         return True
-
-    def _union(self, a: int, b: int) -> bool:
-        uf = self.uf
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
-            return True
-        ma, mb = self.touches[ra], self.touches[rb]
-        if ma & mb:
-            return False
-        uf.union(ra, rb)
-        self.touches[ra] = self.touches[rb] = ma | mb
-        # the merged class newly shares exactly the edges between its parts
-        crossed = []
-        ok = True
-        for x in bits(ma):
-            for y in bits(self.nbrs[x] & mb):
-                e = (x, y) if x < y else (y, x)
-                self.share[e] += 1
-                crossed.append(e)
-                pairs = self.chosen.get(e)
-                if pairs is not None and self.share[e] > len(pairs):
-                    ok = False
-        self.trail.append((ra, ma, rb, mb, crossed))
-        return ok
 
     def pair_masks(self, x: int, v: int) -> tuple[int, int]:
         """Two k*k-bit masks over the pairs (i, t) of edge (x, v), not yet
@@ -582,12 +614,17 @@ class _PatternClasses:
         without every pair of ``fixed`` fails :meth:`choose` or
         :meth:`closed`."""
 
-        k, find = self.k, self.uf.find
-        roots_v = [find(v * k + t) for t in range(k)]
+        k, parent = self.k, self.uf.parent
+        roots_v = []
+        for r in range(v * k, v * k + k):
+            while parent[r] != r:
+                r = parent[r]
+            roots_v.append(r)
         ok = fixed = 0
         bit = 1
-        for i in range(k):
-            ra = find(x * k + i)
+        for ra in range(x * k, x * k + k):
+            while parent[ra] != ra:
+                ra = parent[ra]
             for rb in roots_v:
                 if ra == rb:
                     ok |= bit
@@ -602,14 +639,22 @@ class _PatternClasses:
         pattern: both touch one vertex, or a chosen edge would share more
         classes than it has pairs."""
 
-        ma, mb = self.touches[ra], self.touches[rb]
+        touches = self.touches
+        ma, mb = touches[ra], touches[rb]
         if ma & mb:
             return True
-        for a in bits(ma):
-            for b in bits(self.nbrs[a] & mb):
-                e = (a, b) if a < b else (b, a)
-                pairs = self.chosen.get(e)
-                if pairs is not None and self.share[e] >= len(pairs):
+        n, nbrs, eidx, share, limit = self.n, self.nbrs, self.eidx, self.share, self.limit
+        while ma:
+            low = ma & -ma
+            ma ^= low
+            a = low.bit_length() - 1
+            ys = nbrs[a] & mb
+            row = a * n - 1
+            while ys:
+                low = ys & -ys
+                ys ^= low
+                e = eidx[row + low.bit_length()]
+                if share[e] >= limit[e]:
                     return True
         return False
 
@@ -617,7 +662,12 @@ class _PatternClasses:
         """Each chosen edge (u, v), u in ``backs``, shares exactly its pairs'
         classes; an edge can share more before it is chosen."""
 
-        return all(self.share[(u, v)] == len(self.chosen[(u, v)]) for u in backs)
+        row, eidx, share, limit = v * self.n, self.eidx, self.share, self.limit
+        for u in backs:
+            e = eidx[row + u]
+            if share[e] != limit[e]:
+                return False
+        return True
 
 
 def _realize_lists(
@@ -664,7 +714,9 @@ def adversarial_list_search(
     sharing graph is a forest is enumerated.  A vertex's first back edge
     tries every option; its later back edges try only the options
     :meth:`_PatternClasses.pair_masks` passes, in the same order, since
-    every other one fails a union or the closing check.  Every candidate is
+    every other one fails a union or the closing check.  The classes keep
+    their counts in flat lists indexed by position and edge number, and
+    each union is undone from one trail entry.  Every candidate is
     decided by the search's :class:`_Decider` (pool, then solver, every
     packing validated), with its cells carried down the recursion.  Raises
     ResourceCapError after ``cap`` decided candidates (pool hits, solved,

@@ -376,6 +376,11 @@ class TestJson:
         with pytest.raises(ValueError):
             bigraph_from_json({"s": 3})
 
+    @pytest.mark.parametrize("obj", [{"s": 2, "rows": [1, 2], "x": 1}, {"s": 2, "edges": [[0, 1]], "row": [1, 2]}])
+    def test_rejects_unknown_keys(self, obj):
+        with pytest.raises(ValueError):
+            bigraph_from_json(obj)
+
     @pytest.mark.parametrize(
         "obj",
         [

@@ -312,6 +312,35 @@ def test_wire_integers_are_strict(tmp_path, capsys, command, flag, payload, path
             assert code == 2, (path, bad, out)
 
 
+# Each wire format's objects, by path into a payload its command accepts: a
+# key the reader does not read must be refused, not ignored.
+UNKNOWN_KEY_CASES = [
+    ("girth", "--graph", {"n": 3, "edges": [[0, 1]]}, [()]),
+    ("classify", "--bigraph", {"s": 8, "rows": [7] * 5 + [248] * 3}, [()]),
+    ("solve", "--cover", cover_to_json(random_cover(generate("cycle", 3), 2, 0)), [(), ("graph",), ("arcs", 0)]),
+    (
+        "solve-list",
+        "--lists",
+        {"k": 2, "graph": graph_to_json(generate("path", 2)), "lists": {"0": [0, 1], "1": [1, 2]}},
+        [(), ("graph",)],
+    ),
+]
+
+
+@pytest.mark.parametrize("command, flag, payload, paths", UNKNOWN_KEY_CASES, ids=[c[0] for c in UNKNOWN_KEY_CASES])
+def test_unknown_keys_are_refused(tmp_path, capsys, command, flag, payload, paths):
+    code, _ = run(capsys, command, flag, write_json(tmp_path, "ok.json", payload))
+    assert code in (0, 1)
+    for path in paths:
+        obj = json.loads(json.dumps(payload))
+        target = obj
+        for key in path:
+            target = target[key]
+        target["x"] = 1
+        code, out = run(capsys, command, flag, write_json(tmp_path, "bad.json", obj))
+        assert code == 2 and out == "", path
+
+
 class TestDeterminism:
     def test_chromatic_bytes(self, tmp_path, capsys):
         path = write_json(tmp_path, "c4.json", graph_to_json(generate("cycle", 4)))

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations, product
 
@@ -271,6 +272,27 @@ class TestJson:
     def test_packing_round_trip(self):
         p = Packing(2, {0: (0, 1), 1: (1, 0)})
         assert packing_from_json(packing_to_json(p)).assign == p.assign
+
+    def test_unknown_keys_are_refused(self):
+        # at every object level of every format; the unmodified object reads
+        cover = cover_to_json(random_cover(generate("cycle", 3), 2, 0))
+        lists = list_assignment_to_json(list_assignment(generate("path", 2), 2, [[0, 1], [1, 2]]))
+        packing = packing_to_json(Packing(2, {0: (0, 1), 1: (1, 0)}))
+        cases = [
+            (cover_from_json, cover, [(), ("graph",), ("arcs", 0), ("arcs", 2)]),
+            (list_assignment_from_json, lists, [(), ("graph",)]),
+            (packing_from_json, packing, [()]),
+        ]
+        for reader, payload, paths in cases:
+            reader(payload)
+            for path in paths:
+                obj = json.loads(json.dumps(payload))
+                target = obj
+                for key in path:
+                    target = target[key]
+                target["x"] = 1
+                with pytest.raises(ValueError):
+                    reader(obj)
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, "1", True])
     def test_packing_rejects_non_integers(self, bad):

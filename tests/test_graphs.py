@@ -257,6 +257,12 @@ class TestJson:
         with pytest.raises(ValueError):
             graph_from_json({"edges": [[0, 1]]})
 
+    @pytest.mark.parametrize("obj", [{"n": 3, "edges": [[0, 1]], "x": 1}, {"n": 3, "edges": [], "N": 4}, [3, []]])
+    def test_rejects_unknown_keys(self, obj):
+        # a key the reader does not read, or no object at all
+        with pytest.raises(ValueError):
+            graph_from_json(obj)
+
     @pytest.mark.parametrize("edges", [[[0, 1], [1, 0], [1, 2]], [[0, 1], [0, 1]]])
     def test_rejects_repeated_edge(self, edges):
         with pytest.raises(ValueError):

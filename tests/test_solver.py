@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations, permutations, product
@@ -674,6 +675,32 @@ class TestAdversarialLists:
             adversarial_list_search(g, k, universe, cap=solved - 1)
 
     @pytest.mark.parametrize(
+        "g, decided, digest",
+        [
+            (generate("cycle", 5), 29_590, "9d5833c07afcf517ff29eaf83e55ffdf4ada08ac8add3021ea502d6d5589482a"),
+            (BANNER, 18_704, "e052963e39c30d2f0e61ef973816b33931b2e63ff6045dbd1ef5bda165aae6aa"),
+        ],
+        ids=["C5-k3", "banner-k3"],
+    )
+    def test_decided_sequence(self, monkeypatch, g, decided, digest):
+        # the candidates the decider receives, in order, as the sha256 over
+        # each one's 64 little-endian bytes: a change to the enumeration's
+        # bookkeeping must decide the same candidates in the same order
+        h = hashlib.sha256()
+        count = 0
+        decide = solver._Decider.__call__
+
+        def spy(self, cand, constraints):
+            nonlocal count
+            count += 1
+            h.update(cand.to_bytes(64, "little"))
+            return decide(self, cand, constraints)
+
+        monkeypatch.setattr(solver._Decider, "__call__", spy)
+        assert adversarial_list_search(g, 3, 3 * g.n) is None
+        assert (count, h.hexdigest()) == (decided, digest)
+
+    @pytest.mark.parametrize(
         "g, calls",
         [(generate("cycle", 5), 32_390), (DIAMOND, 9_644), (DIAMOND_HUBS_FIRST, 10_420)],
         ids=["C5", "diamond", "diamond-hubs-first"],
@@ -1029,12 +1056,36 @@ def rebuilt_consistent(uf: UnionFind, k: int, chosen, upto: int) -> bool:
 
 def assert_state_rebuilt(classes: _PatternClasses, uf: UnionFind, g: Graph, k: int, upto: int) -> None:
     roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
-    for u, v in g.edges:
+    for e, (u, v) in enumerate(g.sorted_edges()):
         if v <= upto:
-            assert classes.share[(u, v)] == len(roots[u] & roots[v])
+            assert classes.share[e] == len(roots[u] & roots[v])
     for r in set().union(*roots):
         assert classes.uf.find(r) == r
         assert classes.touches[r] == sum(1 << w for w, rs in enumerate(roots) if r in rs)
+
+
+def rebuilt_uf(g: Graph, k: int, chosen) -> UnionFind:
+    """The plain union-find of ``chosen``'s pairs, built from scratch."""
+
+    uf = UnionFind(g.n * k)
+    for (u, v), pairs in chosen.items():
+        for i, t in pairs:
+            uf.union(u * k + i, v * k + t)
+    return uf
+
+
+def assert_state_replayed(classes: _PatternClasses, g: Graph, k: int) -> None:
+    """The whole state equals that of a fresh instance that chooses the
+    same edges in the same order: parent links, touch masks, share counts
+    and pair limits."""
+
+    fresh = _PatternClasses(g, k)
+    for (u, v), pairs in classes.chosen.items():
+        assert fresh.choose(u, v, pairs)
+    assert classes.uf.parent == fresh.uf.parent
+    assert classes.touches == fresh.touches
+    assert classes.share == fresh.share
+    assert classes.limit == fresh.limit
 
 
 class TestPatternClasses:
@@ -1053,28 +1104,30 @@ class TestPatternClasses:
     )
     def test_agrees_with_rebuild(self, g, k):
         # random vertex-by-vertex patterns, as the search builds them, with
-        # random rollbacks to earlier vertices
+        # random rollbacks to earlier vertices; after every rollback the
+        # state is the one a fresh replay of `chosen` builds
         rng = random.Random(f"{g.n}-{g.m}-{k}")
         injections = _injection_order(k)
         classes = _PatternClasses(g, k)
         uf = UnionFind(g.n * k)
         chosen: dict = {}
-        starts = []  # per placed vertex: the marks before it
+        starts = []  # per placed vertex: the mark and the choices before it
         verdicts = set()
         v = 0
         for _ in range(600):
             if v == g.n or (starts and rng.random() < 0.15):
                 v = rng.randrange(len(starts))
-                _, mark, uf_mark, chosen = starts[v]
+                _, mark, chosen = starts[v]
                 chosen = dict(chosen)
                 del starts[v:]
                 classes.rollback(mark)
-                uf.rollback(uf_mark)
+                uf = rebuilt_uf(g, k, chosen)
                 assert classes.chosen == chosen
+                assert_state_replayed(classes, g, k)
                 if v:
                     assert_state_rebuilt(classes, uf, g, k, v - 1)
                 continue
-            start = (v, classes.mark(), uf.mark(), dict(chosen))
+            start = (v, classes.mark(), dict(chosen))
             backs = sorted(u for u in g.adjacency[v] if u < v)
             accepted = True
             for u in backs:
@@ -1091,10 +1144,11 @@ class TestPatternClasses:
                 starts.append(start)
                 v += 1
             else:
-                _, mark, uf_mark, chosen = start
+                _, mark, chosen = start
                 chosen = dict(chosen)
                 classes.rollback(mark)
-                uf.rollback(uf_mark)
+                uf = rebuilt_uf(g, k, chosen)
+                assert_state_replayed(classes, g, k)
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("k", [2, 3])
