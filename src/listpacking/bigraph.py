@@ -213,27 +213,46 @@ def hall_violator(h: Bigraph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 def _raw_one_factors(s: int, rows) -> Iterator[tuple[int, ...]]:
     """Yield 1-factors as tuples ``cols`` with ``cols[i]`` = the B-vertex
-    matched to ``a_i``, in lexicographic order of that tuple."""
+    matched to ``a_i``, in lexicographic order of that tuple.
 
+    A depth-first search in one frame: ``left[i]`` holds the columns row i
+    still has to try and ``used[i]`` the columns taken by rows above it.  A
+    level is entered with no columns to try unless every later row still
+    has an untaken column."""
+
+    if s == 0:
+        yield ()
+        return
     cols = [0] * s
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == s:
-            yield tuple(cols)
+    left = [0] * s
+    used = [0] * s
+    last = s - 1
+    for r in range(1, s):
+        if not rows[r]:
             return
-        # cheap feasibility: every later row must still have options
-        avail = ~used
+    left[0] = rows[0]
+    i = 0
+    while i >= 0:
+        m = left[i]
+        if not m:
+            i -= 1
+            continue
+        low = m & -m
+        left[i] = m ^ low
+        cols[i] = low.bit_length() - 1
+        if i == last:
+            yield tuple(cols)
+            continue
+        taken = used[i] | low
+        i += 1
+        used[i] = taken
+        avail = ~taken
         for r in range(i + 1, s):
             if not rows[r] & avail:
-                return
-        m = rows[i] & avail
-        while m:
-            low = m & -m
-            cols[i] = low.bit_length() - 1
-            m ^= low
-            yield from rec(i + 1, used | low)
-
-    yield from rec(0, 0)
+                left[i] = 0
+                break
+        else:
+            left[i] = rows[i] & avail
 
 
 def _invert(cols: tuple[int, ...]) -> tuple[int, ...]:

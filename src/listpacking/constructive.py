@@ -11,13 +11,14 @@ Each step finds a reducible configuration, removes its removable vertices,
 packs the rest, and extends back over the removed set.  The whole plan is
 peeled first, with each remaining vertex's degree kept up to date as
 vertices go (:func:`_plan`).  Every extension runs through the solver's
-backtracking generator (:func:`solver._extensions`): each removed vertex in
-turn takes a 1-factor of its extension bigraph.  When the direct extension
-is blocked, each set of at most ``budget`` (at most 2) packed neighbors is
-unpacked in turn, repacked through the same generator (at most
-``REPACK_CAP`` repackings), and the extension is tried again.  The hand case
-analyses behind these repair moves are not transcribed; bounded exhaustive
-repair subsumes them, and every emitted packing is validated before it is
+extension engine (:func:`solver._extensions`), a backtracking search in one
+generator frame: each removed vertex in turn takes a 1-factor of its
+extension bigraph.  When the direct extension is blocked, each set of at
+most ``budget`` (at most 2) packed neighbors is unpacked in turn, repacked
+through the same engine (at most ``REPACK_CAP`` repackings), and the
+extension is tried again after each repacking.  The hand case analyses
+behind these repair moves are not transcribed; bounded exhaustive repair
+subsumes them, and every emitted packing is validated before it is
 returned.
 """
 

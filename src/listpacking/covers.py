@@ -293,9 +293,12 @@ def validate_packing(cover: CorrespondenceCover, packing: Packing) -> Check:
             bad.append(f"vertex {v} unpacked")
     if packing.k != cover.k:
         bad.append(f"packing has k={packing.k}, cover has k={cover.k}")
+    values = set(range(cover.k))
     for v, colors in packing.assign.items():
         if len(colors) != cover.k:
             bad.append(f"vertex {v}: expected {cover.k} entries")
+            continue
+        if set(colors) == values:  # a permutation of 0..k-1
             continue
         if any(not 0 <= c < cover.k for c in colors):
             bad.append(f"vertex {v}: color out of range")
@@ -303,10 +306,11 @@ def validate_packing(cover: CorrespondenceCover, packing: Packing) -> Check:
             bad.append(f"vertex {v}: colorings collide")
     if bad:
         return Check(False, tuple(bad))
+    assign = packing.assign
     for (u, v), perm in cover.arcs.items():
-        cu, cv = packing.assign[u], packing.assign[v]
-        for j in range(cover.k):
-            if perm(cu[j]) == cv[j]:
+        image = perm.image
+        for j, (x, y) in enumerate(zip(assign[u], assign[v])):
+            if image[x] == y:
                 bad.append(f"arc ({u},{v}) coloring {j}: constraint violated")
     return Check(not bad, tuple(bad))
 

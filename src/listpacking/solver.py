@@ -5,9 +5,12 @@ The solver core works over "forbidden maps": for each ordered adjacent pair
 forbids at v in the same coloring (-1 when it forbids nothing).  Covers
 induce total maps (the arc permutations); list assignments induce partial
 maps (shared colors, identified by list position).  One backtracking
-generator over these maps, :func:`_extensions`, extends a partial packing
+engine over these maps, :func:`_extensions`, extends a partial packing
 through the 1-factors of the extension bigraphs; it gives both exact solvers
-and the constructive packer's extension and repair.  It builds each
+and the constructive packer's extension and repair.  Its search runs in one
+generator frame (:func:`_walk`) that keeps each level's 1-factor iterator
+and saved keys in lists, so taking a 1-factor resumes one frame, not a
+chain of nested generators as deep as the order.  It builds each
 unpacked vertex's rows as one integer, k*k bits under a sentinel bit, and
 clears bits in it as neighbors are packed with one AND, by a mask kept in
 the module-level table ``_clear``.  It sends every Hall check and 1-factor
@@ -192,12 +195,15 @@ def _extensions(
     removes options, so only dead branches are dropped.  Every Hall check
     and 1-factor enumeration goes through the ``_hall`` and ``_factors``
     tables, keyed by the integer; a miss unpacks the rows with
-    :func:`_rows`.  Exhausting the generator restores ``assign``.
+    :func:`_rows`.
+
+    This function builds the keys and ``later``, runs the root check and
+    returns the search, :func:`_walk`.  Exhausting it restores ``assign``;
+    closing it early restores nothing.
     """
 
     n = len(order)
     keys = [_extension_key(v, k, adj, maps, assign) for v in order]
-    hall, factors = _hall.get, _factors.get
     # later[i]: (position, forbidden map, its _clear masks) of each neighbor
     # of order[i] packed after it, in order.  The packer's orders are nearly
     # all one vertex, which has none, so they skip the position table.
@@ -216,18 +222,44 @@ def _extensions(
                         _remember(_clear, fmap, masks)
                     later[i].append((j, fmap, masks))
 
-    def rec(idx: int) -> Iterator[None]:
-        if idx == n:
-            yield
-            return
+    for j in range(1, n):
+        if any(w in assign for w in adj[order[j]]):
+            ok = _hall.get(keys[j])
+            if ok is None:
+                ok = _hall_miss(k, keys[j])
+            if not ok:
+                return iter(())
+    return _walk(k, order, keys, later, assign)
+
+
+def _walk(k: int, order: Sequence[int], keys: list[int], later, assign: dict) -> Iterator[None]:
+    """The depth-first search behind :func:`_extensions`, in one frame.
+
+    Level idx packs ``order[idx]``.  ``options[idx]`` iterates its 1-factors
+    (a ``_factors`` tuple, or :func:`_fresh_factors` on a miss) and
+    ``saved[idx]`` holds the keys of ``later[idx]`` from before it was
+    packed.  A level is entered when the vertex above it passes its Hall
+    checks; an exhausted level restores those keys, unpacks its vertex and
+    resumes the level above.  A generator closed early restores nothing."""
+
+    n = len(order)
+    if n == 0:
+        yield
+        return
+    hall, factors = _hall.get, _factors.get
+    options: list = [None] * n
+    saved: list = [None] * n
+    last = n - 1
+    key = keys[0]
+    got = factors(key)
+    options[0] = iter(_fresh_factors(k, key) if got is None else got)
+    saved[0] = [keys[j] for j, _, _ in later[0]]
+    idx = 0
+    while idx >= 0:
         v = order[idx]
         check = later[idx]
-        before = [keys[j] for j, _, _ in check]
-        key = keys[idx]
-        options = factors(key)
-        if options is None:
-            options = _fresh_factors(k, key)
-        for packed in options:
+        before = saved[idx]
+        for packed in options[idx]:
             assign[v] = packed
             for (j, fmap, masks), old in zip(check, before):
                 mask = masks.get(packed)
@@ -240,19 +272,20 @@ def _extensions(
                 if not ok:
                     break
             else:
-                yield from rec(idx + 1)
-        for (j, _, _), old in zip(check, before):
-            keys[j] = old
-        assign.pop(v, None)
-
-    for j in range(1, n):
-        if any(w in assign for w in adj[order[j]]):
-            ok = hall(keys[j])
-            if ok is None:
-                ok = _hall_miss(k, keys[j])
-            if not ok:
-                return iter(())
-    return rec(0)
+                if idx == last:
+                    yield
+                    continue
+                idx += 1
+                key = keys[idx]
+                got = factors(key)
+                options[idx] = iter(_fresh_factors(k, key) if got is None else got)
+                saved[idx] = [keys[j] for j, _, _ in later[idx]]
+                break
+        else:
+            for (j, _, _), old in zip(check, before):
+                keys[j] = old
+            assign.pop(v, None)
+            idx -= 1
 
 
 def _core_solve(

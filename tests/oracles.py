@@ -13,10 +13,11 @@ solved on its own (it takes every option of every back edge, where the
 search passes only those its pair masks let through); and
 :func:`reference_extensions` is the extension engine with a full-frontier
 lookahead, which Hall-checks every later vertex that has a packed neighbor,
-on rows :func:`extension_rows` rebuilds as lists.  Two bigraph kernels keep
-their plain form here: :func:`reference_column_masks` transposes bit by
-bit, and :func:`reference_obstructions` scans every subset of the
-obstruction size.  The library enumerates 1-factors but never counts them,
+on rows :func:`extension_rows` rebuilds as lists.  Three bigraph kernels
+keep their plain form here: :func:`reference_one_factors` enumerates
+1-factors with one generator per row, :func:`reference_column_masks`
+transposes bit by bit, and :func:`reference_obstructions` scans every
+subset of the obstruction size.  The library enumerates 1-factors but never counts them,
 so both counters live here: :func:`oracle_one_factor_count` tries every
 column permutation, and :func:`count_one_factors` is the permanent by
 dynamic programming over subsets of B.  :func:`candidate_cells` and
@@ -316,6 +317,31 @@ def reference_extensions(k, adj, maps, assign, order):
         assign.pop(v, None)
 
     return rec(0)
+
+
+def reference_one_factors(s, rows):
+    """Yield 1-factors as tuples ``cols`` with ``cols[i]`` = the B-vertex
+    matched to ``a_i``, in lexicographic order of that tuple."""
+
+    cols = [0] * s
+
+    def rec(i, used):
+        if i == s:
+            yield tuple(cols)
+            return
+        # cheap feasibility: every later row must still have options
+        avail = ~used
+        for r in range(i + 1, s):
+            if not rows[r] & avail:
+                return
+        m = rows[i] & avail
+        while m:
+            low = m & -m
+            cols[i] = low.bit_length() - 1
+            m ^= low
+            yield from rec(i + 1, used | low)
+
+    yield from rec(0, 0)
 
 
 def reference_column_masks(s, rows):

@@ -26,7 +26,13 @@ from listpacking.bigraph import (
     swap,
 )
 from listpacking.lemmas import planted_obstruction
-from oracles import count_one_factors, oracle_one_factor_count, reference_column_masks, reference_obstructions
+from oracles import (
+    count_one_factors,
+    oracle_one_factor_count,
+    reference_column_masks,
+    reference_obstructions,
+    reference_one_factors,
+)
 
 # the four reference obstruction shapes (types 1..4, reading clockwise from
 # the canonical drawings): X rows see three columns, the rest see the others
@@ -334,6 +340,21 @@ def _reference_classification(h):
 
 
 class TestKernelsAgainstReferences:
+    @pytest.mark.parametrize("s", range(5))
+    def test_one_factors_on_every_row_set(self, s):
+        # every row set up to 4x4, s = 0 and empty rows included
+        found = 0
+        for rows in product(range(1 << s), repeat=s):
+            got = list(_raw_one_factors(s, rows))
+            assert got == list(reference_one_factors(s, rows))
+            found += len(got)
+        assert found  # the comparison is not vacuous
+
+    @given(bigraphs(max_s=8))
+    @settings(max_examples=300, deadline=None)
+    def test_one_factors_on_bigraphs(self, h):
+        assert list(_raw_one_factors(h.s, h.rows)) == list(reference_one_factors(h.s, h.rows))
+
     def test_column_masks(self):
         rng = random.Random(12)
         for trial in range(50_000):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from listpacking.constructive import (
+    REGIME_K,
     ClassViolationError,
     PackOutcome,
     Reduction,
@@ -203,6 +205,12 @@ class TestExtendWithRepair:
             extend_with_repair(cover, packing, (0,))
 
 
+# seeded covers the packer fingerprint runs, as (regime, seed)
+PACKER_PANEL = [("girth5_k4", s) for s in (0, 3, 47)] + [("mad4_k5", s) for s in (0, 1)] + [
+    ("planar_k8", s) for s in (0, 1, 2)
+]
+
+
 class TestPackConstructive:
     @pytest.mark.parametrize("seed", range(8))
     def test_dodecahedron(self, seed):
@@ -242,6 +250,22 @@ class TestPackConstructive:
         cover = random_cover(generate("dodecahedron"), 4, 11)
         out = pack_constructive(cover, "girth5_k4")
         assert sum(len(s.frontier) for s in out.trace.steps if s.success) == 20
+
+    def test_fingerprint(self):
+        # dodecahedron seeds 3 and 47 each take one budget-1 repair; no grid
+        # seed below 5,000 and no triangulation seed below 300 repairs at all
+        digest = hashlib.sha256()
+        repairs = 0
+        for regime, seed in PACKER_PANEL:
+            if regime == "planar_k8":
+                g = random_planar_triangulation_min5(seed)
+            else:
+                g = generate("dodecahedron") if regime == "girth5_k4" else generate("grid", 4, 5)
+            out = pack_constructive(random_cover(g, REGIME_K[regime], seed), regime)
+            digest.update(json.dumps([out.trace.as_json(), sorted(out.packing.assign.items())]).encode())
+            repairs += sum(step.budget_used == 1 for step in out.trace.steps)
+        assert repairs == 2
+        assert digest.hexdigest() == "dc17d18891547240b1d59e2989a29b99d2d6625053ae636e705adfb42feedb70"
 
     def test_deterministic_replay(self):
         cover = random_cover(generate("grid", 4, 5), 5, 77)

@@ -232,6 +232,30 @@ class TestValidators:
         assert not check.ok
         assert len([v for v in check.violations if "arc" in v]) == 2
 
+    def test_exact_violations(self):
+        # arcs in both orientations; the packing breaks arcs (2,1) and
+        # (2,3), and a collision at vertex 0 stops before any arc is read
+        g = graph_from_edges(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+        arcs = {(0, 1): (0, 1, 2), (2, 1): (1, 2, 0), (2, 3): (2, 0, 1), (3, 0): (0, 2, 1)}
+        cover = CorrespondenceCover(g, 3, {e: Perm(p) for e, p in arcs.items()})
+        assign = {0: (0, 1, 2), 1: (1, 2, 0), 2: (0, 1, 2), 3: (1, 0, 2)}
+        assert validate_packing(cover, Packing(3, assign)).violations == (
+            "arc (2,1) coloring 0: constraint violated",
+            "arc (2,1) coloring 1: constraint violated",
+            "arc (2,1) coloring 2: constraint violated",
+            "arc (2,3) coloring 1: constraint violated",
+        )
+        check = validate_packing(cover, Packing(3, {**assign, 0: (0, 0, 2)}))
+        assert check == Check(False, ("vertex 0: colorings collide",))
+        check = validate_packing(cover, Packing(3, {0: (0, 3, 2), 1: (1, 1, 5), 2: (0, 1)}))
+        assert check.violations == (
+            "vertex 3 unpacked",
+            "vertex 0: color out of range",
+            "vertex 1: color out of range",
+            "vertex 1: colorings collide",
+            "vertex 2: expected 3 entries",
+        )
+
     def test_forest_greedy(self):
         g = generate("path", 4)
         la = list_assignment(g, 2, [[0, 1], [1, 2], [0, 2], [5, 6]])

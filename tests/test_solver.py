@@ -409,6 +409,39 @@ class TestExtensions:
         maps = forbidden_maps(cover, order, packing.assign)
         self.assert_matches_reference(monkeypatch, k, cover.graph.adjacency, maps, dict(packing.assign), order)
 
+    @pytest.mark.parametrize(
+        "kind, k, zs, frontier",
+        [
+            ("path", 3, (1,), (0,)),
+            ("path", 3, (1, 3), (2,)),
+            ("path", 3, (2, 1, 3), (0,)),
+            ("cycle", 3, (0, 2), (1,)),
+            ("cycle", 3, (1, 2, 3), (4, 0)),
+            ("cycle", 3, (4,), (0, 1)),
+            ("star", 2, (0,), (1, 2)),
+            ("star", 3, (1, 2), (0,)),
+        ],
+    )
+    def test_interleaved_engines_match_reference(self, kind, k, zs, frontier):
+        # the packer's repair: an inner engine over the frontier runs while
+        # an outer one over zs is suspended on the same assign
+        cover, packing = partial_packing(kind, k, zs + frontier)
+        adj = cover.graph.adjacency
+        maps = forbidden_maps(cover, zs + frontier, packing.assign)
+
+        def nested(engine):
+            assign = dict(packing.assign)
+            seq = []
+            for _ in engine(k, adj, maps, assign, zs):
+                for _ in engine(k, adj, maps, assign, frontier):
+                    seq.append((tuple(assign[z] for z in zs), tuple(assign[f] for f in frontier)))
+            assert assign == packing.assign  # both exhausted: assign is restored
+            return seq
+
+        got = nested(_extensions)
+        assert got
+        assert got == nested(reference_extensions)
+
     def test_pinned_work_count(self, monkeypatch):
         # the engine asks for 43 enumerations and 138 Hall checks (the
         # full-frontier lookahead: 43 and 234); on cold tables only 9 and 15
