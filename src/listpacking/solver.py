@@ -12,14 +12,14 @@ generator frame (:func:`_walk`) that keeps each level's 1-factor iterator
 and saved keys in lists, so taking a 1-factor resumes one frame, not a
 chain of nested generators as deep as the order.  It builds each
 unpacked vertex's rows as one integer, k*k bits under a sentinel bit, and
-clears bits in it as neighbors are packed with one AND, by a mask kept in
-the module-level table ``_clear``.  It sends every Hall check and 1-factor
-enumeration through two more tables keyed by that integer, ``_hall`` and
-``_factors``, and unpacks the rows only on a miss.  A row set recurs far
-more often than it is new: one pass over the benchmark's cover panel makes
-339,765 Hall checks on 638 distinct row sets.  All three tables are pure
-functions of their keys, so what the engine yields, and in what order, does
-not depend on what they hold.
+clears bits in it as neighbors are packed with one AND, by a mask that
+:func:`_walk` caches in the module-level table ``_clear``.  It sends every
+Hall check and 1-factor enumeration through two more tables keyed by that
+integer, ``_hall`` and ``_factors``, and unpacks the rows only on a miss.
+A row set recurs far more often than it is new: one pass over the
+benchmark's cover panel makes 339,765 Hall checks on 638 distinct row
+sets.  All three tables are pure functions of their keys, so what the
+engine yields, and in what order, does not depend on what they hold.
 
 Adversarial list search does not enumerate raw color lists.  Two
 assignments whose per-edge shared-color position patterns agree are
@@ -42,21 +42,22 @@ can share only along a forest is cut at the empty choice that makes it one,
 and a forest graph has no witness to enumerate.
 
 Both searches decide a candidate, a set of forbidden pairs per edge, in one
-place (:class:`_Decider`).  The decider takes it also as one integer with
-k*k cells per edge, one per value pair, which the searches build by OR-ing
-precomputed per-option masks.  Nearly every candidate is solvable, and one
-packing often packs many neighbouring candidates, so the decider keeps a
-pool of the ``POOL_CAP`` most recently useful packings of the same search,
-each as the mask of the cells its colorings use, and tries them before
-solving: a pooled packing fits exactly when the two masks share no bit, and
-is then the candidate's certificate.  Every packing the solver returns is
-validated against its candidate's forbidden pairs before it enters the pool.
+place (:class:`_Decider`), in one form: one integer with k*k cells per
+edge, one per value pair, which the searches build by OR-ing precomputed
+per-option masks.  Nearly every candidate is solvable, and one packing
+often packs many neighbouring candidates, so the decider keeps a pool of
+the ``POOL_CAP`` most recently useful packings of the same search, each as
+the mask of the cells its colorings use, and tries them before solving: a
+pooled packing fits exactly when the two masks share no bit, and is then
+the candidate's certificate.  Only a miss reads the forbidden pairs back
+from the cells, and every packing the solver returns passes the same AND
+before it enters the pool.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
 from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors, bits
@@ -101,8 +102,9 @@ def _solve_order(g: Graph) -> tuple[int, ...]:
 # Each table is keyed by the rows of an extension bigraph as one integer
 # (:func:`_extension_key`).  _hall holds a row set's Hall verdict; _factors
 # holds its inverted 1-factors in _raw_one_factors order, stored only once an
-# enumeration has run to the end.  _clear holds, per forbidden map, the
-# :func:`_cleared` mask of each coloring (at most k! entries per map).  Each
+# enumeration has run to the end.  _clear caches, for :func:`_walk` only, the
+# :func:`_cleared` mask of each coloring per forbidden map (at most k! entries
+# per map); :func:`_extension_key` computes its masks directly.  Each
 # entry is a pure function of its keys.  All three are cleared together when
 # one holds TABLE_CAP entries, so every row set at k <= 4 fits.
 TABLE_CAP = 1 << 16
@@ -386,18 +388,6 @@ def _spanning_forest(g: Graph) -> set[tuple[int, int]]:
     return {(u, v) if u < v else (v, u) for u, v in forest_walk(g)}
 
 
-def _fits(cols, constraints) -> bool:
-    """Whether a packing meets every forbidden pair of ``constraints``.
-
-    ``cols[v][a]`` is the coloring that uses value a at v (the inverse of
-    :attr:`Packing.assign`).  Each entry of ``constraints`` is ``((u, v),
-    pairs)``: pair (a, b) means value a at u and value b at v may not share a
-    coloring, as the forbidden maps of the module docstring put it.
-    """
-
-    return all(cols[u][a] != cols[v][b] for (u, v), pairs in constraints for a, b in pairs)
-
-
 def _cells(k: int, pairs) -> int:
     """Pairs (a, b) of one edge as cells of its k*k-bit slot: bit a*k + b."""
 
@@ -405,20 +395,19 @@ def _cells(k: int, pairs) -> int:
 
 
 class _Decider:
-    """Decides a search's candidates.  A call takes a candidate twice: as
-    one integer ``cand``, whose cell ``slot[(u, v)] + a*k + b`` is set when
-    it forbids value a at u together with value b at v (``slot[(u, v)]`` is
-    e*k*k for the index e of (u, v), u < v, in ``g.sorted_edges()``), and
-    as ``constraints``, an iterable of entries in the :func:`_fits` form,
-    read once and only on a miss.
+    """Decides a search's candidates.  A call takes a candidate as one
+    integer ``cand``, whose cell ``slot[(u, v)] + a*k + b`` is set when it
+    forbids value a at u together with value b at v (``slot[(u, v)]`` is
+    e*k*k for the index e of (u, v), u < v, in ``g.sorted_edges()``).
 
     A call counts against ``cap`` (past it, ResourceCapError with
     ``message``) and tries the pool.  The pool keeps each packing as the
     mask of the cells its colorings use (:meth:`used`), so a pooled packing
-    fits exactly when ``cand & used == 0``.  Only a miss is solved; a solved
-    packing must be a permutation of range(k) at every vertex and meet
-    ``constraints`` by :func:`_fits` (else AssertionError) before it enters
-    the pool.
+    fits exactly when ``cand & used == 0``.  Only a miss is solved, on the
+    forbidden maps read back from the cells: cell t of an edge's slot is
+    the pair divmod(t, k).  A solved packing must be a permutation of
+    range(k) at every vertex and fit by the same AND (else AssertionError)
+    before it enters the pool.
     """
 
     def __init__(self, g: Graph, k: int, cap: int, message: str) -> None:
@@ -439,7 +428,7 @@ class _Decider:
         k = self.k
         return sum(_cells(k, zip(found[u], found[v])) << s for (u, v), s in self.slot.items())
 
-    def __call__(self, cand: int, constraints) -> bool:
+    def __call__(self, cand: int) -> bool:
         """Whether the candidate packs; a pooled packing that fits moves up."""
 
         if self.left <= 0:
@@ -452,16 +441,17 @@ class _Decider:
                     pool.insert(0, pool.pop(idx))
                 return True
         g, k = self.g, self.k
-        constraints = tuple(constraints)
-        found = _core_solve(g, k, _pattern_maps(k, constraints), self.order)
+        full = (1 << k * k) - 1
+        pairs = ((e, [divmod(t, k) for t in bits(cand >> s & full)]) for e, s in self.slot.items())
+        found = _core_solve(g, k, _pattern_maps(k, pairs), self.order)
         if found is None:
             return False
         if any(sorted(found.get(v, ())) != list(range(k)) for v in range(g.n)):
             raise AssertionError(f"solver produced a packing that is not a permutation per vertex: {found}")
-        cols = tuple(_invert(found[v]) for v in range(g.n))
-        if not _fits(cols, constraints):
+        used = self.used(found)
+        if cand & used:
             raise AssertionError(f"solver produced a packing that breaks its candidate: {found}")
-        pool.insert(0, self.used(found))
+        pool.insert(0, used)
         del pool[POOL_CAP:]
         return True
 
@@ -475,34 +465,30 @@ def adversarial_cover_search(
     equivalent to one of this shape), all edges are oriented low-to-high,
     and the free edges run through all permutation tuples in lexicographic
     order.  Each candidate is decided by the search's :class:`_Decider`
-    (pool, then solver, every packing validated), as the OR of its arcs'
-    precomputed cell masks and as forbidden pairs, which are gathered only
-    on a pool miss, and only the witness is built as a cover.  Raises
-    ResourceCapError after ``cap`` decided candidates, and ValueError when
-    ``k < 1`` or ``cap < 1``.
+    (pool, then solver, every packing validated) as the OR of its arcs'
+    precomputed cell masks, and only the witness is built as a cover.
+    Raises ResourceCapError after ``cap`` decided candidates, and ValueError
+    when ``k < 1`` or ``cap < 1``.
     """
 
     decide = _Decider(g, k, cap, f"cover enumeration exceeded cap={cap}")
     slot = decide.slot
     tree = _spanning_forest(g)
     free = [e for e in g.sorted_edges() if e not in tree]
-    # each arc's forbidden pairs (a, p(a)) for its permutation p, and their
-    # cells in the arc's slot
-    identity = tuple(enumerate(range(k)))
-    tree_pairs = [(e, identity) for e in tree]
-    tree_cells = sum(_cells(k, identity) << slot[e] for e in tree)
-    options = [tuple(enumerate(p)) for p in permutations(range(k))]
-    arc_options = [[((e, pairs), _cells(k, pairs) << slot[e]) for pairs in options] for e in free]
+    # each arc's permutation p beside the cells (a, p(a)) of its forbidden
+    # pairs in the arc's slot
+    perms = list(permutations(range(k)))
+    identity = perms[0]
+    tree_cells = sum(_cells(k, enumerate(identity)) << slot[e] for e in tree)
+    arc_options = [[(p, _cells(k, enumerate(p)) << slot[e]) for p in perms] for e in free]
     for choice in product(*arc_options):
         cand = tree_cells
         for _, cells in choice:
             cand |= cells
-        # the decider reads the forbidden pairs only on a pool miss
-        if not decide(cand, chain(tree_pairs, (arc for arc, _ in choice))):
-            constraints = tree_pairs + [arc for arc, _ in choice]
-            return CorrespondenceCover(
-                g, k, {e: Perm(tuple(b for _, b in pairs)) for e, pairs in constraints}
-            )
+        if not decide(cand):
+            arcs = {e: Perm(identity) for e in tree}
+            arcs.update((e, Perm(p)) for e, (p, _) in zip(free, choice))
+            return CorrespondenceCover(g, k, arcs)
     return None
 
 
@@ -539,18 +525,19 @@ class _PatternClasses:
     Position i at vertex v is element ``v * k + i`` of ``uf``, a
     :class:`graphs.UnionFind` whose parent links this class follows and
     sets inline (the smaller root stays the root, as in
-    :meth:`graphs.UnionFind.union`); ``chosen`` maps each edge (u, v),
-    u < v, with its pairs to those pairs.  Alongside, in flat lists: each
-    class root keeps the bitmask of the vertices the class touches, and each
-    edge, by its index in ``g.sorted_edges()`` (``eidx[x * n + y]`` for
-    either orientation), the number of classes it shares and its limit,
+    :meth:`graphs.UnionFind.union`).  Alongside, in flat lists: each class
+    root keeps the bitmask of the vertices the class touches, and each edge,
+    by its index in ``g.sorted_edges()`` (``eidx[x * n + y]`` for either
+    orientation), the number of classes it shares and its limit,
     len(pairs) once chosen and k + 1 before, which no share reaches.  A
     pattern is consistent when every vertex has k distinct classes
     (injective) and every chosen edge shares exactly its pairs' classes
     (closed).  Classes only merge, so a broken pattern never heals, and
     :meth:`choose` reports a break at the union that makes it.  One trail
     entry per union (the absorbed root, the surviving root's old mask and
-    the edges the union made shared) lets :meth:`rollback` undo it.
+    the edges the union made shared) lets :meth:`rollback` undo it, and
+    ``chosen``, the chosen edges' numbers in order, lets it reset their
+    limits.
     """
 
     def __init__(self, g: Graph, k: int) -> None:
@@ -564,7 +551,7 @@ class _PatternClasses:
             self.eidx[u * n + v] = self.eidx[v * n + u] = e
         self.share = [0] * g.m
         self.limit = [k + 1] * g.m
-        self.chosen: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.chosen: list[int] = []
         self.trail: list[tuple[int, int, list[int]]] = []
 
     def mark(self) -> tuple[int, int]:
@@ -579,10 +566,9 @@ class _PatternClasses:
             parent[rb] = rb
             for e in crossed:
                 share[e] -= 1
-        chosen, eidx, limit, n = self.chosen, self.eidx, self.limit, self.n
+        chosen, limit, unset = self.chosen, self.limit, self.k + 1
         for _ in range(len(chosen) - edges):
-            u, v = chosen.popitem()[0]
-            limit[eidx[u * n + v]] = self.k + 1
+            limit[chosen.pop()] = unset
 
     def choose(self, u: int, v: int, pairs: list[tuple[int, int]]) -> bool:
         """Choose edge (u, v) with its pairs: pair (i, t) makes position i
@@ -595,8 +581,9 @@ class _PatternClasses:
         between the two classes' vertex masks."""
 
         n, k = self.n, self.k
-        self.chosen[(u, v)] = pairs
-        self.limit[self.eidx[u * n + v]] = len(pairs)
+        e = self.eidx[u * n + v]
+        self.chosen.append(e)
+        self.limit[e] = len(pairs)
         parent, touches, nbrs = self.uf.parent, self.touches, self.nbrs
         eidx, share, limit, trail = self.eidx, self.share, self.limit, self.trail
         for i, t in pairs:
@@ -753,8 +740,9 @@ def adversarial_list_search(
     decided by the search's :class:`_Decider` (pool, then solver, every
     packing validated), with its cells carried down the recursion.  Raises
     ResourceCapError after ``cap`` decided candidates (pool hits, solved,
-    realizable or not), and ValueError when ``k < 1``, ``cap < 1`` or
-    ``universe < k``.
+    realizable or not) or when the recursion, one call per vertex and per
+    back edge, nests past Python's recursion limit, and ValueError when
+    ``k < 1``, ``cap < 1`` or ``universe < k``.
     """
 
     decide = _Decider(g, k, cap, "list-pattern enumeration exceeded its cap")
@@ -781,9 +769,7 @@ def adversarial_list_search(
     first_options = [(pairs, _cells(k, pairs)) for pairs in first_pairs]
     later_options = [(pairs, _cells(k, pairs)) for pairs in _injection_order(k)]
     classes = _PatternClasses(g, k)
-    chosen = classes.chosen
-    slot = decide.slot
-    edge_bit = {e: 1 << i for i, e in enumerate(edges)}
+    eidx = classes.eidx
     back_edges: list[list[int]] = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
 
     def place(v: int, edge_idx: int, allowed: int, cand: int) -> ListAssignment | None:
@@ -792,12 +778,13 @@ def adversarial_list_search(
         # cand: the cells of the chosen pairs, the candidate as the decider
         # takes it
         if v == n:
-            return None if decide(cand, chosen.items()) else _realize_lists(g, k, classes.uf, universe)
+            return None if decide(cand) else _realize_lists(g, k, classes.uf, universe)
         backs = back_edges[v]
         if edge_idx == len(backs):
             return place(v + 1, 0, allowed, cand) if classes.closed(v, backs) else None
         u = backs[edge_idx]
-        shift = slot[(u, v)]
+        e = eidx[u * n + v]
+        shift = e * k * k
         if edge_idx == 0:
             options = first_options
         else:
@@ -807,7 +794,7 @@ def adversarial_list_search(
             options = [(pairs, cells) for pairs, cells in later_options if not cells & ~ok and not fixed & ~cells]
         for pairs, cells in options:
             if not pairs:
-                allowed &= ~edge_bit[(u, v)]
+                allowed &= ~(1 << e)
                 if k >= 2 and is_forest(allowed):
                     # every completion shares along a forest, and forests
                     # pack; the empty set is the last option, so no sibling
@@ -821,7 +808,12 @@ def adversarial_list_search(
             classes.rollback(mark)
         return None
 
-    return place(0, 0, everything, 0)
+    try:
+        return place(0, 0, everything, 0)
+    except RecursionError:
+        raise ResourceCapError(
+            f"list-pattern enumeration nests deeper than the recursion limit (n + m = {n + len(edges)})"
+        ) from None
 
 
 def packing_number(

@@ -20,9 +20,11 @@ transposes bit by bit, and :func:`reference_obstructions` scans every
 subset of the obstruction size.  The library enumerates 1-factors but never counts them,
 so both counters live here: :func:`oracle_one_factor_count` tries every
 column permutation, and :func:`count_one_factors` is the permanent by
-dynamic programming over subsets of B.  :func:`candidate_cells` and
-:func:`packing_cells` build the one-integer forms the candidate decider
-compares, straight from the forbidden pairs and from a packing's colorings.
+dynamic programming over subsets of B.  The candidate decider takes a
+candidate only as one integer of cells and tests a packing against it with
+one AND: :func:`candidate_cells` and :func:`packing_cells` build the two
+integers straight from the forbidden pairs and from a packing's colorings,
+and :func:`_fits` is the pair-by-pair check that AND stands for.
 """
 
 from __future__ import annotations
@@ -182,6 +184,19 @@ def reference_cover_search(g, k):
     return decided, None
 
 
+def _fits(cols, constraints) -> bool:
+    """Whether a packing meets every forbidden pair of ``constraints``.
+
+    ``cols[v][a]`` is the coloring that uses value a at v (the inverse of
+    :attr:`Packing.assign`).  Each entry of ``constraints`` is ``((u, v),
+    pairs)``: pair (a, b) means value a at u and value b at v may not share a
+    coloring, as the forbidden maps of the ``listpacking.solver`` module
+    docstring put it.
+    """
+
+    return all(cols[u][a] != cols[v][b] for (u, v), pairs in constraints for a, b in pairs)
+
+
 def candidate_cells(g, k, constraints) -> int:
     """The candidate ``constraints`` (``((u, v), pairs)`` entries, either
     orientation) as one integer: bit e*k*k + a*k + b for edge e = (x, y),
@@ -216,7 +231,8 @@ def reference_list_search(g, k, universe):
     and edge by edge in the search's option order, with every complete,
     consistent pattern whose sharing graph (the edges with pairs) is a
     forest skipped when k >= 2, and every other one decided by a
-    ``_Decider`` of its own.
+    ``_Decider`` of its own, on the :func:`candidate_cells` of the pairs
+    this enumeration records itself as it chooses them.
 
     Returns (decided, assignment): the first unsolvable pattern that
     realizes over ``universe`` colors and the number of patterns decided up
@@ -232,17 +248,17 @@ def reference_list_search(g, k, universe):
     classes = _PatternClasses(g, k)
     back_edges = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
     decide = _Decider(g, k, 1 << 62, "unbounded")
+    chosen = {}  # each chosen edge (u, v) to its pairs
     decided = 0
 
     def test_candidate():
         nonlocal decided
         if k >= 2:
             sharing = UnionFind(n)
-            if all(sharing.union(u, v) for (u, v), pairs in classes.chosen.items() if pairs):
+            if all(sharing.union(u, v) for (u, v), pairs in chosen.items() if pairs):
                 return None
         decided += 1
-        chosen = classes.chosen.items()
-        return None if decide(candidate_cells(g, k, chosen), chosen) else _realize_lists(g, k, classes.uf, universe)
+        return None if decide(candidate_cells(g, k, chosen.items())) else _realize_lists(g, k, classes.uf, universe)
 
     def place(v, edge_idx):
         if v == n:
@@ -253,11 +269,13 @@ def reference_list_search(g, k, universe):
         u = backs[edge_idx]
         for pairs in first_pairs if edge_idx == 0 else later_pairs:
             mark = classes.mark()
+            chosen[(u, v)] = pairs
             if classes.choose(u, v, pairs):
                 got = place(v, edge_idx + 1)
                 if got is not None:
                     return got
             classes.rollback(mark)
+            del chosen[(u, v)]
         return None
 
     found = place(0, 0) if n else None

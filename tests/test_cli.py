@@ -144,6 +144,13 @@ class TestExitCodes:
         code, _ = run(capsys, "adversary", "--graph", path, "--mode", "correspondence", "--k", "4", "--cap", "3")
         assert code == 3
 
+    def test_deep_list_search_is_a_resource_cap(self, tmp_path, capsys):
+        # a list search nested past the recursion limit exits 3, not with a
+        # traceback
+        path = write_json(tmp_path, "grid.json", graph_to_json(generate("grid", 25, 25)))
+        code, out = run(capsys, "chromatic", "--graph", path, "--mode", "list", "--upper", "3")
+        assert code == 3 and json.loads(out)["status"] == "resource"
+
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from itertools import combinations, permutations, product
 
 import pytest
@@ -22,7 +23,6 @@ from listpacking.graphs import Graph, UnionFind, generate, graph_from_edges
 from listpacking.solver import (
     ResourceCapError,
     _extensions,
-    _fits,
     _injection_order,
     _padded_subset_order,
     _PatternClasses,
@@ -33,6 +33,7 @@ from listpacking.solver import (
     solve_packing,
 )
 from oracles import (
+    _fits,
     candidate_cells,
     extension_rows,
     oracle_cover_solvable,
@@ -72,21 +73,16 @@ def transposition_cycle_cover(n: int, k: int) -> CorrespondenceCover:
     return CorrespondenceCover(g, k, arcs)
 
 
-def assert_cells_are_pairs(monkeypatch, g: Graph, k: int, search) -> None:
-    """Run ``search`` and check that every candidate it decides comes with
-    the cells of its forbidden pairs."""
+def decided_cells(monkeypatch, search) -> list[int]:
+    """Run ``search`` and return the candidates every decider it makes
+    receives, in order."""
 
-    agree = []
+    got: list[int] = []
     decide = solver._Decider.__call__
-
-    def spy(self, cand, constraints):
-        constraints = list(constraints)
-        agree.append(cand == candidate_cells(g, k, constraints))
-        return decide(self, cand, constraints)
-
-    monkeypatch.setattr(solver._Decider, "__call__", spy)
-    search()
-    assert agree and all(agree)
+    with monkeypatch.context() as m:
+        m.setattr(solver._Decider, "__call__", lambda self, cand: got.append(cand) or decide(self, cand))
+        search()
+    return got
 
 
 class TestSolvePacking:
@@ -634,9 +630,15 @@ class TestAdversarialCovers:
         "g, k", [(generate("cycle", 5), 3), (DIAMOND, 4), (generate("complete", 4), 4)], ids=["C5-k3", "diamond-k4", "K4-k4"]
     )
     def test_candidate_cells_are_its_pairs(self, monkeypatch, g, k):
-        # the cells ORed from the tree's and the free arcs' masks are the
-        # candidate's forbidden pairs, at every decided candidate
-        assert_cells_are_pairs(monkeypatch, g, k, lambda: adversarial_cover_search(g, k))
+        # the cells ORed from the tree's and the free arcs' masks are, in
+        # order, the forbidden pairs of the covers the reference decides
+        got = decided_cells(monkeypatch, lambda: adversarial_cover_search(g, k))
+        covers = []
+        solve = solver.solve_packing
+        monkeypatch.setattr(solver, "solve_packing", lambda cover: covers.append(cover) or solve(cover))
+        reference_cover_search(g, k)
+        pairs = [[(arc, tuple(enumerate(p.image))) for arc, p in cover.arcs.items()] for cover in covers]
+        assert got and got == [candidate_cells(g, k, c) for c in pairs]
 
     @pytest.mark.parametrize(
         "g",
@@ -723,11 +725,11 @@ class TestAdversarialLists:
         count = 0
         decide = solver._Decider.__call__
 
-        def spy(self, cand, constraints):
+        def spy(self, cand):
             nonlocal count
             count += 1
             h.update(cand.to_bytes(64, "little"))
-            return decide(self, cand, constraints)
+            return decide(self, cand)
 
         monkeypatch.setattr(solver._Decider, "__call__", spy)
         assert adversarial_list_search(g, 3, 3 * g.n) is None
@@ -782,9 +784,11 @@ class TestAdversarialLists:
         ids=["C4-k3", "diamond-k3", "banner-k3", "C6-k2"],
     )
     def test_candidate_cells_are_its_pairs(self, monkeypatch, g, k):
-        # the cells carried down the recursion are the candidate's
-        # forbidden pairs, at every decided candidate
-        assert_cells_are_pairs(monkeypatch, g, k, lambda: adversarial_list_search(g, k, k * g.n))
+        # the cells carried down the recursion are, in order, the cells of
+        # the pairs the reference enumeration records as it chooses them
+        got = decided_cells(monkeypatch, lambda: adversarial_list_search(g, k, k * g.n))
+        want = decided_cells(monkeypatch, lambda: reference_list_search(g, k, k * g.n))
+        assert got and got == want
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_empty_choice_is_last(self, k):
@@ -798,11 +802,12 @@ class TestAdversarialLists:
         sharing_is_forest = []
         decide = solver._Decider.__call__
 
-        def spy(self, cand, constraints):
-            constraints = list(constraints)
+        def spy(self, cand):
+            # the sharing graph: the edges whose slot holds a cell
+            full = (1 << self.k * self.k) - 1
             sharing = UnionFind(g.n)
-            sharing_is_forest.append(all(sharing.union(u, v) for (u, v), pairs in constraints if pairs))
-            return decide(self, cand, constraints)
+            sharing_is_forest.append(all(sharing.union(u, v) for (u, v), s in self.slot.items() if cand >> s & full))
+            return decide(self, cand)
 
         monkeypatch.setattr(solver._Decider, "__call__", spy)
         assert adversarial_list_search(g, 3, 3 * g.n) is None
@@ -819,15 +824,23 @@ class TestAdversarialLists:
         # checks still come first
         decided = []
         decide = solver._Decider.__call__
-        monkeypatch.setattr(
-            solver._Decider, "__call__", lambda self, cand, c: decided.append(c) or decide(self, cand, c)
-        )
+        monkeypatch.setattr(solver._Decider, "__call__", lambda self, cand: decided.append(cand) or decide(self, cand))
         assert adversarial_list_search(g, k, k * g.n, cap=1) is None
         assert decided == []
         with pytest.raises(ValueError):
             adversarial_list_search(g, k, k - 1)
         with pytest.raises(ValueError):
             adversarial_list_search(g, k, k * g.n, cap=0)
+
+    def test_deep_recursion_is_a_resource_cap(self):
+        # the search nests one call per vertex and per back edge, 625 + 1,200
+        # on the 25x25 grid at k=1, past Python's default limit of 1,000;
+        # the tables it leaves behind still serve the next search
+        g = generate("grid", 25, 25)
+        assert g.n + g.m > sys.getrecursionlimit()
+        with pytest.raises(ResourceCapError, match="recursion limit"):
+            adversarial_list_search(g, 1, g.n)
+        assert adversarial_list_search(generate("cycle", 4), 3, 12) is None
 
     def test_forest_k1_still_searched(self):
         # one coloring is a proper coloring from the lists, which an edge
@@ -955,9 +968,10 @@ def pool_only(monkeypatch, g: Graph, k: int, pool: list) -> solver._Decider:
 
 
 def ask(decide: solver._Decider, constraints) -> bool:
-    """Decide ``constraints`` in the call form the searches use."""
+    """Decide ``constraints`` as the searches hand a candidate over: as
+    its cells."""
 
-    return decide(candidate_cells(decide.g, decide.k, constraints), constraints)
+    return decide(candidate_cells(decide.g, decide.k, constraints))
 
 
 class TestPool:
@@ -1107,14 +1121,15 @@ def rebuilt_uf(g: Graph, k: int, chosen) -> UnionFind:
     return uf
 
 
-def assert_state_replayed(classes: _PatternClasses, g: Graph, k: int) -> None:
-    """The whole state equals that of a fresh instance that chooses the
-    same edges in the same order: parent links, touch masks, share counts
-    and pair limits."""
+def assert_state_replayed(classes: _PatternClasses, g: Graph, k: int, chosen) -> None:
+    """The whole state equals that of a fresh instance that chooses
+    ``chosen``'s edges with their pairs in the same order: chosen edge
+    numbers, parent links, touch masks, share counts and pair limits."""
 
     fresh = _PatternClasses(g, k)
-    for (u, v), pairs in classes.chosen.items():
+    for (u, v), pairs in chosen.items():
         assert fresh.choose(u, v, pairs)
+    assert classes.chosen == fresh.chosen
     assert classes.uf.parent == fresh.uf.parent
     assert classes.touches == fresh.touches
     assert classes.share == fresh.share
@@ -1155,8 +1170,7 @@ class TestPatternClasses:
                 del starts[v:]
                 classes.rollback(mark)
                 uf = rebuilt_uf(g, k, chosen)
-                assert classes.chosen == chosen
-                assert_state_replayed(classes, g, k)
+                assert_state_replayed(classes, g, k, chosen)
                 if v:
                     assert_state_rebuilt(classes, uf, g, k, v - 1)
                 continue
@@ -1181,7 +1195,7 @@ class TestPatternClasses:
                 chosen = dict(chosen)
                 classes.rollback(mark)
                 uf = rebuilt_uf(g, k, chosen)
-                assert_state_replayed(classes, g, k)
+                assert_state_replayed(classes, g, k, chosen)
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("k", [2, 3])
