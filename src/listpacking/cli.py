@@ -39,15 +39,19 @@ def _read_json(path: str):
             return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _emit(obj, out: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -251,7 +255,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["list", "correspondence"], required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
-        "--universe", type=int, default=None, help="list mode only: color universe, at least k (default k*max(n, 1))"
+        "--universe",
+        type=int,
+        default=None,
+        help="list mode only: color universe, at least k (default k*max(n, 1)); below k*max(n, 1), "
+        '"none" means only that no unsolvable pattern was found whose classes the greedy realization '
+        "fits into this many colors",
     )
     p.add_argument("--cap", type=int, default=4_000_000, help=_CAP_HELP)
     p.add_argument("--out")
@@ -285,10 +294,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except solver.ResourceCapError as exc:
-        _emit({"status": "resource", "detail": str(exc)}, getattr(args, "out", None))
-        return EXIT_RESOURCE
+        try:
+            return args.func(args)
+        except solver.ResourceCapError as exc:
+            _emit({"status": "resource", "detail": str(exc)}, getattr(args, "out", None))
+            return EXIT_RESOURCE
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -31,15 +31,17 @@ search takes with a spanning forest pinned to identity permutations, and it
 is what makes exhausting list size 3 on small cycles affordable.  The
 pattern's classes are tracked through union and rollback
 (:class:`_PatternClasses`) in flat lists: parent links, per-class vertex
-masks, and per-edge share counts and limits indexed by edge number, with
-one trail entry per union, so crossing an edge costs two list reads and a
-compare.  A pattern that cannot be consistent is cut at the union that
-breaks it, and a vertex's later back edges try only the options whose
+masks and per-vertex masks of the neighbours across chosen edges, with one
+trail entry per union.  A union breaks the pattern when its two classes
+touch one vertex or the two ends of a chosen edge, and the search cuts the
+pattern there.  A vertex's later back edges try only the options whose
 pairs each break nothing alone and that keep every pair already one class
 (:meth:`_PatternClasses.pair_masks`): the others fail anyway before any
-candidate is decided.  Forests pack for k >= 2, so a subtree whose patterns
-can share only along a forest is cut at the empty choice that makes it one,
-and a forest graph has no witness to enumerate.
+candidate is decided, and every option kept leaves its edge sharing
+exactly its pairs' classes, so a complete pattern needs no closing check.
+Forests pack for k >= 2, so a subtree whose patterns can share only along
+a forest is cut at the empty choice that makes it one, and a forest graph
+has no witness to enumerate.
 
 Both searches decide a candidate, a set of forbidden pairs per edge, in one
 place (:class:`_Decider`), in one form: one integer with k*k cells per
@@ -526,66 +528,56 @@ class _PatternClasses:
     :class:`graphs.UnionFind` whose parent links this class follows and
     sets inline (the smaller root stays the root, as in
     :meth:`graphs.UnionFind.union`).  Alongside, in flat lists: each class
-    root keeps the bitmask of the vertices the class touches, and each edge,
-    by its index in ``g.sorted_edges()`` (``eidx[x * n + y]`` for either
-    orientation), the number of classes it shares and its limit,
-    len(pairs) once chosen and k + 1 before, which no share reaches.  A
-    pattern is consistent when every vertex has k distinct classes
-    (injective) and every chosen edge shares exactly its pairs' classes
-    (closed).  Classes only merge, so a broken pattern never heals, and
-    :meth:`choose` reports a break at the union that makes it.  One trail
-    entry per union (the absorbed root, the surviving root's old mask and
-    the edges the union made shared) lets :meth:`rollback` undo it, and
-    ``chosen``, the chosen edges' numbers in order, lets it reset their
-    limits.
+    root keeps the bitmask of the vertices the class touches, and each
+    vertex, in ``tied``, the bitmask of its neighbours across chosen edges.
+    A pattern is consistent when every vertex has k distinct classes and
+    every chosen edge shares exactly its pairs' classes.  A union breaks it
+    exactly when its two classes touch one vertex or the two ends of a
+    chosen edge: the merged class would hold two positions of one vertex,
+    or be shared by a chosen edge without a pair for it.  Classes only
+    merge, so a broken pattern never heals, and :meth:`choose` reports a
+    break at the union that makes it.  An edge is tied after its own
+    unions; when its pairs hold every pair already one class (the
+    ``fixed`` of :meth:`pair_masks`), it then shares exactly its pairs'
+    classes.  One trail entry per union (the absorbed root and the
+    surviving root's old mask) lets :meth:`rollback` undo it, and
+    ``chosen``, the chosen edges (u, v) in order, lets it untie them.
     """
 
     def __init__(self, g: Graph, k: int) -> None:
         n = g.n
-        self.n, self.k = n, k
+        self.k = k
         self.uf = UnionFind(n * k)
         self.touches = [1 << (x // k) for x in range(n * k)]
-        self.nbrs = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
-        self.eidx = [-1] * (n * n)
-        for e, (u, v) in enumerate(g.sorted_edges()):
-            self.eidx[u * n + v] = self.eidx[v * n + u] = e
-        self.share = [0] * g.m
-        self.limit = [k + 1] * g.m
-        self.chosen: list[int] = []
-        self.trail: list[tuple[int, int, list[int]]] = []
+        self.tied = [0] * n
+        self.chosen: list[tuple[int, int]] = []
+        self.trail: list[tuple[int, int]] = []
 
     def mark(self) -> tuple[int, int]:
         return len(self.trail), len(self.chosen)
 
     def rollback(self, mark: tuple[int, int]) -> None:
         unions, edges = mark
-        trail, parent, touches, share = self.trail, self.uf.parent, self.touches, self.share
+        trail, parent, touches = self.trail, self.uf.parent, self.touches
         for _ in range(len(trail) - unions):
-            rb, ma, crossed = trail.pop()
+            rb, ma = trail.pop()
             touches[parent[rb]] = ma
             parent[rb] = rb
-            for e in crossed:
-                share[e] -= 1
-        chosen, limit, unset = self.chosen, self.limit, self.k + 1
+        chosen, tied = self.chosen, self.tied
         for _ in range(len(chosen) - edges):
-            limit[chosen.pop()] = unset
+            u, v = chosen.pop()
+            tied[u] &= ~(1 << v)
+            tied[v] &= ~(1 << u)
 
     def choose(self, u: int, v: int, pairs: list[tuple[int, int]]) -> bool:
         """Choose edge (u, v) with its pairs: pair (i, t) makes position i
         at u and position t at v one class.  False when a union breaks the
-        pattern, either by putting two positions of one vertex in a class or
-        by making a chosen edge share more classes than it has pairs.
+        pattern (:meth:`_breaks`); otherwise the edge is tied.
 
-        Each union walks the parent links to both roots, links the larger
-        root under the smaller, and counts one more share on each edge
-        between the two classes' vertex masks."""
+        Each union walks the parent links to both roots and links the
+        larger root under the smaller."""
 
-        n, k = self.n, self.k
-        e = self.eidx[u * n + v]
-        self.chosen.append(e)
-        self.limit[e] = len(pairs)
-        parent, touches, nbrs = self.uf.parent, self.touches, self.nbrs
-        eidx, share, limit, trail = self.eidx, self.share, self.limit, self.trail
+        k, parent, touches, trail = self.k, self.uf.parent, self.touches, self.trail
         for i, t in pairs:
             a, b = u * k + i, v * k + t
             while parent[a] != a:
@@ -594,45 +586,26 @@ class _PatternClasses:
                 b = parent[b]
             if a == b:
                 continue
-            ma, mb = touches[a], touches[b]
-            if ma & mb:
+            if self._breaks(a, b):
                 return False
             if a > b:
-                a, b, ma, mb = b, a, mb, ma
+                a, b = b, a
+            trail.append((b, touches[a]))
             parent[b] = a
-            touches[a] = ma | mb
-            # the merged class newly shares exactly the edges between its parts
-            crossed = []
-            ok = True
-            xs = ma
-            while xs:
-                low = xs & -xs
-                xs ^= low
-                x = low.bit_length() - 1
-                ys = nbrs[x] & mb
-                row = x * n - 1
-                while ys:
-                    low = ys & -ys
-                    ys ^= low
-                    e = eidx[row + low.bit_length()]
-                    share[e] += 1
-                    crossed.append(e)
-                    if share[e] > limit[e]:
-                        ok = False
-            trail.append((b, ma, crossed))
-            if not ok:
-                return False
+            touches[a] |= touches[b]
+        self.chosen.append((u, v))
+        self.tied[u] |= 1 << v
+        self.tied[v] |= 1 << u
         return True
 
     def pair_masks(self, x: int, v: int) -> tuple[int, int]:
         """Two k*k-bit masks over the pairs (i, t) of edge (x, v), not yet
         chosen, bit i*k + t: ``ok``, the pairs whose union alone breaks
-        nothing (no class touches a vertex twice, and no chosen edge shares
-        more classes than it has pairs), and ``fixed``, the pairs already
-        one class.  Classes only merge and touches and shares only grow, so
-        an option with a pair outside ``ok`` fails :meth:`choose`, and one
-        without every pair of ``fixed`` fails :meth:`choose` or
-        :meth:`closed`."""
+        nothing (:meth:`_breaks`), and ``fixed``, the pairs already one
+        class.  Classes only merge and touches and ties only grow, so an
+        option with a pair outside ``ok`` fails :meth:`choose`, and one
+        without every pair of ``fixed`` leaves the edge sharing a class
+        that is not its pairs'."""
 
         k, parent = self.k, self.uf.parent
         roots_v = []
@@ -656,38 +629,19 @@ class _PatternClasses:
 
     def _breaks(self, ra: int, rb: int) -> bool:
         """Whether merging the classes of roots ra and rb breaks the
-        pattern: both touch one vertex, or a chosen edge would share more
-        classes than it has pairs."""
+        pattern: both touch one vertex, or they touch the two ends of a
+        chosen edge."""
 
-        touches = self.touches
+        touches, tied = self.touches, self.tied
         ma, mb = touches[ra], touches[rb]
         if ma & mb:
             return True
-        n, nbrs, eidx, share, limit = self.n, self.nbrs, self.eidx, self.share, self.limit
         while ma:
             low = ma & -ma
             ma ^= low
-            a = low.bit_length() - 1
-            ys = nbrs[a] & mb
-            row = a * n - 1
-            while ys:
-                low = ys & -ys
-                ys ^= low
-                e = eidx[row + low.bit_length()]
-                if share[e] >= limit[e]:
-                    return True
+            if tied[low.bit_length() - 1] & mb:
+                return True
         return False
-
-    def closed(self, v: int, backs: Sequence[int]) -> bool:
-        """Each chosen edge (u, v), u in ``backs``, shares exactly its pairs'
-        classes; an edge can share more before it is chosen."""
-
-        row, eidx, share, limit = v * self.n, self.eidx, self.share, self.limit
-        for u in backs:
-            e = eidx[row + u]
-            if share[e] != limit[e]:
-                return False
-        return True
 
 
 def _realize_lists(
@@ -727,21 +681,23 @@ def adversarial_list_search(
     positions coincide.  Each complete, self-consistent pattern is solved
     exactly; one the solver rejects is realized into an assignment over at
     most ``universe`` colors and returned, and the search goes on when that
-    needs more colors.  Forests always pack for k >= 2, so at k >= 2 a
-    forest g returns None at once, and when an edge chooses no pairs while the edges
-    still able to share (the unchosen ones and the chosen ones with pairs)
-    form a forest, the search returns from that choice: no candidate whose
-    sharing graph is a forest is enumerated.  A vertex's first back edge
-    tries every option; its later back edges try only the options
-    :meth:`_PatternClasses.pair_masks` passes, in the same order, since
-    every other one fails a union or the closing check.  The classes keep
-    their counts in flat lists indexed by position and edge number, and
-    each union is undone from one trail entry.  Every candidate is
-    decided by the search's :class:`_Decider` (pool, then solver, every
-    packing validated), with its cells carried down the recursion.  Raises
-    ResourceCapError after ``cap`` decided candidates (pool hits, solved,
-    realizable or not) or when the recursion, one call per vertex and per
-    back edge, nests past Python's recursion limit, and ValueError when
+    needs more colors.  The realization is greedy, so with ``universe``
+    below k*max(n, 1), None means only that no unsolvable pattern was found
+    whose classes the greedy realization fits into ``universe`` colors.
+    Forests always pack for k >= 2, so at k >= 2 a forest g returns None at
+    once, and when an edge chooses no pairs while the edges still able to
+    share (the unchosen ones and the chosen ones with pairs) form a forest,
+    the search returns from that choice: no candidate whose sharing graph
+    is a forest is enumerated.  A vertex's first back edge tries every
+    option; its later back edges try only the options
+    :meth:`_PatternClasses.pair_masks` passes, in the same order.  Every
+    option taken thus fails a union or leaves its edge sharing exactly its
+    pairs' classes, so a complete pattern needs no closing check.  Every
+    candidate is decided by the search's :class:`_Decider` (pool, then
+    solver, every packing validated), with its cells carried down the
+    recursion.  Raises ResourceCapError after ``cap`` decided candidates
+    (pool hits, solved, realizable or not) or when the recursion, one call
+    per back edge, nests past Python's recursion limit, and ValueError when
     ``k < 1``, ``cap < 1`` or ``universe < k``.
     """
 
@@ -769,27 +725,30 @@ def adversarial_list_search(
     first_options = [(pairs, _cells(k, pairs)) for pairs in first_pairs]
     later_options = [(pairs, _cells(k, pairs)) for pairs in _injection_order(k)]
     classes = _PatternClasses(g, k)
-    eidx = classes.eidx
-    back_edges: list[list[int]] = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
+    # one step per back edge (u, v), u < v, by v and then u: its edge
+    # number e and whether it is v's first back edge
+    steps: list[tuple[int, int, int, bool]] = []
+    for e in sorted(range(len(edges)), key=lambda e: edges[e][::-1]):
+        u, v = edges[e]
+        steps.append((u, v, e, not steps or steps[-1][1] != v))
+    last = len(steps)
 
-    def place(v: int, edge_idx: int, allowed: int, cand: int) -> ListAssignment | None:
+    def place(s: int, allowed: int, cand: int) -> ListAssignment | None:
         # allowed: the edges still able to share, the unchosen ones and the
         # chosen ones with pairs; at a leaf, the sharing graph itself.
         # cand: the cells of the chosen pairs, the candidate as the decider
         # takes it
-        if v == n:
+        if s == last:
             return None if decide(cand) else _realize_lists(g, k, classes.uf, universe)
-        backs = back_edges[v]
-        if edge_idx == len(backs):
-            return place(v + 1, 0, allowed, cand) if classes.closed(v, backs) else None
-        u = backs[edge_idx]
-        e = eidx[u * n + v]
+        u, v, e, first = steps[s]
         shift = e * k * k
-        if edge_idx == 0:
+        if first:
             options = first_options
         else:
-            # only options within `ok` that hold all of `fixed`: every other
-            # one fails `choose` or `closed` before a candidate is decided
+            # only options within `ok` that hold all of `fixed`: one outside
+            # `ok` fails `choose`, and one without all of `fixed` would leave
+            # its edge sharing a class without a pair, which nothing checks
+            # later
             ok, fixed = classes.pair_masks(u, v)
             options = [(pairs, cells) for pairs, cells in later_options if not cells & ~ok and not fixed & ~cells]
         for pairs, cells in options:
@@ -802,17 +761,17 @@ def adversarial_list_search(
                     return None
             mark = classes.mark()
             if classes.choose(u, v, pairs):
-                got = place(v, edge_idx + 1, allowed, cand | cells << shift)
+                got = place(s + 1, allowed, cand | cells << shift)
                 if got is not None:
                     return got
             classes.rollback(mark)
         return None
 
     try:
-        return place(0, 0, everything, 0)
+        return place(0, everything, 0)
     except RecursionError:
         raise ResourceCapError(
-            f"list-pattern enumeration nests deeper than the recursion limit (n + m = {n + len(edges)})"
+            f"list-pattern enumeration nests deeper than the recursion limit (m = {last})"
         ) from None
 
 

@@ -10,7 +10,9 @@ cover search's enumeration one whole cover at a time through the public
 :func:`reference_list_search` is the list search's pattern enumeration with
 a forest check at every complete pattern instead of pruning, each pattern
 solved on its own (it takes every option of every back edge, where the
-search passes only those its pair masks let through); and
+search passes only those its pair masks let through, so after each vertex
+it checks from scratch, with :func:`closed`, that every chosen edge shares
+exactly its pairs' classes, a check the search does not need); and
 :func:`reference_extensions` is the extension engine with a full-frontier
 lookahead, which Hall-checks every later vertex that has a packed neighbor,
 on rows :func:`extension_rows` rebuilds as lists.  Three bigraph kernels
@@ -226,6 +228,18 @@ def packing_cells(g, k, cols) -> int:
     return out
 
 
+def closed(classes, chosen, v: int, backs) -> bool:
+    """Each chosen edge (u, v), u in ``backs``, shares exactly its pairs'
+    classes, counted from scratch: the roots of v's positions whose class
+    touches u.  ``chosen`` maps each chosen edge to its pairs; ``classes``
+    is a ``solver._PatternClasses``.  The search needs no such check, since
+    it chooses only options that keep every pair already one class."""
+
+    k = classes.k
+    roots = {classes.uf.find(v * k + i) for i in range(k)}
+    return all(sum(classes.touches[r] >> u & 1 for r in roots) == len(chosen[(u, v)]) for u in backs)
+
+
 def reference_list_search(g, k, universe):
     """The list search's enumeration of position patterns, vertex by vertex
     and edge by edge in the search's option order, with every complete,
@@ -265,7 +279,7 @@ def reference_list_search(g, k, universe):
             return test_candidate()
         backs = back_edges[v]
         if edge_idx == len(backs):
-            return place(v + 1, 0) if classes.closed(v, backs) else None
+            return place(v + 1, 0) if closed(classes, chosen, v, backs) else None
         u = backs[edge_idx]
         for pairs in first_pairs if edge_idx == 0 else later_pairs:
             mark = classes.mark()

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -143,6 +144,33 @@ class TestExitCodes:
         path = write_json(tmp_path, "c5.json", graph_to_json(generate("cycle", 5)))
         code, _ = run(capsys, "adversary", "--graph", path, "--mode", "correspondence", "--k", "4", "--cap", "3")
         assert code == 3
+
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # nesting past the decoder's recursion limit, through a file and
+        # through stdin
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main(["girth", "--graph", str(deep)]) == 2
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+        assert main(["mad", "--graph", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("input error:") == 2
+
+    @pytest.mark.parametrize("command", ["gen", "verify-lemma", "pack", "resource"])
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys, command):
+        # an output path that cannot be opened for writing: a directory, or
+        # a file in a missing directory
+        missing = str(tmp_path / "missing" / "out.json")
+        cover = write_json(tmp_path, "cover.json", cover_to_json(random_cover(generate("dodecahedron"), 4, 3)))
+        graph = write_json(tmp_path, "c5.json", graph_to_json(generate("cycle", 5)))
+        argv = {
+            "gen": ["gen", "cycle", "5", "--out", str(tmp_path)],
+            "verify-lemma": ["verify-lemma", "easy_prop", "--trials", "3", "--report", missing],
+            "pack": ["pack", "--regime", "girth5_k4", "--cover", cover, "--trace", missing],
+            "resource": ["adversary", "--graph", graph, "--mode", "correspondence", "--k", "4", "--cap", "3", "--out", missing],
+        }[command]
+        assert main(argv) == 2
+        assert "input error: cannot write" in capsys.readouterr().err
 
     def test_deep_list_search_is_a_resource_cap(self, tmp_path, capsys):
         # a list search nested past the recursion limit exits 3, not with a

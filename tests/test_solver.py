@@ -35,6 +35,7 @@ from listpacking.solver import (
 from oracles import (
     _fits,
     candidate_cells,
+    closed,
     extension_rows,
     oracle_cover_solvable,
     oracle_list_solvable,
@@ -743,8 +744,9 @@ class TestAdversarialLists:
     def test_choose_calls(self, monkeypatch, g, calls):
         # later back edges try only the options their pair masks pass:
         # trying every option takes 82,033, 72,443 and 66,228 calls, most
-        # of which fail; here none fails, and the decided counts are
-        # test_cap's and test_matches_reference_enumeration's
+        # of which fail; here none fails, no closing check follows (see
+        # test_chosen_edges_share_exactly_their_pairs), and the decided
+        # counts are test_cap's and test_matches_reference_enumeration's
         verdicts = []
         choose = _PatternClasses.choose
 
@@ -755,6 +757,36 @@ class TestAdversarialLists:
         monkeypatch.setattr(_PatternClasses, "choose", spy)
         assert adversarial_list_search(g, 3, 3 * g.n) is None
         assert len(verdicts) == calls and all(verdicts)
+
+    @pytest.mark.parametrize(
+        "g, calls",
+        [(generate("cycle", 5), 32_390), (DIAMOND, 9_644), (BANNER, 21_441)],
+        ids=["C5", "diamond", "banner"],
+    )
+    def test_chosen_edges_share_exactly_their_pairs(self, monkeypatch, g, calls):
+        # the invariant that lets the search skip a closing check: after
+        # every `choose`, each chosen edge shares exactly its pairs'
+        # classes, recomputed from the parent links and touch masks
+        k = 3
+        pairs_of = {}
+        seen = 0
+        choose = _PatternClasses.choose
+
+        def spy(self, u, v, pairs):
+            nonlocal seen
+            seen += 1
+            pairs_of[(u, v)] = pairs
+            got = choose(self, u, v, pairs)
+            find, touches = self.uf.find, self.touches
+            for x, y in self.chosen:
+                shared = {r for r in (find(y * k + t) for t in range(k)) if touches[r] >> x & 1}
+                assert shared == {find(x * k + i) for i, _ in pairs_of[(x, y)]}
+                assert all(find(x * k + i) == find(y * k + t) for i, t in pairs_of[(x, y)])
+            return got
+
+        monkeypatch.setattr(_PatternClasses, "choose", spy)
+        assert adversarial_list_search(g, k, k * g.n) is None
+        assert seen == calls
 
     @pytest.mark.parametrize(
         "g, k",
@@ -833,9 +865,9 @@ class TestAdversarialLists:
             adversarial_list_search(g, k, k * g.n, cap=0)
 
     def test_deep_recursion_is_a_resource_cap(self):
-        # the search nests one call per vertex and per back edge, 625 + 1,200
-        # on the 25x25 grid at k=1, past Python's default limit of 1,000;
-        # the tables it leaves behind still serve the next search
+        # the search nests one call per back edge, 1,200 on the 25x25 grid
+        # at k=1, past Python's default limit of 1,000; the tables it
+        # leaves behind still serve the next search
         g = generate("grid", 25, 25)
         assert g.n + g.m > sys.getrecursionlimit()
         with pytest.raises(ResourceCapError, match="recursion limit"):
@@ -1103,9 +1135,9 @@ def rebuilt_consistent(uf: UnionFind, k: int, chosen, upto: int) -> bool:
 
 def assert_state_rebuilt(classes: _PatternClasses, uf: UnionFind, g: Graph, k: int, upto: int) -> None:
     roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
-    for e, (u, v) in enumerate(g.sorted_edges()):
-        if v <= upto:
-            assert classes.share[e] == len(roots[u] & roots[v])
+    for w in range(g.n):
+        # every edge between vertices up to `upto` is chosen, and no other
+        assert classes.tied[w] == sum(1 << u for u in g.adjacency[w] if max(u, w) <= upto)
     for r in set().union(*roots):
         assert classes.uf.find(r) == r
         assert classes.touches[r] == sum(1 << w for w, rs in enumerate(roots) if r in rs)
@@ -1123,8 +1155,8 @@ def rebuilt_uf(g: Graph, k: int, chosen) -> UnionFind:
 
 def assert_state_replayed(classes: _PatternClasses, g: Graph, k: int, chosen) -> None:
     """The whole state equals that of a fresh instance that chooses
-    ``chosen``'s edges with their pairs in the same order: chosen edge
-    numbers, parent links, touch masks, share counts and pair limits."""
+    ``chosen``'s edges with their pairs in the same order: chosen edges,
+    parent links, touch masks and tie masks."""
 
     fresh = _PatternClasses(g, k)
     for (u, v), pairs in chosen.items():
@@ -1132,8 +1164,7 @@ def assert_state_replayed(classes: _PatternClasses, g: Graph, k: int, chosen) ->
     assert classes.chosen == fresh.chosen
     assert classes.uf.parent == fresh.uf.parent
     assert classes.touches == fresh.touches
-    assert classes.share == fresh.share
-    assert classes.limit == fresh.limit
+    assert classes.tied == fresh.tied
 
 
 class TestPatternClasses:
@@ -1183,7 +1214,7 @@ class TestPatternClasses:
                 for i, t in pairs:
                     uf.union(u * k + i, v * k + t)
                 chosen[(u, v)] = pairs
-            accepted = accepted and classes.closed(v, backs)
+            accepted = accepted and closed(classes, chosen, v, backs)
             assert accepted == rebuilt_consistent(uf, k, chosen, v)
             verdicts.add(accepted)
             if accepted:
@@ -1212,14 +1243,16 @@ class TestPatternClasses:
     )
     def test_pair_masks_drop_only_failing_options(self, g, k):
         # random patterns built vertex by vertex: at each back edge, every
-        # option outside `ok` or without all of `fixed` fails `choose` or,
-        # since shares only grow, `closed` over the edges chosen so far
+        # option outside `ok` fails `choose`, and every option without all
+        # of `fixed` fails it or leaves its edge sharing a class without a
+        # pair for it, which the oracle's from-scratch `closed` finds
         rng = random.Random(f"masks-{g.n}-{g.m}-{k}")
         options = [(pairs, solver._cells(k, pairs)) for pairs in _injection_order(k)]
         backs_of = [sorted(u for u in g.adjacency[v] if u < v) for v in range(g.n)]
         dropped = {"ok": 0, "fixed": 0}
         for _ in range(60):
             classes = _PatternClasses(g, k)
+            chosen = {}
             for v, backs in enumerate(backs_of):
                 for idx, u in enumerate(backs):
                     ok, fixed = classes.pair_masks(u, v)
@@ -1233,12 +1266,14 @@ class TestPatternClasses:
                             continue
                         dropped["ok" if cells & ~ok else "fixed"] += 1
                         mark = classes.mark()
-                        assert not (classes.choose(u, v, pairs) and classes.closed(v, backs[: idx + 1]))
+                        chosen[(u, v)] = pairs
+                        assert not (classes.choose(u, v, pairs) and closed(classes, chosen, v, backs[: idx + 1]))
                         classes.rollback(mark)
-                    if not classes.choose(u, v, rng.choice(kept)):
+                    chosen[(u, v)] = rng.choice(kept)
+                    if not classes.choose(u, v, chosen[(u, v)]):
                         break
                 else:
-                    if classes.closed(v, backs):
+                    if closed(classes, chosen, v, backs):
                         continue
                 break
         assert dropped["ok"] and dropped["fixed"]
