@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -54,6 +55,23 @@ def _emit(obj, out: str | None) -> None:
             raise ValueError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """ValueError unless ``path`` could be written: not a directory, in an
+    existing directory the process may write to.  Nothing is created, so a
+    command that fails later leaves no empty file behind."""
+
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"no directory {parent}"
+    elif not os.access(parent, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        problem = "permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {problem}")
 
 
 def _load_graph(path: str) -> graphs.Graph:
@@ -294,6 +312,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # every output path is checked before the command's work starts
+        for name in ("out", "report", "trace"):
+            path = getattr(args, name, None)
+            if path:
+                _check_writable(path)
         try:
             return args.func(args)
         except solver.ResourceCapError as exc:

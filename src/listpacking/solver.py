@@ -17,9 +17,19 @@ clears bits in it as neighbors are packed with one AND, by a mask that
 Hall check and 1-factor enumeration through two more tables keyed by that
 integer, ``_hall`` and ``_factors``, and unpacks the rows only on a miss.
 A row set recurs far more often than it is new: one pass over the
-benchmark's cover panel makes 339,765 Hall checks on 638 distinct row
+benchmark's cover panel makes 72,905 Hall checks on 636 distinct row
 sets.  All three tables are pure functions of their keys, so what the
 engine yields, and in what order, does not depend on what they hold.
+
+The exact solvers (:func:`_core_solve`) break the symmetry of the coloring
+indices.  The k colorings of a packing are unordered and a forbidden map
+acts alike in each, so permuting the indices on one connected component
+maps packings to packings, and the first vertex of each component may take
+the identity.  By the lex-leader argument (Crawford, Ginsberg, Luks and
+Roy, KR 1996) the first packing found stays the same, and a refutation
+searches one of the k! root subtrees per component.  The packer runs the
+engine from a partial packing, which breaks the symmetry, so it pins
+nothing.
 
 Adversarial list search does not enumerate raw color lists.  Two
 assignments whose per-edge shared-color position patterns agree are
@@ -192,11 +202,15 @@ def _extensions(
 
     A Hall check asks that a vertex's remaining options admit a 1-factor.
     Before the first vertex, every later vertex with a packed neighbor is
-    checked, and nothing is yielded on failure.  After each tentative
-    assignment only the later neighbors of the vertex just packed are
-    checked, and the branch is dropped on failure: every other later vertex
-    kept the options it had when it last passed.  Packing more vertices only
-    removes options, so only dead branches are dropped.  Every Hall check
+    checked, and nothing is yielded on failure.  ``order[0]`` is not
+    checked, even when it has packed neighbors (a pinned component root
+    from :func:`_core_solve`, or the packer's packed vertices): its key is
+    enumerated directly, which yields nothing when it has no 1-factor.
+    After each tentative assignment only the later neighbors of the vertex
+    just packed are checked, and the branch is dropped on failure: every
+    other later vertex kept the options it had when it last passed.
+    Packing more vertices only removes options, so only dead branches are
+    dropped.  Every Hall check
     and 1-factor enumeration goes through the ``_hall`` and ``_factors``
     tables, keyed by the integer; a miss unpacks the rows with
     :func:`_rows`.
@@ -298,12 +312,37 @@ def _core_solve(
     maps,
     order: Sequence[int] | None = None,
 ) -> dict[int, tuple[int, ...]] | None:
-    """The first packing :func:`_extensions` finds over all of g, or None."""
+    """The first packing :func:`_extensions` finds over all of g, or None.
+
+    The k colorings of a packing are unordered, and a forbidden map acts
+    alike in every coloring, so permuting the coloring indices on one
+    connected component maps packings to packings.  The first vertex of
+    each component in ``order`` therefore takes the identity (0, ..., k-1),
+    and the engine runs over the rest of ``order`` in its relative order.
+    This is a lex-leader argument: that vertex has no earlier neighbor, so
+    its rows are full and the identity is its first 1-factor; any packing
+    permuted on its component to put the identity there is one the full
+    search reaches no later.  So the first packing found is unchanged, and
+    a refutation searches one of the k! root subtrees of each component.
+    """
 
     if order is None:
         order = _solve_order(g)
+    uf = UnionFind(g.n)
+    for u, v in g.edges:
+        uf.union(u, v)
+    identity = tuple(range(k))
     assign: dict[int, tuple[int, ...]] = {}
-    for _ in _extensions(k, g.adjacency, maps, assign, order):
+    roots: set[int] = set()
+    rest = []
+    for v in order:
+        r = uf.find(v)
+        if r in roots:
+            rest.append(v)
+        else:
+            roots.add(r)
+            assign[v] = identity
+    for _ in _extensions(k, g.adjacency, maps, assign, rest):
         return assign
     return None
 

@@ -15,8 +15,11 @@ it checks from scratch, with :func:`closed`, that every chosen edge shares
 exactly its pairs' classes, a check the search does not need); and
 :func:`reference_extensions` is the extension engine with a full-frontier
 lookahead, which Hall-checks every later vertex that has a packed neighbor,
-on rows :func:`extension_rows` rebuilds as lists.  Three bigraph kernels
-keep their plain form here: :func:`reference_one_factors` enumerates
+on rows :func:`extension_rows` rebuilds as lists.  The exact solver keeps
+its form from before the coloring-index symmetry:
+:func:`reference_core_solve` runs the library's engine over the whole
+order, with no component's first vertex pinned to the identity.  Three
+bigraph kernels keep their plain form here: :func:`reference_one_factors` enumerates
 1-factors with one generator per row, :func:`reference_column_masks`
 transposes bit by bit, and :func:`reference_obstructions` scans every
 subset of the obstruction size.  The library enumerates 1-factors but never counts them,
@@ -349,6 +352,21 @@ def reference_extensions(k, adj, maps, assign, order):
         assign.pop(v, None)
 
     return rec(0)
+
+
+def reference_core_solve(g, k, maps, order=None):
+    """The exact solver without the coloring-index symmetry: the first
+    packing ``solver._extensions`` finds over all of ``order`` (the
+    solver's order by default) from the empty packing, or None."""
+
+    from listpacking.solver import _extensions, _solve_order
+
+    if order is None:
+        order = _solve_order(g)
+    assign: dict[int, tuple[int, ...]] = {}
+    for _ in _extensions(k, g.adjacency, maps, assign, order):
+        return assign
+    return None
 
 
 def reference_one_factors(s, rows):

@@ -172,6 +172,35 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "input error: cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["verify-lemma", "pack"])
+    def test_unwritable_output_fails_before_the_work(self, tmp_path, capsys, monkeypatch, command, where):
+        # the path is refused before any trial or packing runs, and nothing
+        # reaches stdout
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran before its output path was checked")
+
+        monkeypatch.setattr("listpacking.lemmas.verify", never)
+        monkeypatch.setattr("listpacking.cli.pack_constructive", never)
+        bad = str(tmp_path / "missing" / "out.json") if where == "missing" else str(tmp_path)
+        cover = write_json(tmp_path, "cover.json", cover_to_json(random_cover(generate("dodecahedron"), 4, 3)))
+        argv = {
+            "verify-lemma": ["verify-lemma", "switcher_simple", "--trials", "20000", "--report", bad],
+            "pack": ["pack", "--regime", "girth5_k4", "--cover", cover, "--trace", bad],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"input error: cannot write {bad}" in captured.err
+
+    def test_output_check_creates_no_file(self, tmp_path, capsys):
+        # a writable path passes the check, and a command that then fails
+        # on its input leaves no file there
+        out = tmp_path / "out.json"
+        bad = write_json(tmp_path, "bad.json", {"k": 2})
+        assert main(["solve", "--cover", bad, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "input error:" in capsys.readouterr().err
+
     def test_deep_list_search_is_a_resource_cap(self, tmp_path, capsys):
         # a list search nested past the recursion limit exits 3, not with a
         # traceback

@@ -10,6 +10,7 @@ from listpacking import solver
 from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors
 from listpacking.covers import (
     CorrespondenceCover,
+    ListAssignment,
     Packing,
     Perm,
     cover_to_json,
@@ -41,6 +42,7 @@ from oracles import (
     oracle_list_solvable,
     packing_cells,
     reference_cover_search,
+    reference_core_solve,
     reference_extensions,
     reference_list_search,
 )
@@ -311,15 +313,20 @@ def panel_extensions(kind: str, seed: int) -> list[tuple[tuple[int, ...], ...]]:
     return [tuple(assign[v] for v in order) for _ in _extensions(3, g.adjacency, maps, assign, order)]
 
 
-def list_panel_packings() -> list[dict | None]:
-    """The packings of 40 seeded list assignments of C5 at k=3 over 6
-    colors, or None where none exists."""
+def list_panel() -> list[ListAssignment]:
+    """40 seeded list assignments of C5 at k=3 over 6 colors."""
 
     rng = random.Random(5)
     g = generate("cycle", 5)
+    return [list_assignment(g, 3, [rng.sample(range(6), 3) for _ in range(5)]) for _ in range(40)]
+
+
+def list_panel_packings() -> list[dict | None]:
+    """The packings of the list panel, or None where none exists."""
+
     out = []
-    for _ in range(40):
-        got = solve_list_packing(list_assignment(g, 3, [rng.sample(range(6), 3) for _ in range(5)]))
+    for la in list_panel():
+        got = solve_list_packing(la)
         out.append(None if got is None else got.assign)
     return out
 
@@ -440,12 +447,13 @@ class TestExtensions:
         assert got == nested(reference_extensions)
 
     def test_pinned_work_count(self, monkeypatch):
-        # the engine asks for 43 enumerations and 138 Hall checks (the
-        # full-frontier lookahead: 43 and 234); on cold tables only 9 and 15
-        # of them reach the kernels
+        # with the first vertex pinned to the identity, the engine asks for 7
+        # enumerations and 22 Hall checks (the full-frontier lookahead from
+        # the same pin: 7 and 36; unpinned, 43 and 138); on cold tables
+        # only 4 and 7 of them reach the kernels
         calls = count_kernel_calls(monkeypatch)
         assert solve_packing(random_cover(generate("dodecahedron"), 3, 0)) is None
-        assert calls == {"_factors": 43, "_hall": 138, "_raw_one_factors": 9, "_raw_has_one_factor": 15}
+        assert calls == {"_factors": 7, "_hall": 22, "_raw_one_factors": 4, "_raw_has_one_factor": 7}
 
     def test_warm_rerun_is_identical(self, monkeypatch):
         # a second pass over the panel reads every answer from the tables
@@ -568,6 +576,62 @@ class TestExtensions:
         calls = count_kernel_calls(monkeypatch)
         assert engine_extensions(cover, packing, (0, 1)) == []
         assert calls["_factors"] == calls["_raw_one_factors"] == 0
+
+
+# two triangles, a path and an isolated vertex
+FOUR_COMPONENTS = graph_from_edges(10, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (7, 8)))
+
+
+class TestCoreSolve:
+    """The exact solver pins each component's first vertex to the identity;
+    the first packing it finds is the unpinned solver's."""
+
+    def assert_same(self, g, k, maps, order=None):
+        got = solver._core_solve(g, k, maps, order)
+        assert got == reference_core_solve(g, k, maps, order)
+        return got
+
+    @pytest.mark.parametrize("kind, seed", COVER_PANEL, ids=[f"{kind}-{seed}" for kind, seed in COVER_PANEL])
+    def test_cover_panel(self, kind, seed):
+        g = generate(kind, 4, 5) if kind == "grid" else generate(kind)
+        got = self.assert_same(g, 3, forbidden_maps(random_cover(g, 3, seed), range(g.n), ()))
+        assert (got is None) == (seed < 5)
+
+    def test_list_panel(self):
+        # partial maps: the panel packs throughout, the even cycle gadgets
+        # (as in TestSolveListPacking) do not
+        gadgets = [list_assignment(generate("cycle", n), 2, [[1, 2]] * (n - 2) + [[1, 3], [2, 3]]) for n in (4, 6)]
+        got = [self.assert_same(la.graph, la.k, solver._list_pattern_maps(la)) for la in list_panel() + gadgets]
+        assert [p is None for p in got] == [False] * 40 + [True, True]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_pin_per_component(self, monkeypatch, k):
+        g = FOUR_COMPONENTS
+        comps = [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9}]
+        runs = []
+        real = solver._extensions
+
+        def spy(k, adj, maps, assign, order):
+            runs.append((dict(assign), tuple(order)))
+            return real(k, adj, maps, assign, order)
+
+        monkeypatch.setattr(solver, "_extensions", spy)
+        packed = set()
+        for order in (None, tuple(range(g.n)), (8, 5, 9, 2, 7, 4, 1, 6, 3, 0)):
+            full = solver._solve_order(g) if order is None else order
+            firsts = [next(v for v in full if v in comp) for comp in comps]
+            for seed in range(8):
+                runs.clear()
+                got = self.assert_same(g, k, forbidden_maps(random_cover(g, k, seed), range(g.n), ()), order)
+                packed.add(got is not None)
+                # the spy saw the pinned call first, then the reference's
+                assert runs[0] == ({v: tuple(range(k)) for v in firsts}, tuple(v for v in full if v not in firsts))
+                assert runs[1] == ({}, tuple(full))
+        # an edge refutes k=1; seeds 2, 6 and 7 pack at k=2, seed 2 at k=3
+        assert packed == {1: {False}, 2: {False, True}, 3: {False, True}, 4: {True}}[k]
+
+    def test_empty_graph(self):
+        assert self.assert_same(Graph(0, frozenset()), 3, {}) == {}
 
 
 class TestAdversarialCovers:
