@@ -211,7 +211,8 @@ wire formats (all emitted with sorted keys):
   packing  {"k": 2, "assign": {"0": [c1,c2], ...}}  (entry j = coloring j)
 exit codes: 0 ok / verified / packing; 1 witness / none / counterexample;
 2 input error (including --cap below 1, or --universe in correspondence
-mode); 3 resource cap exceeded (emits {"status": "resource"});
+mode); 3 resource cap exceeded, by candidates past --cap or an option
+table past 2^20 entries (emits {"status": "resource"});
 4 internal error (a result failed self-validation; details on stderr).
 """
 

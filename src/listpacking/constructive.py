@@ -24,7 +24,7 @@ returned.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
@@ -110,53 +110,47 @@ class PackOutcome:
 # ---------------------------------------------------------------------------
 
 
-def find_reduction(g: Graph, regime: str, active: Collection[int] | None = None) -> Reduction:
+def find_reduction(g: Graph, regime: str, active: Mapping[int, int] | None = None) -> Reduction:
     """A configuration the regime's class guarantees to exist.
 
     Searched in priority order with index tie-breaks, over the subgraph
-    induced by ``active`` (defaults to the whole graph).  ``active`` may be a
-    mapping from each active vertex to its degree in that subgraph, which is
-    then read instead of recounted.  Raises ClassViolationError when nothing
-    is found, which means the input is not in the declared class.
+    induced by the vertices of ``active``, a mapping from each to its
+    degree in that subgraph, which is read, not recounted (None means the
+    whole graph).  Raises ClassViolationError when nothing is found, which
+    means the input is not in the declared class.
     """
 
     if regime not in REGIME_K:
         raise ValueError(f"unknown regime {regime!r}")
-    if active is None:
-        active = range(g.n)
-    if not active:
+    deg = {v: len(adj) for v, adj in enumerate(g.adjacency)} if active is None else active
+    if not deg:
         raise ClassViolationError("no vertices to reduce")
-    if isinstance(active, Mapping):
-        deg = active
-    else:
-        active = frozenset(active)
-        deg = {v: sum(1 for w in g.adjacency[v] if w in active) for v in active}
     low_cut = REGIME_K[regime] // 2
 
-    for v in sorted(active):
+    for v in sorted(deg):
         if deg[v] <= low_cut:
             return Reduction("low_degree_vertex", (v,))
 
     if regime == "mad4_k5":
-        for v in sorted(active):
+        for v in sorted(deg):
             if deg[v] != 3:
                 continue
             for w in g.adjacency[v]:
-                if w in active and deg[w] <= 4:
+                if w in deg and deg[w] <= 4:
                     return Reduction("light_edge", (v, w))
-        for v in sorted(active):
+        for v in sorted(deg):
             if deg[v] != 5:
                 continue
-            threes = [w for w in g.adjacency[v] if w in active and deg[w] == 3]
+            threes = [w for w in g.adjacency[v] if w in deg and deg[w] == 3]
             if len(threes) >= 4:
                 return Reduction("five_with_four_threes", (v, *threes[:4]))
         raise ClassViolationError("no reducible configuration: graph not in mad<4 class")
 
     if regime == "girth5_k4":
-        for v in sorted(active):
+        for v in sorted(deg):
             if deg[v] != 3:
                 continue
-            threes = [w for w in g.adjacency[v] if w in active and deg[w] == 3]
+            threes = [w for w in g.adjacency[v] if w in deg and deg[w] == 3]
             if len(threes) >= 2:
                 return Reduction("path_3_3_3", (threes[0], v, threes[1]))
         raise ClassViolationError(
@@ -164,7 +158,7 @@ def find_reduction(g: Graph, regime: str, active: Collection[int] | None = None)
         )
 
     # planar_k8: a light triangle, vertices sorted by degree
-    tri = find_light_triangle(g, active)
+    tri = find_light_triangle(g, deg)
     if tri is None:
         raise ClassViolationError("no light triangle: graph not in the planar minimum-degree-5 class")
     return Reduction("light_triangle", tuple(sorted(tri, key=lambda x: (deg[x], x))))

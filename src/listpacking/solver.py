@@ -43,15 +43,21 @@ pattern's classes are tracked through union and rollback
 (:class:`_PatternClasses`) in flat lists: parent links, per-class vertex
 masks and per-vertex masks of the neighbours across chosen edges, with one
 trail entry per union.  A union breaks the pattern when its two classes
-touch one vertex or the two ends of a chosen edge, and the search cuts the
-pattern there.  A vertex's later back edges try only the options whose
-pairs each break nothing alone and that keep every pair already one class
-(:meth:`_PatternClasses.pair_masks`): the others fail anyway before any
-candidate is decided, and every option kept leaves its edge sharing
-exactly its pairs' classes, so a complete pattern needs no closing check.
-Forests pack for k >= 2, so a subtree whose patterns can share only along
-a forest is cut at the empty choice that makes it one, and a forest graph
-has no witness to enumerate.
+touch one vertex or the two ends of a chosen edge.  A vertex's later back
+edges try only the options whose pairs each break nothing alone and that
+keep every pair already one class (:meth:`_PatternClasses.pair_masks`):
+the others break the pattern or leave an edge sharing a class without a
+pair, and every option kept leaves the pattern consistent, so
+:meth:`_PatternClasses.choose` applies it unchecked and a complete pattern
+needs no closing check.  The search runs in one frame over a stack of one
+generator per back edge on the current path; each chooses its edge's
+options in turn and rolls back when resumed, so the depth is m without
+any Python recursion.  Forests pack for k >= 2, so a subtree whose
+patterns can share only along a forest is cut at the empty choice that
+makes it one, and a forest graph has no witness to enumerate.  Both
+searches build their option tables before the first candidate, so each
+stops with ResourceCapError when its table would hold more than
+``OPTION_CAP`` entries.
 
 Both searches decide a candidate, a set of forbidden pairs per edge, in one
 place (:class:`_Decider`), in one form: one integer with k*k cells per
@@ -70,6 +76,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, permutations, product
+from math import comb, factorial, perm
 from typing import Iterator, Sequence
 
 from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors, bits
@@ -86,7 +93,8 @@ from listpacking.graphs import Graph, UnionFind, degeneracy, forest_walk
 
 
 class ResourceCapError(RuntimeError):
-    """An adversarial enumeration exceeded its candidate cap."""
+    """An adversarial enumeration exceeded its candidate cap, or its option
+    table would exceed ``OPTION_CAP`` entries."""
 
 
 # packings an adversarial search keeps to try on each candidate before
@@ -94,6 +102,13 @@ class ResourceCapError(RuntimeError):
 # slower than 16, and 16 to 64 ran alike: past 16 the hits a larger pool
 # adds cost as much as the longer scan of every miss.
 POOL_CAP = 16
+
+# entries an adversarial search's option table may hold: the list search's
+# later-option table (sum over j of C(k, j)**2 * j! partial injections,
+# 130,922 at k = 7 and 1,441,729 at k = 8) or the cover search's k!
+# permutations per free edge (3 * 8! on K4).  A search whose table would be
+# larger stops with ResourceCapError before building it.
+OPTION_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -508,20 +523,23 @@ def adversarial_cover_search(
     order.  Each candidate is decided by the search's :class:`_Decider`
     (pool, then solver, every packing validated) as the OR of its arcs'
     precomputed cell masks, and only the witness is built as a cover.
-    Raises ResourceCapError after ``cap`` decided candidates, and ValueError
-    when ``k < 1`` or ``cap < 1``.
+    Raises ResourceCapError after ``cap`` decided candidates, or at once
+    when the free edges' arc options, k! each, would number more than
+    ``OPTION_CAP``, and ValueError when ``k < 1`` or ``cap < 1``.
     """
 
     decide = _Decider(g, k, cap, f"cover enumeration exceeded cap={cap}")
     slot = decide.slot
     tree = _spanning_forest(g)
     free = [e for e in g.sorted_edges() if e not in tree]
+    size = len(free) * factorial(k)
+    if size > OPTION_CAP:
+        raise ResourceCapError(f"cover enumeration needs {size:,} arc options, over {OPTION_CAP:,}")
+    identity = tuple(range(k))
+    tree_cells = sum(_cells(k, enumerate(identity)) << slot[e] for e in tree)
     # each arc's permutation p beside the cells (a, p(a)) of its forbidden
     # pairs in the arc's slot
-    perms = list(permutations(range(k)))
-    identity = perms[0]
-    tree_cells = sum(_cells(k, enumerate(identity)) << slot[e] for e in tree)
-    arc_options = [[(p, _cells(k, enumerate(p)) << slot[e]) for p in perms] for e in free]
+    arc_options = [[(p, _cells(k, enumerate(p)) << slot[e]) for p in permutations(identity)] for e in free]
     for choice in product(*arc_options):
         cand = tree_cells
         for _, cells in choice:
@@ -574,8 +592,9 @@ class _PatternClasses:
     exactly when its two classes touch one vertex or the two ends of a
     chosen edge: the merged class would hold two positions of one vertex,
     or be shared by a chosen edge without a pair for it.  Classes only
-    merge, so a broken pattern never heals, and :meth:`choose` reports a
-    break at the union that makes it.  An edge is tied after its own
+    merge, so a broken pattern never heals.  :meth:`pair_masks` tells which
+    options of an edge keep the pattern consistent, and :meth:`choose`
+    applies one without checking it.  An edge is tied after its own
     unions; when its pairs hold every pair already one class (the
     ``fixed`` of :meth:`pair_masks`), it then shares exactly its pairs'
     classes.  One trail entry per union (the absorbed root and the
@@ -608,13 +627,25 @@ class _PatternClasses:
             tied[u] &= ~(1 << v)
             tied[v] &= ~(1 << u)
 
-    def choose(self, u: int, v: int, pairs: list[tuple[int, int]]) -> bool:
+    def choose(self, u: int, v: int, pairs: list[tuple[int, int]]) -> None:
         """Choose edge (u, v) with its pairs: pair (i, t) makes position i
-        at u and position t at v one class.  False when a union breaks the
-        pattern (:meth:`_breaks`); otherwise the edge is tied.
+        at u and position t at v one class; then the edge is tied.  Each
+        union walks the parent links to both roots and links the larger
+        root under the smaller.
 
-        Each union walks the parent links to both roots and links the
-        larger root under the smaller."""
+        No union is checked, because none can break the pattern.  The
+        search chooses a later back edge (u, v) only with an option that
+        :meth:`pair_masks` passes: a partial injection whose pairs each
+        break nothing alone and that holds every pair of ``fixed``.  No
+        earlier union of the option changes the two classes a later pair
+        joins.  The classes at u are distinct, as are those at v, and a
+        class that u and v already share is ``fixed``, so the option pairs
+        its positions with each other and with nothing else.  Ties are added
+        only after the unions.  So each union breaks the pattern exactly
+        when :meth:`_breaks` said it would alone, which is never.  A first
+        back edge meets only v's singleton, untied classes, and no union of
+        one with a class of u breaks anything.
+        """
 
         k, parent, touches, trail = self.k, self.uf.parent, self.touches, self.trail
         for i, t in pairs:
@@ -625,8 +656,6 @@ class _PatternClasses:
                 b = parent[b]
             if a == b:
                 continue
-            if self._breaks(a, b):
-                return False
             if a > b:
                 a, b = b, a
             trail.append((b, touches[a]))
@@ -635,16 +664,16 @@ class _PatternClasses:
         self.chosen.append((u, v))
         self.tied[u] |= 1 << v
         self.tied[v] |= 1 << u
-        return True
 
     def pair_masks(self, x: int, v: int) -> tuple[int, int]:
         """Two k*k-bit masks over the pairs (i, t) of edge (x, v), not yet
         chosen, bit i*k + t: ``ok``, the pairs whose union alone breaks
         nothing (:meth:`_breaks`), and ``fixed``, the pairs already one
         class.  Classes only merge and touches and ties only grow, so an
-        option with a pair outside ``ok`` fails :meth:`choose`, and one
+        option with a pair outside ``ok`` breaks the pattern, and one
         without every pair of ``fixed`` leaves the edge sharing a class
-        that is not its pairs'."""
+        that is not its pairs'; every other option keeps it consistent
+        (:meth:`choose`)."""
 
         k, parent = self.k, self.uf.parent
         roots_v = []
@@ -730,14 +759,17 @@ def adversarial_list_search(
     is a forest is enumerated.  A vertex's first back edge tries every
     option; its later back edges try only the options
     :meth:`_PatternClasses.pair_masks` passes, in the same order.  Every
-    option taken thus fails a union or leaves its edge sharing exactly its
-    pairs' classes, so a complete pattern needs no closing check.  Every
-    candidate is decided by the search's :class:`_Decider` (pool, then
-    solver, every packing validated), with its cells carried down the
-    recursion.  Raises ResourceCapError after ``cap`` decided candidates
-    (pool hits, solved, realizable or not) or when the recursion, one call
-    per back edge, nests past Python's recursion limit, and ValueError when
-    ``k < 1``, ``cap < 1`` or ``universe < k``.
+    option taken thus keeps the pattern consistent
+    (:meth:`_PatternClasses.choose`), so none is checked once chosen and a
+    complete pattern needs no closing check.  The search runs in one
+    frame, over a stack of one generator per back edge on the current
+    path, and resumes only the top one.  Every candidate is decided by the
+    search's :class:`_Decider` (pool, then solver, every packing
+    validated), with its cells carried up the stack.  Raises
+    ResourceCapError after ``cap`` decided candidates (pool hits, solved,
+    realizable or not), or at once when the later back edges' option
+    table would hold more than ``OPTION_CAP`` partial injections, and
+    ValueError when ``k < 1``, ``cap < 1`` or ``universe < k``.
     """
 
     decide = _Decider(g, k, cap, "list-pattern enumeration exceeded its cap")
@@ -756,6 +788,9 @@ def adversarial_list_search(
     everything = (1 << len(edges)) - 1
     if n == 0 or (k >= 2 and is_forest(everything)):
         return None
+    size = sum(comb(k, j) * perm(k, j) for j in range(k + 1))
+    if size > OPTION_CAP:
+        raise ResourceCapError(f"list-pattern enumeration needs {size:,} options per back edge, over {OPTION_CAP:,}")
     # a vertex's labels are still free at its first back edge, so that edge
     # pins its targets to a prefix, and its unions cannot fail; later back
     # edges take any injection that passes the classes' pair masks.  Each
@@ -772,24 +807,23 @@ def adversarial_list_search(
         steps.append((u, v, e, not steps or steps[-1][1] != v))
     last = len(steps)
 
-    def place(s: int, allowed: int, cand: int) -> ListAssignment | None:
-        # allowed: the edges still able to share, the unchosen ones and the
-        # chosen ones with pairs; at a leaf, the sharing graph itself.
-        # cand: the cells of the chosen pairs, the candidate as the decider
-        # takes it
-        if s == last:
-            return None if decide(cand) else _realize_lists(g, k, classes.uf, universe)
+    def tries(s: int, allowed: int, cand: int) -> Iterator[tuple[int, int]]:
+        # step s's options, each chosen in turn and rolled back when the
+        # generator resumes.  allowed: the edges still able to share, the
+        # unchosen ones and the chosen ones with pairs.  cand: the cells of
+        # the chosen pairs, the candidate as the decider takes it
         u, v, e, first = steps[s]
         shift = e * k * k
         if first:
             options = first_options
         else:
             # only options within `ok` that hold all of `fixed`: one outside
-            # `ok` fails `choose`, and one without all of `fixed` would leave
-            # its edge sharing a class without a pair, which nothing checks
-            # later
+            # `ok` breaks the pattern, and one without all of `fixed` would
+            # leave its edge sharing a class without a pair, which nothing
+            # checks later
             ok, fixed = classes.pair_masks(u, v)
             options = [(pairs, cells) for pairs, cells in later_options if not cells & ~ok and not fixed & ~cells]
+        mark = classes.mark()
         for pairs, cells in options:
             if not pairs:
                 allowed &= ~(1 << e)
@@ -797,21 +831,28 @@ def adversarial_list_search(
                     # every completion shares along a forest, and forests
                     # pack; the empty set is the last option, so no sibling
                     # is lost
-                    return None
-            mark = classes.mark()
-            if classes.choose(u, v, pairs):
-                got = place(s + 1, allowed, cand | cells << shift)
-                if got is not None:
-                    return got
+                    return
+            classes.choose(u, v, pairs)
+            yield allowed, cand | cells << shift
             classes.rollback(mark)
-        return None
 
-    try:
-        return place(0, everything, 0)
-    except RecursionError:
-        raise ResourceCapError(
-            f"list-pattern enumeration nests deeper than the recursion limit (m = {last})"
-        ) from None
+    # stack[s] yields the states after s steps, each a pattern on the path
+    # the search is on; only the top generator runs, and after the last
+    # step its candidates are decided
+    stack: list[Iterator[tuple[int, int]]] = [iter([(everything, 0)])]
+    while stack:
+        s = len(stack) - 1
+        for allowed, cand in stack[-1]:
+            if s < last:
+                stack.append(tries(s, allowed, cand))
+                break
+            if not decide(cand):
+                found = _realize_lists(g, k, classes.uf, universe)
+                if found is not None:
+                    return found
+        else:
+            stack.pop()
+    return None
 
 
 def packing_number(

@@ -10,9 +10,9 @@ cover search's enumeration one whole cover at a time through the public
 :func:`reference_list_search` is the list search's pattern enumeration with
 a forest check at every complete pattern instead of pruning, each pattern
 solved on its own (it takes every option of every back edge, where the
-search passes only those its pair masks let through, so after each vertex
-it checks from scratch, with :func:`closed`, that every chosen edge shares
-exactly its pairs' classes, a check the search does not need); and
+search passes only those its pair masks let through, so after each choice
+it checks the pattern from scratch, with :func:`rebuilt_consistent`, a
+check the search does not need); and
 :func:`reference_extensions` is the extension engine with a full-frontier
 lookahead, which Hall-checks every later vertex that has a packed neighbor,
 on rows :func:`extension_rows` rebuilds as lists.  The exact solver keeps
@@ -231,16 +231,17 @@ def packing_cells(g, k, cols) -> int:
     return out
 
 
-def closed(classes, chosen, v: int, backs) -> bool:
-    """Each chosen edge (u, v), u in ``backs``, shares exactly its pairs'
-    classes, counted from scratch: the roots of v's positions whose class
-    touches u.  ``chosen`` maps each chosen edge to its pairs; ``classes``
-    is a ``solver._PatternClasses``.  The search needs no such check, since
-    it chooses only options that keep every pair already one class."""
+def rebuilt_consistent(uf, k: int, chosen, upto: int) -> bool:
+    """The from-scratch check the incremental classes replace: in the
+    union-find ``uf`` over positions (position i at w is w*k + i), every
+    vertex w <= upto has k distinct classes, and every chosen edge shares
+    exactly its pairs' classes.  ``chosen`` maps each chosen edge to its
+    pairs."""
 
-    k = classes.k
-    roots = {classes.uf.find(v * k + i) for i in range(k)}
-    return all(sum(classes.touches[r] >> u & 1 for r in roots) == len(chosen[(u, v)]) for u in backs)
+    roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
+    return all(len(rs) == k for rs in roots) and all(
+        len(roots[u] & roots[v]) == len(pairs) for (u, v), pairs in chosen.items()
+    )
 
 
 def reference_list_search(g, k, universe):
@@ -282,12 +283,13 @@ def reference_list_search(g, k, universe):
             return test_candidate()
         backs = back_edges[v]
         if edge_idx == len(backs):
-            return place(v + 1, 0) if closed(classes, chosen, v, backs) else None
+            return place(v + 1, 0)
         u = backs[edge_idx]
         for pairs in first_pairs if edge_idx == 0 else later_pairs:
             mark = classes.mark()
             chosen[(u, v)] = pairs
-            if classes.choose(u, v, pairs):
+            classes.choose(u, v, pairs)
+            if rebuilt_consistent(classes.uf, k, chosen, v):
                 got = place(v, edge_idx + 1)
                 if got is not None:
                     return got

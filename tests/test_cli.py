@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -201,12 +202,31 @@ class TestExitCodes:
         assert not out.exists()
         assert "input error:" in capsys.readouterr().err
 
-    def test_deep_list_search_is_a_resource_cap(self, tmp_path, capsys):
-        # a list search nested past the recursion limit exits 3, not with a
-        # traceback
+    def test_deep_list_search_decides(self, tmp_path, capsys):
+        # the 25x25 grid's 1,200 back edges, past Python's default recursion
+        # limit, still give a witness at k=2, so its packing number is not
+        # at most 2
         path = write_json(tmp_path, "grid.json", graph_to_json(generate("grid", 25, 25)))
-        code, out = run(capsys, "chromatic", "--graph", path, "--mode", "list", "--upper", "3")
-        assert code == 3 and json.loads(out)["status"] == "resource"
+        code, out = run(capsys, "adversary", "--graph", path, "--mode", "list", "--k", "2")
+        result = json.loads(out)
+        assert code == 1 and result["status"] == "witness" and result["universe"] == 1250
+        lists = result["lists"]["lists"]
+        assert [lists[str(v)] for v in range(625)] == [[0, 1]] * 623 + [[0, 2], [1, 2]]
+        code, out = run(capsys, "chromatic", "--graph", path, "--mode", "list", "--upper", "2")
+        result = json.loads(out)
+        assert code == 3 and result["status"] == "resource"
+        assert "witnesses exist up to k=2" in result["detail"]
+
+    @pytest.mark.parametrize("mode, k", [("list", 9), ("list", 17), ("correspondence", 12)])
+    def test_option_table_bound(self, tmp_path, capsys, mode, k):
+        # a search whose option table would pass OPTION_CAP entries exits 3
+        # before building it; list k=17 would need about 1.3e17 injections
+        path = write_json(tmp_path, "c4.json", graph_to_json(generate("cycle", 4)))
+        start = time.perf_counter()
+        code, out = run(capsys, "adversary", "--graph", path, "--mode", mode, "--k", str(k))
+        assert time.perf_counter() - start < 5
+        result = json.loads(out)
+        assert code == 3 and result["status"] == "resource" and "options" in result["detail"]
 
 
     @pytest.mark.parametrize(

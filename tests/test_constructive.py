@@ -91,12 +91,12 @@ class TestFindReduction:
 
 
 def from_scratch_plan(g, regime: str) -> list[Reduction]:
-    """The packer's peel, with every active degree recounted by
-    ``find_reduction`` at each step."""
+    """The packer's peel, with every active degree recounted at each
+    step."""
 
     plan, active = [], frozenset(range(g.n))
     while active:
-        red = find_reduction(g, regime, active)
+        red = find_reduction(g, regime, {v: sum(w in active for w in g.adjacency[v]) for v in active})
         plan.append(red)
         active = active - set(red.removable())
     return plan

@@ -36,11 +36,11 @@ from listpacking.solver import (
 from oracles import (
     _fits,
     candidate_cells,
-    closed,
     extension_rows,
     oracle_cover_solvable,
     oracle_list_solvable,
     packing_cells,
+    rebuilt_consistent,
     reference_cover_search,
     reference_core_solve,
     reference_extensions,
@@ -661,6 +661,18 @@ class TestAdversarialCovers:
         with pytest.raises(ValueError):
             adversarial_cover_search(generate("cycle", 4), 2, cap=cap)
 
+    @pytest.mark.parametrize("k, message", [(8, "exceeded cap=1"), (9, "1,088,640 arc options")], ids=["k8", "k9"])
+    def test_option_table_bound(self, k, message):
+        # K4's three free edges take 3 * 8! arc options at k=8, within
+        # OPTION_CAP, and 3 * 9! at k=9, past it: that search stops before
+        # it builds them
+        with pytest.raises(ResourceCapError, match=message):
+            adversarial_cover_search(generate("complete", 4), k, cap=1)
+
+    def test_forest_builds_no_options(self):
+        # with no free edge there is no table to bound, even at k=12
+        assert adversarial_cover_search(generate("path", 5), 12) is None
+
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize(
         "g",
@@ -808,19 +820,23 @@ class TestAdversarialLists:
     def test_choose_calls(self, monkeypatch, g, calls):
         # later back edges try only the options their pair masks pass:
         # trying every option takes 82,033, 72,443 and 66,228 calls, most
-        # of which fail; here none fails, no closing check follows (see
+        # of which break the pattern; here every choice leaves it
+        # consistent, checked from scratch, no closing check follows (see
         # test_chosen_edges_share_exactly_their_pairs), and the decided
         # counts are test_cap's and test_matches_reference_enumeration's
-        verdicts = []
+        k = 3
+        pairs_of = {}
+        consistent = []
         choose = _PatternClasses.choose
 
         def spy(self, u, v, pairs):
-            verdicts.append(choose(self, u, v, pairs))
-            return verdicts[-1]
+            pairs_of[(u, v)] = pairs
+            choose(self, u, v, pairs)
+            consistent.append(rebuilt_consistent(self.uf, k, {e: pairs_of[e] for e in self.chosen}, v))
 
         monkeypatch.setattr(_PatternClasses, "choose", spy)
-        assert adversarial_list_search(g, 3, 3 * g.n) is None
-        assert len(verdicts) == calls and all(verdicts)
+        assert adversarial_list_search(g, k, k * g.n) is None
+        assert len(consistent) == calls and all(consistent)
 
     @pytest.mark.parametrize(
         "g, calls",
@@ -840,13 +856,12 @@ class TestAdversarialLists:
             nonlocal seen
             seen += 1
             pairs_of[(u, v)] = pairs
-            got = choose(self, u, v, pairs)
+            choose(self, u, v, pairs)
             find, touches = self.uf.find, self.touches
             for x, y in self.chosen:
                 shared = {r for r in (find(y * k + t) for t in range(k)) if touches[r] >> x & 1}
                 assert shared == {find(x * k + i) for i, _ in pairs_of[(x, y)]}
                 assert all(find(x * k + i) == find(y * k + t) for i, t in pairs_of[(x, y)])
-            return got
 
         monkeypatch.setattr(_PatternClasses, "choose", spy)
         assert adversarial_list_search(g, k, k * g.n) is None
@@ -928,15 +943,28 @@ class TestAdversarialLists:
         with pytest.raises(ValueError):
             adversarial_list_search(g, k, k * g.n, cap=0)
 
-    def test_deep_recursion_is_a_resource_cap(self):
-        # the search nests one call per back edge, 1,200 on the 25x25 grid
-        # at k=1, past Python's default limit of 1,000; the tables it
-        # leaves behind still serve the next search
+    def test_deep_search_runs_in_one_frame(self):
+        # the 25x25 grid has 1,200 back edges, past Python's default
+        # recursion limit of 1,000; the search keeps one generator per back
+        # edge on its path in a list, so it decides at any depth.  At k=1
+        # every edge shares its one color; at k=2 the first witness leaves
+        # the last 4-cycle, 598-599-624-623, with lists 01, 01, 12, 02
         g = generate("grid", 25, 25)
-        assert g.n + g.m > sys.getrecursionlimit()
-        with pytest.raises(ResourceCapError, match="recursion limit"):
-            adversarial_list_search(g, 1, g.n)
-        assert adversarial_list_search(generate("cycle", 4), 3, 12) is None
+        assert g.m > sys.getrecursionlimit()
+        found = adversarial_list_search(g, 1, g.n)
+        assert found is not None and found.lists == ((0,),) * g.n
+        found = adversarial_list_search(g, 2, 2 * g.n)
+        assert found is not None and found.lists == ((0, 1),) * 623 + ((0, 2), (1, 2))
+        assert solve_list_packing(found) is None
+
+    def test_edgeless_k1_decides_the_empty_pattern(self, monkeypatch):
+        # with no back edge there is no step, and the one candidate, which
+        # forbids nothing, packs
+        decided = []
+        decide = solver._Decider.__call__
+        monkeypatch.setattr(solver._Decider, "__call__", lambda self, cand: decided.append(cand) or decide(self, cand))
+        assert adversarial_list_search(graph_from_edges(3, ()), 1, 3) is None
+        assert decided == [0]
 
     def test_forest_k1_still_searched(self):
         # one coloring is a proper coloring from the lists, which an edge
@@ -972,6 +1000,15 @@ class TestAdversarialLists:
     def test_cap_below_one(self, cap):
         with pytest.raises(ValueError):
             adversarial_list_search(generate("cycle", 4), 2, 8, cap=cap)
+
+    @pytest.mark.parametrize("k, message", [(7, "exceeded its cap"), (8, "1,441,729 options")], ids=["k7", "k8"])
+    def test_option_table_bound(self, k, message):
+        # the later back edges' table holds every partial injection of
+        # range(k), 130,922 at k=7, within OPTION_CAP, and 1,441,729 at
+        # k=8, past it: that search stops before it builds them
+        assert len(_injection_order(4)) == sum(math.comb(4, j) ** 2 * math.factorial(j) for j in range(5))
+        with pytest.raises(ResourceCapError, match=message):
+            adversarial_list_search(generate("cycle", 4), k, 4 * k, cap=1)
 
     @pytest.mark.parametrize("universe", [1, 0, -3])
     def test_universe_below_k(self, universe):
@@ -1186,17 +1223,6 @@ class TestCells:
             assert (cand & used == 0) == _fits(cols, constraints) == (found is shifted)
 
 
-def rebuilt_consistent(uf: UnionFind, k: int, chosen, upto: int) -> bool:
-    """The from-scratch check the incremental classes replace: every vertex
-    w <= upto has k distinct classes, and every chosen edge shares exactly
-    its pairs' classes."""
-
-    roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
-    return all(len(rs) == k for rs in roots) and all(
-        len(roots[u] & roots[v]) == len(pairs) for (u, v), pairs in chosen.items()
-    )
-
-
 def assert_state_rebuilt(classes: _PatternClasses, uf: UnionFind, g: Graph, k: int, upto: int) -> None:
     roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
     for w in range(g.n):
@@ -1224,7 +1250,7 @@ def assert_state_replayed(classes: _PatternClasses, g: Graph, k: int, chosen) ->
 
     fresh = _PatternClasses(g, k)
     for (u, v), pairs in chosen.items():
-        assert fresh.choose(u, v, pairs)
+        fresh.choose(u, v, pairs)
     assert classes.chosen == fresh.chosen
     assert classes.uf.parent == fresh.uf.parent
     assert classes.touches == fresh.touches
@@ -1270,19 +1296,18 @@ class TestPatternClasses:
                     assert_state_rebuilt(classes, uf, g, k, v - 1)
                 continue
             start = (v, classes.mark(), dict(chosen))
-            backs = sorted(u for u in g.adjacency[v] if u < v)
-            accepted = True
-            for u in backs:
+            for u in sorted(u for u in g.adjacency[v] if u < v):
                 pairs = rng.choice(injections)
-                accepted = accepted and classes.choose(u, v, pairs)
+                classes.choose(u, v, pairs)
                 for i, t in pairs:
                     uf.union(u * k + i, v * k + t)
                 chosen[(u, v)] = pairs
-            accepted = accepted and closed(classes, chosen, v, backs)
-            assert accepted == rebuilt_consistent(uf, k, chosen, v)
+            # `choose` checks nothing, so the state follows every union,
+            # whether the pattern stays consistent or not
+            assert_state_rebuilt(classes, uf, g, k, v)
+            accepted = rebuilt_consistent(uf, k, chosen, v)
             verdicts.add(accepted)
             if accepted:
-                assert_state_rebuilt(classes, uf, g, k, v)
                 starts.append(start)
                 v += 1
             else:
@@ -1306,10 +1331,11 @@ class TestPatternClasses:
         ids=["C4", "C5", "diamond", "K23", "K4"],
     )
     def test_pair_masks_drop_only_failing_options(self, g, k):
-        # random patterns built vertex by vertex: at each back edge, every
-        # option outside `ok` fails `choose`, and every option without all
-        # of `fixed` fails it or leaves its edge sharing a class without a
-        # pair for it, which the oracle's from-scratch `closed` finds
+        # random patterns built vertex by vertex: at each back edge, an
+        # option outside `ok` or without all of `fixed` leaves the pattern
+        # inconsistent once chosen, and every other option leaves it
+        # consistent, both checked from scratch; the second is why
+        # `choose` need check nothing
         rng = random.Random(f"masks-{g.n}-{g.m}-{k}")
         options = [(pairs, solver._cells(k, pairs)) for pairs in _injection_order(k)]
         backs_of = [sorted(u for u in g.adjacency[v] if u < v) for v in range(g.n)]
@@ -1325,19 +1351,16 @@ class TestPatternClasses:
                         assert (ok, fixed) == ((1 << k * k) - 1, 0)
                     kept = []
                     for pairs, cells in options:
-                        if not cells & ~ok and not fixed & ~cells:
+                        passes = not cells & ~ok and not fixed & ~cells
+                        if passes:
                             kept.append(pairs)
-                            continue
-                        dropped["ok" if cells & ~ok else "fixed"] += 1
+                        else:
+                            dropped["ok" if cells & ~ok else "fixed"] += 1
                         mark = classes.mark()
                         chosen[(u, v)] = pairs
-                        assert not (classes.choose(u, v, pairs) and closed(classes, chosen, v, backs[: idx + 1]))
+                        classes.choose(u, v, pairs)
+                        assert rebuilt_consistent(classes.uf, k, chosen, v) == passes
                         classes.rollback(mark)
                     chosen[(u, v)] = rng.choice(kept)
-                    if not classes.choose(u, v, chosen[(u, v)]):
-                        break
-                else:
-                    if closed(classes, chosen, v, backs):
-                        continue
-                break
+                    classes.choose(u, v, chosen[(u, v)])
         assert dropped["ok"] and dropped["fixed"]
