@@ -1,11 +1,12 @@
 """Undirected simple graphs: representation, measurements, and generators.
 
 Graphs are immutable and hashable, and each instance caches its expensive
-measurements (girth, exact maximum average degree).  Vertex numbering of
-every named generator is frozen; see the individual docstrings.  The maximum
-average degree comes from integer max-flows under Dinkelbach's iteration and
-is returned as a :class:`fractions.Fraction`; no density is ever rounded or
-held in floating point.
+measurements (girth, degeneracy, connected components, exact maximum average
+degree).  Vertex numbering of every named generator is frozen; see the
+individual docstrings.  The maximum average degree comes from integer
+max-flows under Dinkelbach's iteration and is returned as a
+:class:`fractions.Fraction`; no density is ever rounded or held in floating
+point.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ class Graph:
                 if alive[w]:
                     deg[w] -= 1
         return d, tuple(order)
+
+    @cached_property
+    def _components(self) -> tuple[int, ...]:
+        uf = UnionFind(self.n)
+        for u, v in self.edges:
+            uf.union(u, v)
+        return tuple(map(uf.find, range(self.n)))
 
     @cached_property
     def _mad(self) -> Fraction:
@@ -260,6 +268,13 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     if g.n == 0:
         raise ValueError("degeneracy needs at least one vertex")
     return g._degeneracy
+
+
+def components(g: Graph) -> tuple[int, ...]:
+    """Each vertex's connected component, labeled by its smallest vertex.
+    Computed once per graph instance."""
+
+    return g._components
 
 
 def forest_walk(g: Graph) -> Iterator[tuple[int, int]]:

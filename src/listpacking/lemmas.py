@@ -7,22 +7,27 @@ are pure functions of (lemma name, seed, trial index); exhaustive runs
 iterate a documented canonical enumeration (all labeled 4x4 bit-matrices,
 filtered to the precondition).  A lemma with both strategies has one
 instance check, which a randomized trial applies to the instance it draws
-and an exhaustive run applies to every enumerated instance.  Counterexamples
-to a randomly drawn instance are shrunk by greedy precondition-preserving
-edge removal before they are reported; planted and exchanged instances are
-reported as built.  Every draw goes through :func:`_below`, :func:`_sample`
-and :func:`_choice`, which make exactly the ``getrandbits`` calls of
-``randrange``, ``sample`` and ``choice`` in CPython 3.11 and so draw the
-same instance stream with less interpreter work around each call; the
-tests pin that stream by digest.  A lemma verifier reporting a counterexample is a
-release-blocking event; the uniqueness observations about typed
-obstructions are weaker lore and are surfaced as warnings instead.
+and an exhaustive run applies to every enumerated instance.  A failure
+stated as a function of the instance (:func:`_check`: ``easy_prop``,
+``matching_lem_1``, ``one_gives_two``, ``canalwaysswap``,
+``girth5_condition``, ``switcher_simple``, ``matching_inc``'s tight block)
+is shrunk by greedy edge removal that keeps the precondition and the
+failure; the others (:func:`_as_built`: ``matching_lem_2``, ``type_prop``,
+the switcher exchanges, ``key1factor``/``key1factorB``, ``matching_inc``'s
+strong profile) are reported as built.  Every draw goes through
+:func:`_below`, :func:`_sample` and :func:`_choice`, which make exactly the
+``getrandbits`` calls of ``randrange``, ``sample`` and ``choice`` in CPython
+3.11 and so draw the same instance stream with less interpreter work around
+each call; the tests pin that stream by digest.  A lemma verifier reporting
+a counterexample is a release-blocking event; the uniqueness observations
+about typed obstructions are weaker lore and are surfaced as warnings
+instead.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
@@ -66,14 +71,7 @@ class VerifierReport:
         return not self.counterexamples
 
     def as_json(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "strategy": self.strategy,
-            "instances_checked": self.instances_checked,
-            "counterexamples": self.counterexamples,
-            "warnings": self.warnings,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -305,8 +303,8 @@ def shrink_bigraph(
     return h
 
 
-def _counterexample(h: Bigraph, note: str, precondition, still_fails) -> dict:
-    shrunk = shrink_bigraph(h, precondition, still_fails)
+def _counterexample(h: Bigraph, note: str, precondition, broken) -> dict:
+    shrunk = shrink_bigraph(h, precondition, lambda b: broken(b) is not None)
     return {"note": note, "instance": bigraph_to_json(h), "shrunk": bigraph_to_json(shrunk)}
 
 
@@ -316,6 +314,23 @@ def _counterexample(h: Bigraph, note: str, precondition, still_fails) -> dict:
 # ---------------------------------------------------------------------------
 
 TrialResult = tuple[bool, dict | None, str | None]
+
+
+def _check(h: Bigraph, precondition: Callable[[Bigraph], bool], broken: Callable[[Bigraph], str | None]) -> TrialResult:
+    """``broken(h)`` is the failure note, or None when the lemma holds on
+    ``h``; a failure is shrunk to an instance that keeps ``precondition``
+    and is still broken."""
+
+    note = broken(h)
+    if note is None:
+        return True, None, None
+    return False, _counterexample(h, note, precondition, broken), None
+
+
+def _as_built(h: Bigraph, note: str, **extra) -> TrialResult:
+    """A failure reported on ``h`` as built, with ``extra`` fields after it."""
+
+    return False, {"note": note, "instance": bigraph_to_json(h), **extra}, None
 
 
 def _iter_4x4(t: int) -> Iterator[Bigraph]:
@@ -330,43 +345,55 @@ def _iter_4x4(t: int) -> Iterator[Bigraph]:
             yield Bigraph(4, rows)
 
 
-def _no_factor(h: Bigraph, t: int) -> TrialResult:
-    """The failure "this (s,t)-bigraph has no 1-factor", shrunk."""
-
-    pre = lambda b: is_st(b, h.s, t)
-    return False, _counterexample(h, f"({h.s},{t})-bigraph without 1-factor", pre, lambda b: not has_one_factor(b)), None
+# Preconditions the shrinker keeps.  Shrinking never changes the part size,
+# so each reads it from the instance.
 
 
-def _check_easy_prop(h: Bigraph) -> TrialResult:
+def _half_degree(b: Bigraph) -> bool:  # (2t,t) in easy_prop, (4,2) in canalwaysswap
+    return is_st(b, b.s, b.s // 2)
+
+
+def _half_degree_with_factor(b: Bigraph) -> bool:  # (2k+1,k) in one_gives_two
+    return _half_degree(b) and has_one_factor(b)
+
+
+def _above_half_degree(b: Bigraph) -> bool:  # (2k+1,k+1) in matching_lem_1
+    return is_st(b, b.s, b.s // 2 + 1)
+
+
+def _degree_one(b: Bigraph) -> bool:  # (4,1) in girth5_condition
+    return is_st(b, b.s, 1)
+
+
+def _degree_three_with_factor(b: Bigraph) -> bool:  # (8,3) in switcher_simple
+    return is_st(b, b.s, 3) and has_one_factor(b)
+
+
+def _broken_easy_prop(b: Bigraph) -> str | None:
     """A (2t,t)-bigraph has a 1-factor."""
 
-    return (True, None, None) if has_one_factor(h) else _no_factor(h, h.s // 2)
+    return None if has_one_factor(b) else f"({b.s},{b.s // 2})-bigraph without 1-factor"
 
 
 def _trial_easy_prop(rng: random.Random) -> TrialResult:
     t = _choice(rng, (3, 4))
-    return _check_easy_prop(random_st_bigraph(rng, 2 * t, t))
+    return _check(random_st_bigraph(rng, 2 * t, t), _half_degree, _broken_easy_prop)
+
+
+def _broken_matching_lem_1(b: Bigraph) -> str | None:
+    """Every edge of a (2k+1,k+1)-bigraph lies in some 1-factor."""
+
+    allowed = allowed_edges(b)
+    if allowed is None:
+        return f"({b.s},{b.s // 2 + 1})-bigraph without 1-factor"
+    if allowed != frozenset(b.edges()):
+        return f"edges in no 1-factor: {sorted(set(b.edges()) - allowed)}"
+    return None
 
 
 def _trial_matching_lem_1(rng: random.Random) -> TrialResult:
     k = _choice(rng, (2, 3))
-    h = random_st_bigraph(rng, 2 * k + 1, k + 1)
-    allowed = allowed_edges(h)
-    if allowed is None:
-        return _no_factor(h, k + 1)
-    if allowed != frozenset(h.edges()):
-        missing = sorted(set(h.edges()) - allowed)
-        return (
-            False,
-            _counterexample(
-                h,
-                f"edges in no 1-factor: {missing}",
-                lambda b: is_st(b, 2 * k + 1, k + 1),
-                lambda b: (allowed_edges(b) or frozenset()) != frozenset(b.edges()),
-            ),
-            None,
-        )
-    return True, None, None
+    return _check(random_st_bigraph(rng, 2 * k + 1, k + 1), _above_half_degree, _broken_matching_lem_1)
 
 
 def _plant_no_factor(rng: random.Random, k: int) -> Bigraph:
@@ -392,30 +419,19 @@ def _trial_matching_lem_2(rng: random.Random) -> TrialResult:
     s = 2 * k + 1
     h = _plant_no_factor(rng, k)
     if has_one_factor(h):
-        return False, {"note": "planted instance unexpectedly has a 1-factor", "instance": bigraph_to_json(h)}, None
+        return _as_built(h, "planted instance unexpectedly has a 1-factor")
     # exhaustive witness search for the complete-bipartite split
-    splits = []
-    for comb in combinations(range(s), k + 1):
-        n = _neighborhood(h.rows, comb)
-        if n.bit_count() <= k:
-            splits.append((comb, n))
+    splits = [(x, n) for x in combinations(range(s), k + 1) if (n := _neighborhood(h.rows, x)).bit_count() <= k]
     ok = len(splits) == 1
     if ok:
-        comb, n = splits[0]
-        y_mask = ((1 << s) - 1) & ~n
-        ok = y_mask.bit_count() == k + 1
-        # X complete to B minus Y, Y complete to A minus X
-        for i in comb:
-            ok = ok and h.rows[i] == n
+        x, n = splits[0]
+        full = (1 << s) - 1
         cols = h.column_masks()
-        x_mask = _mask_of(comb)
-        ok = ok and all(cols[j] == ((1 << s) - 1) & ~x_mask for j in bits(y_mask))
+        # X complete to B minus Y, Y complete to A minus X
+        ok = (full & ~n).bit_count() == k + 1 and all(h.rows[i] == n for i in x)
+        ok = ok and all(cols[j] == full & ~_mask_of(x) for j in bits(full & ~n))
     if not ok:
-        return (
-            False,
-            {"note": f"split structure violated (found {len(splits)} candidate splits)", "instance": bigraph_to_json(h)},
-            None,
-        )
+        return _as_built(h, f"split structure violated (found {len(splits)} candidate splits)")
     return True, None, None
 
 
@@ -434,43 +450,43 @@ def _usable_counts(h: Bigraph) -> tuple[list[int], list[int]] | None:
     return count_a, count_b
 
 
+def _draw_with_factor(rng: random.Random, s: int, t: int, p: float) -> Bigraph | None:
+    """The first of 50 random (s,t)-bigraphs that has a 1-factor, or None."""
+
+    for _ in range(50):
+        rows = _random_st_rows(rng, s, t, p)
+        if _raw_has_one_factor(s, rows):
+            return Bigraph(s, tuple(rows))
+    return None
+
+
+_NO_FACTOR_DRAWN: TrialResult = (True, None, "generator never produced a 1-factor instance")
+
+
+def _broken_one_gives_two(b: Bigraph) -> str | None:
+    """In a (2k+1,k)-bigraph with a 1-factor, at most one A-vertex lies on
+    fewer than two edges that are each in some 1-factor."""
+
+    exceptional = sum(1 for c in _usable_counts(b)[0] if c < 2)
+    return f"{exceptional} A-vertices lack two usable incident edges" if exceptional > 1 else None
+
+
 def _trial_one_gives_two(rng: random.Random) -> TrialResult:
     k = _choice(rng, (2, 3))
-    for _ in range(50):
-        rows = _random_st_rows(rng, 2 * k + 1, k, 0.45)
-        if _raw_has_one_factor(2 * k + 1, rows):
-            break
-    else:
-        return True, None, "generator never produced a 1-factor instance"
-    h = Bigraph(2 * k + 1, tuple(rows))
-    usable_a, _ = _usable_counts(h)
-    exceptional = sum(1 for c in usable_a if c < 2)
-    if exceptional > 1:
-        return (
-            False,
-            _counterexample(
-                h,
-                f"{exceptional} A-vertices lack two usable incident edges",
-                lambda b: is_st(b, 2 * k + 1, k) and has_one_factor(b),
-                lambda b: sum(1 for c in _usable_counts(b)[0] if c < 2) > 1,
-            ),
-            None,
-        )
-    return True, None, None
+    h = _draw_with_factor(rng, 2 * k + 1, k, 0.45)
+    return _NO_FACTOR_DRAWN if h is None else _check(h, _half_degree_with_factor, _broken_one_gives_two)
 
 
-def _check_canalwaysswap(h: Bigraph) -> TrialResult:
+def _broken_canalwaysswap(b: Bigraph) -> str | None:
     """Every vertex of a (4,2)-bigraph lies on two edges that are each in
     some 1-factor."""
 
-    counts = _usable_counts(h)
+    counts = _usable_counts(b)
     if counts is None:
-        return _no_factor(h, 2)
+        return "(4,2)-bigraph without 1-factor"
     if min(map(min, counts)) < 2:
-        pre = lambda b: is_st(b, 4, 2)
-        few = lambda b: (c := _usable_counts(b)) is None or min(map(min, c)) < 2
-        return False, _counterexample(h, "vertex with fewer than two usable incident edges", pre, few), None
-    return True, None, None
+        return "vertex with fewer than two usable incident edges"
+    return None
 
 
 def _girth5_exception(h: Bigraph) -> bool:
@@ -486,22 +502,13 @@ def _girth5_exception(h: Bigraph) -> bool:
     return False
 
 
-def _check_girth5_condition(h: Bigraph) -> TrialResult:
+def _broken_girth5_condition(b: Bigraph) -> str | None:
     """A (4,1)-bigraph has a 1-factor unless two degree-1 vertices of one
     part share their neighbor."""
 
-    if _girth5_exception(h) or has_one_factor(h):
-        return True, None, None
-    return (
-        False,
-        _counterexample(
-            h,
-            "no 1-factor and no shared-degree-1 pair",
-            lambda b: is_st(b, 4, 1),
-            lambda b: not _girth5_exception(b) and not has_one_factor(b),
-        ),
-        None,
-    )
+    if _girth5_exception(b) or has_one_factor(b):
+        return None
+    return "no 1-factor and no shared-degree-1 pair"
 
 
 def _trial_type_prop(rng: random.Random) -> TrialResult:
@@ -509,28 +516,28 @@ def _trial_type_prop(rng: random.Random) -> TrialResult:
     inst = planted_obstruction(rng, otype)
     h = inst.h if rng.random() < 0.5 else swap(inst.h)
     if has_one_factor(h):
-        return False, {"note": "planted no-factor instance has a 1-factor", "instance": bigraph_to_json(h)}, None
+        return _as_built(h, "planted no-factor instance has a 1-factor")
     try:
         obs = classify_obstruction(h)
     except ValueError as exc:
-        return False, {"note": f"classification failed: {exc}", "instance": bigraph_to_json(h)}, None
+        return _as_built(h, f"classification failed: {exc}")
     assert obs is not None
     rows = h.rows if obs.side == "A" else h.column_masks()
     n = _neighborhood(rows, obs.x)
     sizes_ok = (len(obs.x), n.bit_count()) == ((5, 3) if obs.otype == 1 else (4, 3))
     if not sizes_ok or frozenset(bits(n)) != obs.nbhd:
-        return False, {"note": "classified obstruction fails its own cardinalities", "instance": bigraph_to_json(h), "obstruction": obs.as_json()}, None
+        return _as_built(h, "classified obstruction fails its own cardinalities", obstruction=obs.as_json())
     if obs.otype in (2, 3):
         want = 1 if obs.otype == 2 else 2
         if obs.x1 is None or (rows[obs.x1] & ~n).bit_count() != want:
-            return False, {"note": "typed witness vertex fails its degree condition", "instance": bigraph_to_json(h), "obstruction": obs.as_json()}, None
+            return _as_built(h, "typed witness vertex fails its degree condition", obstruction=obs.as_json())
     if obs.otype in (1, 2):
         try:
             obs2 = classify_obstruction(swap(h))
         except ValueError:
             obs2 = None
         if obs2 is None or obs2.otype != obs.otype:
-            return False, {"note": "type 1/2 not mirrored in the transpose", "instance": bigraph_to_json(h)}, None
+            return _as_built(h, "type 1/2 not mirrored in the transpose")
     warning = None
     if any(frozenset(x) != obs.x for x, *_ in _raw_obstructions(rows, obs.otype)):
         warning = f"second type-{obs.otype} obstruction present (uniqueness lore violated)"
@@ -540,6 +547,10 @@ def _trial_type_prop(rng: random.Random) -> TrialResult:
 def _meets_profile(h: Bigraph, mins: tuple[int, ...]) -> bool:
     a, b = degree_profile(h)
     return all(x >= m for x, m in zip(a, mins)) and all(x >= m for x, m in zip(b, mins))
+
+
+def _weak_profile_without_factor(b: Bigraph) -> bool:
+    return _meets_profile(b, (1, 2, 3, 3, 4, 4, 4, 4)) and not has_one_factor(b)
 
 
 def _tight_block(h: Bigraph) -> bool:
@@ -552,9 +563,13 @@ def _tight_block(h: Bigraph) -> bool:
     return False
 
 
+def _broken_tight_block(b: Bigraph) -> str | None:
+    """A bigraph of the weak degree profile without 1-factor has a tight block."""
+
+    return None if _tight_block(b) else "degree profile met, no 1-factor, and no tight low-degree block"
+
+
 def _trial_matching_inc(rng: random.Random) -> TrialResult:
-    mins_weak = (1, 2, 3, 3, 4, 4, 4, 4)
-    mins_strong = (1, 2, 3, 4, 4, 4, 4, 4)
     if rng.random() < 0.5:
         # near-threshold: four A-rows confined to three columns
         h = planted_obstruction(rng, 4).h
@@ -564,24 +579,12 @@ def _trial_matching_inc(rng: random.Random) -> TrialResult:
             while rows[i].bit_count() < _choice(rng, (3, 4)):
                 rows[i] |= 1 << _below(rng, 8)
         h = Bigraph(8, tuple(rows))
-    if not _meets_profile(h, mins_weak):
-        return True, None, None  # generator missed the precondition; skip
-    if has_one_factor(h):
-        return True, None, None
-    if not _tight_block(h):
-        return (
-            False,
-            _counterexample(
-                h,
-                "degree profile met, no 1-factor, and no tight low-degree block",
-                lambda b: _meets_profile(b, mins_weak),
-                lambda b: not has_one_factor(b) and not _tight_block(b),
-            ),
-            None,
-        )
-    if _meets_profile(h, mins_strong):
-        return False, {"note": "strong degree profile without 1-factor", "instance": bigraph_to_json(h)}, None
-    return True, None, None
+    if not _weak_profile_without_factor(h):
+        return True, None, None  # the generator missed the profile, or a 1-factor exists; skip
+    result = _check(h, _weak_profile_without_factor, _broken_tight_block)
+    if result[0] and _meets_profile(h, (1, 2, 3, 4, 4, 4, 4, 4)):
+        return _as_built(h, "strong degree profile without 1-factor")
+    return result
 
 
 def _random_matching(rng: random.Random, s: int, size: int) -> list[tuple[int, int]]:
@@ -639,41 +642,22 @@ def _exchange(
         if not _raw_min_degree_at_least(s, rows, t):
             return True, None, give_up
     if not _raw_has_one_factor(s, rows):
-        return (
-            False,
-            {
-                "note": f"{what} left no 1-factor",
-                "instance": bigraph_to_json(h),
-                "exchanged": bigraph_to_json(Bigraph(s, tuple(rows))),
-                "required": [list(p) for p in required],
-            },
-            None,
-        )
+        exchanged = bigraph_to_json(Bigraph(s, tuple(rows)))
+        return _as_built(h, f"{what} left no 1-factor", exchanged=exchanged, required=[list(p) for p in required])
     return True, None, None
+
+
+def _broken_switcher_simple(b: Bigraph) -> str | None:
+    """An (8,3)-bigraph with a 1-factor M has six edges e in M such that
+    b - e still has a 1-factor."""
+
+    rem = removable_edges(b, max_matching(b))
+    return f"only {len(rem)} removable 1-factor edges" if len(rem) < 6 else None
 
 
 def _trial_switcher_simple(rng: random.Random) -> TrialResult:
-    for _ in range(50):
-        rows = _random_st_rows(rng, 8, 3, 0.4)
-        if _raw_has_one_factor(8, rows):
-            break
-    else:
-        return True, None, "generator never produced a 1-factor instance"
-    h = Bigraph(8, tuple(rows))
-    m = max_matching(h)
-    rem = removable_edges(h, m)
-    if len(rem) < 6:
-        return (
-            False,
-            _counterexample(
-                h,
-                f"only {len(rem)} removable 1-factor edges",
-                lambda b: is_st(b, 8, 3) and has_one_factor(b),
-                lambda b: has_one_factor(b) and len(removable_edges(b, max_matching(b))) < 6,
-            ),
-            None,
-        )
-    return True, None, None
+    h = _draw_with_factor(rng, 8, 3, 0.4)
+    return _NO_FACTOR_DRAWN if h is None else _check(h, _degree_three_with_factor, _broken_switcher_simple)
 
 
 def _trial_switcher_double(rng: random.Random, k: int) -> TrialResult:
@@ -734,15 +718,8 @@ def _trial_key1factor(rng: random.Random, kind: str) -> TrialResult:
             rows = _apply_matchings(h.rows, [], base + [e1, e2])
             if _raw_has_one_factor(8, rows):
                 return True, None, None
-    return (
-        False,
-        {
-            "note": f"no path-pair plus matching-pair leaves a 1-factor ({kind})",
-            "instance": bigraph_to_json(h),
-            "decorations": {k: str(v) for k, v in inst.decorations.items()},
-        },
-        None,
-    )
+    decorations = {k: str(v) for k, v in inst.decorations.items()}
+    return _as_built(h, f"no path-pair plus matching-pair leaves a 1-factor ({kind})", decorations=decorations)
 
 
 def _trial_k_kplus1(rng: random.Random) -> TrialResult:
@@ -753,15 +730,8 @@ def _trial_k_kplus1(rng: random.Random) -> TrialResult:
         edges = {tuple(sorted(e)) for e in combinations(range(n), 2) if rng.random() < 0.5}
         g = graph_from_edges(n, edges)
         deg = g.degrees()
-        pick = None
-        for u, v in g.sorted_edges():
-            if deg[u] == k and deg[v] <= k + 1:
-                pick = (u, v)
-                break
-            if deg[v] == k and deg[u] <= k + 1:
-                pick = (v, u)
-                break
-        if pick:
+        light = ((a, b) for u, v in g.sorted_edges() for a, b in ((u, v), (v, u)) if deg[a] == k and deg[b] <= k + 1)
+        if pick := next(light, None):
             break
     else:
         return True, None, "no qualifying edge found"
@@ -805,12 +775,12 @@ class LemmaSpec:
 REGISTRY: dict[str, LemmaSpec] = {
     spec.name: spec
     for spec in [
-        LemmaSpec("easy_prop", _trial_easy_prop, lambda: map(_check_easy_prop, _iter_4x4(2)), 100_000),
+        LemmaSpec("easy_prop", _trial_easy_prop, lambda: (_check(h, _half_degree, _broken_easy_prop) for h in _iter_4x4(2)), 100_000),
         LemmaSpec("matching_lem_1", _trial_matching_lem_1, None, 100_000),
         LemmaSpec("matching_lem_2", _trial_matching_lem_2, None, 100_000),
         LemmaSpec("one_gives_two", _trial_one_gives_two, None, 100_000),
-        LemmaSpec("canalwaysswap", lambda rng: _check_canalwaysswap(random_st_bigraph(rng, 4, 2)), lambda: map(_check_canalwaysswap, _iter_4x4(2)), 100_000),
-        LemmaSpec("girth5_condition", lambda rng: _check_girth5_condition(random_st_bigraph(rng, 4, 1, p=0.35)), lambda: map(_check_girth5_condition, _iter_4x4(1)), 100_000),
+        LemmaSpec("canalwaysswap", lambda rng: _check(random_st_bigraph(rng, 4, 2), _half_degree, _broken_canalwaysswap), lambda: (_check(h, _half_degree, _broken_canalwaysswap) for h in _iter_4x4(2)), 100_000),
+        LemmaSpec("girth5_condition", lambda rng: _check(random_st_bigraph(rng, 4, 1, p=0.35), _degree_one, _broken_girth5_condition), lambda: (_check(h, _degree_one, _broken_girth5_condition) for h in _iter_4x4(1)), 100_000),
         LemmaSpec("type_prop", _trial_type_prop, None, 100_000),
         LemmaSpec("matching_inc", _trial_matching_inc, None, 100_000),
         LemmaSpec("switcher_general_type1", lambda rng: _switcher_trial(rng, 1), None, 100_000),

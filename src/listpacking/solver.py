@@ -89,7 +89,7 @@ from listpacking.covers import (
     validate_list_packing,
     validate_packing,
 )
-from listpacking.graphs import Graph, UnionFind, degeneracy, forest_walk
+from listpacking.graphs import Graph, UnionFind, components, degeneracy, forest_walk
 
 
 class ResourceCapError(RuntimeError):
@@ -343,15 +343,13 @@ def _core_solve(
 
     if order is None:
         order = _solve_order(g)
-    uf = UnionFind(g.n)
-    for u, v in g.edges:
-        uf.union(u, v)
+    component = components(g)
     identity = tuple(range(k))
     assign: dict[int, tuple[int, ...]] = {}
     roots: set[int] = set()
     rest = []
     for v in order:
-        r = uf.find(v)
+        r = component[v]
         if r in roots:
             rest.append(v)
         else:

@@ -1,19 +1,34 @@
+import ast
 import hashlib
 import json
 import random
 from itertools import count, product
+from pathlib import Path
 
 import pytest
 
-from listpacking.bigraph import Bigraph, bigraph_from_json, bigraph_to_json, classify_obstruction, has_one_factor, is_st
+from listpacking import lemmas
+from listpacking.bigraph import (
+    Bigraph,
+    allowed_edges,
+    bigraph_from_json,
+    bigraph_to_json,
+    classify_obstruction,
+    degree_profile,
+    has_one_factor,
+    is_st,
+    max_matching,
+    removable_edges,
+)
 from listpacking.cli import main
 from listpacking.lemmas import (
     MAX_COUNTEREXAMPLES,
     REGISTRY,
+    _SEED_STRIDE,
     LemmaSpec,
     _below,
+    _check,
     _choice,
-    _counterexample,
     _planted_cycles,
     _sample,
     _switcher_double_plant,
@@ -110,8 +125,8 @@ class TestFailurePath:
 
     @classmethod
     def check(cls, h):
-        failure = _counterexample(h, "planted failure", lambda b: is_st(b, 4, 1), lambda b: not has_one_factor(b))
-        return False, failure, "repeated warning"
+        ok, failure, _ = _check(h, lambda b: is_st(b, 4, 1), lambda b: None if has_one_factor(b) else "planted failure")
+        return ok, failure, "repeated warning"
 
     @pytest.fixture(autouse=True)
     def fake(self, monkeypatch):
@@ -147,6 +162,184 @@ class TestFailurePath:
     def test_cli_exit_code(self, capsys):
         assert main(["verify-lemma", "fake", "--trials", "20"]) == 1
         assert len(json.loads(capsys.readouterr().out)["counterexamples"]) == MAX_COUNTEREXAMPLES
+
+
+def _fault(real, wrong):
+    """A kernel that answers ``wrong`` on instances with the edge (0, 0)
+    and is right elsewhere, so a lemma fails on some draws and a shrunk
+    counterexample must keep that edge."""
+
+    return lambda b, *args: wrong(b, *args) if b.has_edge(0, 0) else real(b, *args)
+
+
+def _draw_with_factor(rng, s, t, p):
+    for _ in range(50):
+        h = random_st_bigraph(rng, s, t, p)
+        if has_one_factor(h):
+            return h
+
+
+def _draw_matching_inc(rng):
+    if rng.random() < 0.5:
+        return planted_obstruction(rng, 4).h
+    rows = list(random_st_bigraph(rng, 8, 1, 0.5).rows)
+    for i in range(8):
+        while rows[i].bit_count() < rng.choice((3, 4)):
+            rows[i] |= 1 << rng.randrange(8)
+    return Bigraph(8, tuple(rows))
+
+
+def _meets(h, mins):
+    return all(d >= m for part in degree_profile(h) for d, m in zip(part, mins))
+
+
+# (lemma, kernel patches, the trial's draw replayed with Random's own
+# methods, expected note, precondition, the lemma's failure statement or
+# None when the failure is reported as built)
+FAILURES = {
+    "easy_prop": (
+        "easy_prop",
+        {"has_one_factor": _fault(has_one_factor, lambda b: False)},
+        lambda rng: random_st_bigraph(rng, 2 * (t := rng.choice((3, 4))), t),
+        lambda h: f"({h.s},{h.s // 2})-bigraph without 1-factor",
+        lambda b: is_st(b, b.s, b.s // 2),
+        "_broken_easy_prop",
+    ),
+    "matching_lem_1-no-factor": (
+        "matching_lem_1",
+        {"allowed_edges": _fault(allowed_edges, lambda b: None)},
+        lambda rng: random_st_bigraph(rng, 2 * (k := rng.choice((2, 3))) + 1, k + 1),
+        lambda h: f"({h.s},{h.s // 2 + 1})-bigraph without 1-factor",
+        lambda b: is_st(b, b.s, b.s // 2 + 1),
+        "_broken_matching_lem_1",
+    ),
+    "matching_lem_1-unused-edge": (
+        "matching_lem_1",
+        {"allowed_edges": _fault(allowed_edges, lambda b: allowed_edges(b) - {(0, 0)})},
+        lambda rng: random_st_bigraph(rng, 2 * (k := rng.choice((2, 3))) + 1, k + 1),
+        lambda h: "edges in no 1-factor: [(0, 0)]",
+        lambda b: is_st(b, b.s, b.s // 2 + 1),
+        "_broken_matching_lem_1",
+    ),
+    "one_gives_two": (
+        "one_gives_two",
+        {"allowed_edges": _fault(allowed_edges, lambda b: allowed_edges(b) and max_matching(b))},
+        lambda rng: _draw_with_factor(rng, 2 * (k := rng.choice((2, 3))) + 1, k, 0.45),
+        lambda h: f"{h.s} A-vertices lack two usable incident edges",
+        lambda b: is_st(b, b.s, b.s // 2) and has_one_factor(b),
+        "_broken_one_gives_two",
+    ),
+    "canalwaysswap-no-factor": (
+        "canalwaysswap",
+        {"allowed_edges": _fault(allowed_edges, lambda b: None)},
+        lambda rng: random_st_bigraph(rng, 4, 2),
+        lambda h: "(4,2)-bigraph without 1-factor",
+        lambda b: is_st(b, 4, 2),
+        "_broken_canalwaysswap",
+    ),
+    "canalwaysswap-few-usable": (
+        "canalwaysswap",
+        {"allowed_edges": _fault(allowed_edges, lambda b: max_matching(b))},
+        lambda rng: random_st_bigraph(rng, 4, 2),
+        lambda h: "vertex with fewer than two usable incident edges",
+        lambda b: is_st(b, 4, 2),
+        "_broken_canalwaysswap",
+    ),
+    "girth5_condition": (
+        "girth5_condition",
+        {"has_one_factor": _fault(has_one_factor, lambda b: False)},
+        lambda rng: random_st_bigraph(rng, 4, 1, p=0.35),
+        lambda h: "no 1-factor and no shared-degree-1 pair",
+        lambda b: is_st(b, 4, 1),
+        "_broken_girth5_condition",
+    ),
+    "matching_inc-tight-block": (
+        "matching_inc",
+        {"_tight_block": _fault(lemmas._tight_block, lambda b: False)},
+        _draw_matching_inc,
+        lambda h: "degree profile met, no 1-factor, and no tight low-degree block",
+        lambda b: _meets(b, (1, 2, 3, 3, 4, 4, 4, 4)) and not has_one_factor(b),
+        "_broken_tight_block",
+    ),
+    "matching_inc-strong-profile": (
+        "matching_inc",
+        {"has_one_factor": _fault(has_one_factor, lambda b: False), "_tight_block": lambda b: True},
+        _draw_matching_inc,
+        lambda h: "strong degree profile without 1-factor",
+        None,
+        None,
+    ),
+    "switcher_simple": (
+        "switcher_simple",
+        {"removable_edges": _fault(removable_edges, lambda b, m: frozenset())},
+        lambda rng: _draw_with_factor(rng, 8, 3, 0.4),
+        lambda h: "only 0 removable 1-factor edges",
+        lambda b: is_st(b, 8, 3) and has_one_factor(b),
+        "_broken_switcher_simple",
+    ),
+}
+
+
+class TestLemmaFailures:
+    """Each lemma's own failure path, forced by a kernel that is wrong on
+    the draws with the edge (0, 0): the report names the drawn instance,
+    and a shrunk one keeps the precondition, still breaks the lemma and
+    has no more edges."""
+
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_failure_is_reported(self, monkeypatch, case):
+        name, patches, draw, note, pre, broken = FAILURES[case]
+        for attr, fake in patches.items():
+            monkeypatch.setattr(lemmas, attr, fake)
+
+        def forced(seed):
+            # the seed's first trial fails, and its instance keeps the
+            # precondition without (0, 0), so only the failure keeps that edge
+            if REGISTRY[name].trial(random.Random(seed * _SEED_STRIDE))[0]:
+                return False
+            h = draw(random.Random(seed * _SEED_STRIDE))
+            return pre is None or pre(Bigraph(h.s, (h.rows[0] & ~1,) + h.rows[1:]))
+
+        seed = next(filter(forced, count()))
+        report = verify(name, trials=1, seed=seed)
+        assert not report.ok
+        (c,) = report.counterexamples
+        drawn = draw(random.Random(seed * _SEED_STRIDE))
+        assert c["trial"] == 0 and c["note"] == note(drawn)
+        assert bigraph_from_json(c["instance"]) == drawn
+        if broken is None:
+            assert "shrunk" not in c
+            return
+        shrunk = bigraph_from_json(c["shrunk"])
+        assert pre(shrunk)
+        assert getattr(lemmas, broken)(shrunk) is not None
+        assert len(shrunk.edges()) <= len(drawn.edges())
+
+
+def _enclosing(tree):
+    """(name of the innermost enclosing function or "<module>", node) for
+    every node of ``tree``."""
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            yield owner, child
+            yield from walk(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    return walk(tree, "<module>")
+
+
+def test_one_shrinkable_check_and_one_record_builder():
+    # each failure is stated once: only _check shrinks, and only
+    # _counterexample and _as_built build an {"instance": ...} record
+    sites = list(_enclosing(ast.parse(Path(lemmas.__file__).read_text())))
+    shrinks = [owner for owner, node in sites if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_counterexample"]
+    records = [
+        owner
+        for owner, node in sites
+        if isinstance(node, ast.Dict) and any(isinstance(key, ast.Constant) and key.value == "instance" for key in node.keys)
+    ]
+    assert shrinks == ["_check"]
+    assert sorted(records) == ["_as_built", "_counterexample"]
 
 
 class TestShrinker:

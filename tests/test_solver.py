@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from listpacking import solver
+from listpacking import graphs, solver
 from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors
 from listpacking.covers import (
     CorrespondenceCover,
@@ -632,6 +632,23 @@ class TestCoreSolve:
 
     def test_empty_graph(self):
         assert self.assert_same(Graph(0, frozenset()), 3, {}) == {}
+
+    def test_components_labeled_once_per_graph(self, monkeypatch):
+        # repeated calls on one graph read its cached component labels
+        built = []
+
+        class Spy(UnionFind):
+            def __init__(self, n):
+                built.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(graphs, "UnionFind", Spy)
+        monkeypatch.setattr(solver, "UnionFind", Spy)
+        g = Graph(FOUR_COMPONENTS.n, FOUR_COMPONENTS.edges)  # a fresh instance: nothing cached yet
+        maps = forbidden_maps(random_cover(g, 3, 0), range(g.n), ())
+        got = [solver._core_solve(g, 3, maps) for _ in range(5)]
+        assert built == [g.n]
+        assert got == [reference_core_solve(g, 3, maps)] * 5
 
 
 class TestAdversarialCovers:
