@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import chain, combinations
 from typing import Collection, Iterable, Iterator
 
 
@@ -103,9 +104,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
@@ -475,11 +473,14 @@ def graph_from_json(obj: dict) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _geodesic_icosahedron(nu: int) -> tuple[int, set[frozenset[int]]]:
+@cache
+def _geodesic_icosahedron(nu: int) -> tuple[int, tuple[frozenset[int], ...]]:
     """Subdivide every icosahedron face into nu^2 triangles.
 
     Original vertices keep degree 5; all created vertices have degree 6.
-    Returns (vertex count, face set).
+    Returns (vertex count, faces in the order they are built).  A set that
+    adds the faces in that order iterates them as the generator's face set
+    always has; a copy of a finished set would not.
     """
 
     coords: dict[tuple, int] = {}
@@ -509,7 +510,7 @@ def _geodesic_icosahedron(nu: int) -> tuple[int, set[frozenset[int]]]:
             counter += 1
         return coords[key]
 
-    faces: set[frozenset[int]] = set()
+    faces: list[frozenset[int]] = []
     for face in _ICOSAHEDRON_FACES:
         grid = {}
         for a in range(nu + 1):
@@ -517,10 +518,10 @@ def _geodesic_icosahedron(nu: int) -> tuple[int, set[frozenset[int]]]:
                 grid[(a, b)] = vertex_id(face, a, b, nu - a - b)
         for a in range(nu):
             for b in range(nu - a):
-                faces.add(frozenset({grid[(a, b)], grid[(a + 1, b)], grid[(a, b + 1)]}))
+                faces.append(frozenset({grid[(a, b)], grid[(a + 1, b)], grid[(a, b + 1)]}))
                 if a + b < nu - 1:
-                    faces.add(frozenset({grid[(a + 1, b)], grid[(a, b + 1)], grid[(a + 1, b + 1)]}))
-    return counter, faces
+                    faces.append(frozenset({grid[(a + 1, b)], grid[(a, b + 1)], grid[(a + 1, b + 1)]}))
+    return counter, tuple(faces)
 
 
 def _faces_to_graph(n: int, faces: set[frozenset[int]]) -> Graph:
@@ -531,8 +532,9 @@ def _faces_to_graph(n: int, faces: set[frozenset[int]]) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def _rotation(faces_at: dict[int, list[frozenset[int]]], v: int) -> list[int]:
-    """Cyclic neighbor order around v, recovered from incident faces."""
+def _rotation(faces_at: dict[int, Collection[frozenset[int]]], v: int) -> list[int]:
+    """Cyclic neighbor order around v, recovered from incident faces; it
+    does not depend on the order of the faces."""
 
     pairs = [tuple(sorted(f - {v})) for f in faces_at[v]]
     nxt: dict[int, list[int]] = {}
@@ -552,14 +554,6 @@ def _rotation(faces_at: dict[int, list[frozenset[int]]], v: int) -> list[int]:
             return cycle[:-1]
 
 
-def _incidence(faces: set[frozenset[int]]) -> dict[int, list[frozenset[int]]]:
-    at: dict[int, list[frozenset[int]]] = {}
-    for f in faces:
-        for v in f:
-            at.setdefault(v, []).append(f)
-    return at
-
-
 TRIANGULATION_MOVES = 40
 
 
@@ -570,56 +564,88 @@ def random_planar_triangulation_min5(seed: int) -> Graph:
     vertices) and applies ``TRIANGULATION_MOVES`` random degree-guarded
     operations: diagonal flips and vertex splits, both of which preserve
     planarity, the triangulation property, and minimum degree 5.
+
+    The triangulation of each seed is frozen, and the draws rest on four
+    order facts that any rewrite must keep:
+
+    1. a flip lists its candidate edges in order of first appearance while
+       iterating ``faces``, each face yielding its edges in sorted order;
+    2. of the two faces on the chosen edge, ``a`` is the apex in the one met
+       first in that iteration and ``b`` in the other, because
+       ``frozenset({a, b, u})`` iterates in an order that depends on how it
+       was built;
+    3. a split draws from the vertices of degree at least 6 in order of
+       first appearance over ``faces`` and over each face's own iteration,
+       an order taken after every split (flips keep it);
+    4. the rotation around a vertex does not depend on the order of its
+       faces, and the order of ``set.discard`` calls does not change the
+       face set's iteration order.
+
+    The maps below (sorted edges per face, ``{face: apex}`` per edge, faces
+    per vertex, whose size is the degree) are kept across moves; only the
+    faces a move drops or adds are updated.
     """
 
     rng = random.Random(seed)
-    n, faces = _geodesic_icosahedron(2)
-    degree: dict[int, int] = {}
+    n, built = _geodesic_icosahedron(2)
+    faces: set[frozenset[int]] = set()
+    edges_of: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
+    apex: dict[tuple[int, int], dict[frozenset[int], int]] = {}
+    faces_at: defaultdict[int, set[frozenset[int]]] = defaultdict(set)
 
-    def recount() -> None:
-        degree.clear()
-        for f in faces:
-            for v in f:
-                degree[v] = degree.get(v, 0) + 1
+    def add(f: frozenset[int]) -> None:
+        faces.add(f)
+        a, b, c = sorted(f)
+        edges_of[f] = ((a, b), (a, c), (b, c))
+        apex.setdefault((a, b), {})[f] = c
+        apex.setdefault((a, c), {})[f] = b
+        apex.setdefault((b, c), {})[f] = a
+        faces_at[a].add(f)
+        faces_at[b].add(f)
+        faces_at[c].add(f)
 
-    recount()
+    def drop(f: frozenset[int]) -> None:
+        faces.discard(f)
+        for e in edges_of.pop(f):
+            at = apex[e]
+            del at[f]
+            if not at:
+                del apex[e]
+        for v in f:
+            faces_at[v].discard(f)
+
+    for f in built:
+        add(f)
+    order = dict.fromkeys(chain.from_iterable(faces))
 
     def try_flip() -> bool:
-        edge_faces: dict[tuple[int, int], list[frozenset[int]]] = {}
-        for f in faces:
-            a, b, c = sorted(f)
-            for e in ((a, b), (a, c), (b, c)):
-                edge_faces.setdefault(e, []).append(f)
         candidates = []
-        for (u, v), fs in edge_faces.items():
-            if len(fs) != 2 or degree[u] <= 5 or degree[v] <= 5:
-                continue
-            a = next(iter(fs[0] - {u, v}))
-            b = next(iter(fs[1] - {u, v}))
-            if a == b or tuple(sorted((a, b))) in edge_faces:
-                continue
-            candidates.append((u, v, a, b, fs[0], fs[1]))
+        for e in dict.fromkeys(chain.from_iterable(map(edges_of.__getitem__, faces))):
+            u, v = e
+            if len(faces_at[u]) > 5 and len(faces_at[v]) > 5:
+                a, b = apex[e].values()
+                if ((a, b) if a < b else (b, a)) not in apex:
+                    candidates.append(e)
         if not candidates:
             return False
-        u, v, a, b, f0, f1 = candidates[rng.randrange(len(candidates))]
-        faces.discard(f0)
-        faces.discard(f1)
-        faces.add(frozenset({a, b, u}))
-        faces.add(frozenset({a, b, v}))
-        degree[u] -= 1
-        degree[v] -= 1
-        degree[a] += 1
-        degree[b] += 1
+        u, v = e = candidates[rng.randrange(len(candidates))]
+        on_edge = apex[e]
+        f0 = next(filter(on_edge.__contains__, faces))
+        (f1,) = on_edge.keys() - {f0}
+        a, b = on_edge[f0], on_edge[f1]
+        drop(f0)
+        drop(f1)
+        add(frozenset({a, b, u}))
+        add(frozenset({a, b, v}))
         return True
 
     def try_split() -> bool:
-        nonlocal n
-        splittable = [v for v, d in degree.items() if d >= 6]
+        nonlocal n, order
+        splittable = [v for v in order if len(faces_at[v]) >= 6]
         if not splittable:
             return False
         v = splittable[rng.randrange(len(splittable))]
-        at = _incidence(faces)
-        ring = _rotation(at, v)
+        ring = _rotation(faces_at, v)
         d = len(ring)
         # v keeps a contiguous segment of its rotation; the new vertex takes
         # the rest.  Both endpoints of the cut stay adjacent to both copies.
@@ -629,15 +655,15 @@ def random_planar_triangulation_min5(seed: int) -> Graph:
         rest = [ring[(start + seg - 1 + i) % d] for i in range(d - seg + 2)]
         new = n
         n += 1
-        for f in at[v]:
-            faces.discard(f)
+        for f in tuple(faces_at[v]):
+            drop(f)
         for i in range(len(keep) - 1):
-            faces.add(frozenset({v, keep[i], keep[i + 1]}))
+            add(frozenset({v, keep[i], keep[i + 1]}))
         for i in range(len(rest) - 1):
-            faces.add(frozenset({new, rest[i], rest[i + 1]}))
-        faces.add(frozenset({v, new, keep[0]}))
-        faces.add(frozenset({v, new, keep[-1]}))
-        recount()
+            add(frozenset({new, rest[i], rest[i + 1]}))
+        add(frozenset({v, new, keep[0]}))
+        add(frozenset({v, new, keep[-1]}))
+        order = dict.fromkeys(chain.from_iterable(faces))
         return True
 
     for _ in range(TRIANGULATION_MOVES):

@@ -11,10 +11,11 @@ and an exhaustive run applies to every enumerated instance.  A failure
 stated as a function of the instance (:func:`_check`: ``easy_prop``,
 ``matching_lem_1``, ``one_gives_two``, ``canalwaysswap``,
 ``girth5_condition``, ``switcher_simple``, ``matching_inc``'s tight block)
-is shrunk by greedy edge removal that keeps the precondition and the
-failure; the others (:func:`_as_built`: ``matching_lem_2``, ``type_prop``,
-the switcher exchanges, ``key1factor``/``key1factorB``, ``matching_inc``'s
-strong profile) are reported as built.  Every draw goes through
+is shrunk, once :func:`verify` keeps it, by greedy edge removal that keeps
+the precondition and the failure; the others (:func:`_as_built`:
+``matching_lem_2``, ``type_prop``, the switcher exchanges,
+``key1factor``/``key1factorB``, ``matching_inc``'s strong profile) are
+reported as built.  Every draw goes through
 :func:`_below`, :func:`_sample` and :func:`_choice`, which make exactly the
 ``getrandbits`` calls of ``randrange``, ``sample`` and ``choice`` in CPython
 3.11 and so draw the same instance stream with less interpreter work around
@@ -309,22 +310,23 @@ def _counterexample(h: Bigraph, note: str, precondition, broken) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The individual verifiers.  Each trial returns (ok, failure dict | None,
-# warning | None).
+# The individual verifiers.  Each trial returns (ok, failure | None,
+# warning | None); a failure is its record, or a call that builds it.
 # ---------------------------------------------------------------------------
 
-TrialResult = tuple[bool, dict | None, str | None]
+TrialResult = tuple[bool, dict | Callable[[], dict] | None, str | None]
 
 
 def _check(h: Bigraph, precondition: Callable[[Bigraph], bool], broken: Callable[[Bigraph], str | None]) -> TrialResult:
     """``broken(h)`` is the failure note, or None when the lemma holds on
-    ``h``; a failure is shrunk to an instance that keeps ``precondition``
-    and is still broken."""
+    ``h``.  A failure is returned as a call that shrinks ``h`` to an
+    instance that keeps ``precondition`` and is still broken, so only the
+    counterexamples :func:`verify` keeps are shrunk."""
 
     note = broken(h)
     if note is None:
         return True, None, None
-    return False, _counterexample(h, note, precondition, broken), None
+    return False, lambda: _counterexample(h, note, precondition, broken), None
 
 
 def _as_built(h: Bigraph, note: str, **extra) -> TrialResult:
@@ -842,6 +844,8 @@ def verify(
         if warning and warning not in warnings:
             warnings.append(warning)
         if not ok and failure is not None and len(counterexamples) < MAX_COUNTEREXAMPLES:
+            if callable(failure):
+                failure = failure()
             counterexamples.append(failure if trial is None else dict(failure, trial=trial))
     return VerifierReport(
         lemma=name,

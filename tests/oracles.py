@@ -30,11 +30,17 @@ candidate only as one integer of cells and tests a packing against it with
 one AND: :func:`candidate_cells` and :func:`packing_cells` build the two
 integers straight from the forbidden pairs and from a packing's colorings,
 and :func:`_fits` is the pair-by-pair check that AND stands for.
+:func:`reference_triangulation_min5` is the planar triangulation generator
+as it rebuilt its edge-face map at every flip and its vertex-face
+incidence (:func:`_incidence`) and degree table at every split; the
+library keeps those maps across moves and must draw the same
+triangulations.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Mapping
@@ -432,3 +438,98 @@ def reference_obstructions(rows, otype):
             outside = rows[x1] & ~n
             if outside.bit_count() == want:
                 yield comb, n, x1, bits(outside)
+
+
+def _incidence(faces):
+    at = {}
+    for f in faces:
+        for v in f:
+            at.setdefault(v, []).append(f)
+    return at
+
+
+def reference_triangulation_min5(seed: int):
+    """``random_planar_triangulation_min5`` as it rebuilt its maps from the
+    face set at every move: the edge-face map at every flip, the
+    vertex-face incidence and the degree table at every split."""
+
+    from listpacking.graphs import TRIANGULATION_MOVES, _faces_to_graph, _geodesic_icosahedron, _rotation
+
+    rng = random.Random(seed)
+    n, built = _geodesic_icosahedron(2)
+    faces: set[frozenset[int]] = set()
+    for f in built:
+        faces.add(f)
+    degree: dict[int, int] = {}
+
+    def recount() -> None:
+        degree.clear()
+        for f in faces:
+            for v in f:
+                degree[v] = degree.get(v, 0) + 1
+
+    recount()
+
+    def try_flip() -> bool:
+        edge_faces: dict[tuple[int, int], list[frozenset[int]]] = {}
+        for f in faces:
+            a, b, c = sorted(f)
+            for e in ((a, b), (a, c), (b, c)):
+                edge_faces.setdefault(e, []).append(f)
+        candidates = []
+        for (u, v), fs in edge_faces.items():
+            if len(fs) != 2 or degree[u] <= 5 or degree[v] <= 5:
+                continue
+            a = next(iter(fs[0] - {u, v}))
+            b = next(iter(fs[1] - {u, v}))
+            if a == b or tuple(sorted((a, b))) in edge_faces:
+                continue
+            candidates.append((u, v, a, b, fs[0], fs[1]))
+        if not candidates:
+            return False
+        u, v, a, b, f0, f1 = candidates[rng.randrange(len(candidates))]
+        faces.discard(f0)
+        faces.discard(f1)
+        faces.add(frozenset({a, b, u}))
+        faces.add(frozenset({a, b, v}))
+        degree[u] -= 1
+        degree[v] -= 1
+        degree[a] += 1
+        degree[b] += 1
+        return True
+
+    def try_split() -> bool:
+        nonlocal n
+        splittable = [v for v, d in degree.items() if d >= 6]
+        if not splittable:
+            return False
+        v = splittable[rng.randrange(len(splittable))]
+        at = _incidence(faces)
+        ring = _rotation(at, v)
+        d = len(ring)
+        # v keeps a contiguous segment of its rotation; the new vertex takes
+        # the rest.  Both endpoints of the cut stay adjacent to both copies.
+        seg = rng.randrange(4, d - 2 + 1)
+        start = rng.randrange(d)
+        keep = [ring[(start + i) % d] for i in range(seg)]
+        rest = [ring[(start + seg - 1 + i) % d] for i in range(d - seg + 2)]
+        new = n
+        n += 1
+        for f in at[v]:
+            faces.discard(f)
+        for i in range(len(keep) - 1):
+            faces.add(frozenset({v, keep[i], keep[i + 1]}))
+        for i in range(len(rest) - 1):
+            faces.add(frozenset({new, rest[i], rest[i + 1]}))
+        faces.add(frozenset({v, new, keep[0]}))
+        faces.add(frozenset({v, new, keep[-1]}))
+        recount()
+        return True
+
+    for _ in range(TRIANGULATION_MOVES):
+        op = rng.random()
+        if op < 0.5:
+            try_flip()
+        else:
+            try_split()
+    return _faces_to_graph(n, faces)

@@ -228,7 +228,7 @@ def test_criterion_09_light_triangles():
             misses.append((idx, "not a min-degree-5 triangulation"))
             continue
         tri = find_light_triangle(g)
-        if tri is None or sum(g.degree(v) for v in tri) > 17:
+        if tri is None or sum(g.degrees()[v] for v in tri) > 17:
             misses.append((idx, tri))
     elapsed = time.perf_counter() - start
     ok = not misses

@@ -1,12 +1,17 @@
 import gc
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import listpacking
 from listpacking.graphs import (
     Graph,
     degeneracy,
@@ -19,7 +24,7 @@ from listpacking.graphs import (
     mad,
     random_planar_triangulation_min5,
 )
-from oracles import oracle_girth, oracle_mad, replay_degeneracy
+from oracles import oracle_girth, oracle_mad, reference_triangulation_min5, replay_degeneracy
 
 
 def small_graphs(max_n=8):
@@ -212,7 +217,7 @@ class TestLightTriangle:
         g = generate("icosahedron")
         tri = find_light_triangle(g)
         assert tri is not None
-        assert sum(g.degree(v) for v in tri) == 15
+        assert sum(g.degrees()[v] for v in tri) == 15
 
     def test_triangle_free(self):
         assert find_light_triangle(generate("cycle", 5)) is None
@@ -221,7 +226,7 @@ class TestLightTriangle:
         g = generate("complete", 6)
         tri = find_light_triangle(g)
         assert tri == (0, 1, 2)
-        assert sum(g.degree(v) for v in tri) == 15
+        assert sum(g.degrees()[v] for v in tri) == 15
 
     def test_heavy_triangles_skipped(self):
         g = generate("complete", 8)  # 7-regular: sums are 21 > 17
@@ -246,6 +251,40 @@ class TestTriangulations:
 
     def test_deterministic(self):
         assert random_planar_triangulation_min5(3).edges == random_planar_triangulation_min5(3).edges
+
+    # sha256 over repr((n, sorted edges)) of reference_triangulation_min5
+    DIGESTS = {
+        0: "6009d0468e26006fac7301a6d3e2bef99d635ccdc5c91261461d5e4000323f99",
+        1: "8cb971314a058ce14598571f0e40a73150022e4fdf67343a8028c783ad88963c",
+        2: "fe11b6ac479c56712b0bd4688ef403480b172c6cadf26760afb077737c18d1d5",
+        3: "10c8ac7ebd821071f817414374cdbd54c575a7ef6506fec6dfb7ab3f027bc397",
+        4: "591bb3926b7a093a875d09b7ba605e0379025af24b503e8efa71491d0e8ce82f",
+        5: "4669ba2ea808091d4ae2006108d6a541739b49ce061dbeb688cb895f23a84fc9",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_pinned_digest(self, seed):
+        g = random_planar_triangulation_min5(seed)
+        assert hashlib.sha256(repr((g.n, g.sorted_edges())).encode()).hexdigest() == self.DIGESTS[seed]
+
+    def test_digest_ignores_hash_seed(self):
+        # the draws rest on the iteration order of sets of frozensets of
+        # ints, whose hashes do not depend on PYTHONHASHSEED
+        script = (
+            "import hashlib; from listpacking.graphs import random_planar_triangulation_min5 as t; "
+            "g = t(3); print(hashlib.sha256(repr((g.n, g.sorted_edges())).encode()).hexdigest())"
+        )
+        src = os.path.dirname(os.path.dirname(listpacking.__file__))
+        for hashseed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hashseed)
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+            assert out.stdout.strip() == self.DIGESTS[3]
+
+    def test_matches_reference(self):
+        # seeds 1_020_000.. are the first of class_pack's seed-1 triangulations
+        for seed in [*range(100), *range(1_020_000, 1_020_050)]:
+            g, ref = random_planar_triangulation_min5(seed), reference_triangulation_min5(seed)
+            assert (g.n, g.edges) == (ref.n, ref.edges), seed
 
 
 class TestJson:

@@ -164,6 +164,39 @@ class TestFailurePath:
         assert len(json.loads(capsys.readouterr().out)["counterexamples"]) == MAX_COUNTEREXAMPLES
 
 
+class TestLazyShrinking:
+    """With ``has_one_factor`` answering no, every easy_prop instance fails.
+    ``verify`` shrinks only the counterexamples it keeps, and its report is
+    the one it made when every failing trial was shrunk."""
+
+    # sha256 of json.dumps(report.as_json()) from the verifier that shrank
+    # every failure
+    REPORTS = {
+        "randomized": ({"trials": 200}, "a3d124e168ef78edd35600f2769d16149b3cf0c503f205872ec09ed3dfa52f9d"),
+        "exhaustive": ({"exhaustive": True}, "2f970d508f9d1a155fd16f7745ac9cc03f6a1f2f4b156665e8bd3497a0d0f24b"),
+    }
+
+    @pytest.fixture
+    def shrinks(self, monkeypatch):
+        monkeypatch.setattr(lemmas, "has_one_factor", lambda h: False)
+        calls = count()
+        shrink = lemmas.shrink_bigraph
+        monkeypatch.setattr(lemmas, "shrink_bigraph", lambda *args: (next(calls), shrink(*args))[1])
+        return calls
+
+    @pytest.mark.parametrize("strategy", sorted(REPORTS))
+    def test_shrinks_only_kept(self, shrinks, strategy):
+        report = verify("easy_prop", **self.REPORTS[strategy][0])
+        assert report.instances_checked > len(report.counterexamples) == MAX_COUNTEREXAMPLES
+        assert next(shrinks) == MAX_COUNTEREXAMPLES
+
+    @pytest.mark.parametrize("strategy", sorted(REPORTS))
+    def test_report_unchanged(self, shrinks, strategy):
+        kwargs, digest = self.REPORTS[strategy]
+        report = verify("easy_prop", **kwargs)
+        assert hashlib.sha256(json.dumps(report.as_json()).encode()).hexdigest() == digest
+
+
 def _fault(real, wrong):
     """A kernel that answers ``wrong`` on instances with the edge (0, 0)
     and is right elsewhere, so a lemma fails on some draws and a shrunk
