@@ -7,6 +7,10 @@ Supported regimes (the cover's k must match):
   (planar girth >= 5 qualifies), k = 4;
 * ``planar_k8`` -- planar, k = 8 (planarity is trusted, not tested).
 
+The first two are the classes of the discharging rules ``P4`` and ``P5``
+(``openB`` has no regime): the mad bound is the rule's threshold, and the
+configurations reduced are exactly its exclusions (``discharging.EXCLUSIONS``).
+
 Each step finds a reducible configuration, removes its removable vertices,
 packs the rest, and extends back over the removed set.  The whole plan is
 peeled first, with each remaining vertex's degree kept up to date as
@@ -26,14 +30,17 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, islice
 
 from listpacking.covers import CorrespondenceCover, Packing, forbidden_maps, validate_packing
+from listpacking.discharging import RULE_THRESHOLDS, find_configuration
 from listpacking.graphs import Graph, find_light_triangle, girth, mad
 from listpacking.solver import _extensions
 
 REGIME_K = {"mad4_k5": 5, "girth5_k4": 4, "planar_k8": 8}
+
+# the discharging rule whose class each regime packs, and whether it is triangle-free
+REGIME_RULE = {"mad4_k5": ("P4", False), "girth5_k4": ("P5", True)}
 
 # repackings of one neighbor set tried before repair moves to the next set
 REPACK_CAP = 10_000
@@ -47,22 +54,16 @@ class ClassViolationError(ValueError):
 class Reduction:
     """A reducible configuration: its kind and the vertices involved.
 
-    ``vertices`` is ordered per kind: ``light_edge`` lists the degree-3
-    endpoint first; ``path_3_3_3`` lists (x, v, y) with v the center;
-    ``five_with_four_threes`` lists the 5-vertex then its four degree-3
-    neighbors; ``light_triangle`` lists the triangle sorted by (degree,
-    index).
+    ``vertices`` lists a configuration's center, then its matched neighbors
+    in adjacency order (the center of ``path_3_3_3`` is its middle vertex);
+    ``light_triangle`` lists the triangle sorted by (degree, index).
     """
 
     kind: str
     vertices: tuple[int, ...]
 
     def removable(self) -> tuple[int, ...]:
-        if self.kind == "five_with_four_threes":
-            return self.vertices
-        if self.kind == "path_3_3_3":
-            return (self.vertices[1],)
-        return (self.vertices[0],)
+        return self.vertices if self.kind == "five_with_four_threes" else self.vertices[:1]
 
 
 @dataclass
@@ -113,11 +114,13 @@ class PackOutcome:
 def find_reduction(g: Graph, regime: str, active: Mapping[int, int] | None = None) -> Reduction:
     """A configuration the regime's class guarantees to exist.
 
-    Searched in priority order with index tie-breaks, over the subgraph
-    induced by the vertices of ``active``, a mapping from each to its
-    degree in that subgraph, which is read, not recounted (None means the
-    whole graph).  Raises ClassViolationError when nothing is found, which
-    means the input is not in the declared class.
+    One of its rule's exclusions for ``mad4_k5`` and ``girth5_k4``
+    (:func:`discharging.find_configuration`); for ``planar_k8`` a vertex of
+    degree at most 4, else a light triangle.  Searched over the subgraph
+    induced by the vertices of ``active``, a mapping from each to its degree
+    there, which is read, not recounted (None means the whole graph).
+    Raises ClassViolationError when nothing is found: the input is not in
+    the declared class.
     """
 
     if regime not in REGIME_K:
@@ -125,39 +128,19 @@ def find_reduction(g: Graph, regime: str, active: Mapping[int, int] | None = Non
     deg = {v: len(adj) for v, adj in enumerate(g.adjacency)} if active is None else active
     if not deg:
         raise ClassViolationError("no vertices to reduce")
-    low_cut = REGIME_K[regime] // 2
 
+    if regime in REGIME_RULE:
+        rule, triangle_free = REGIME_RULE[regime]
+        found = find_configuration(g, rule, deg)
+        if found is None:
+            name = f"{'triangle-free ' if triangle_free else ''}mad<{RULE_THRESHOLDS[rule]}"
+            raise ClassViolationError(f"no reducible configuration: graph not in {name} class")
+        return Reduction(*found)
+
+    # planar_k8: a vertex of degree at most 4, then a light triangle
     for v in sorted(deg):
-        if deg[v] <= low_cut:
+        if deg[v] <= 4:
             return Reduction("low_degree_vertex", (v,))
-
-    if regime == "mad4_k5":
-        for v in sorted(deg):
-            if deg[v] != 3:
-                continue
-            for w in g.adjacency[v]:
-                if w in deg and deg[w] <= 4:
-                    return Reduction("light_edge", (v, w))
-        for v in sorted(deg):
-            if deg[v] != 5:
-                continue
-            threes = [w for w in g.adjacency[v] if w in deg and deg[w] == 3]
-            if len(threes) >= 4:
-                return Reduction("five_with_four_threes", (v, *threes[:4]))
-        raise ClassViolationError("no reducible configuration: graph not in mad<4 class")
-
-    if regime == "girth5_k4":
-        for v in sorted(deg):
-            if deg[v] != 3:
-                continue
-            threes = [w for w in g.adjacency[v] if w in deg and deg[w] == 3]
-            if len(threes) >= 2:
-                return Reduction("path_3_3_3", (threes[0], v, threes[1]))
-        raise ClassViolationError(
-            "no reducible configuration: graph not in triangle-free mad<10/3 class"
-        )
-
-    # planar_k8: a light triangle, vertices sorted by degree
     tri = find_light_triangle(g, deg)
     if tri is None:
         raise ClassViolationError("no light triangle: graph not in the planar minimum-degree-5 class")
@@ -253,15 +236,15 @@ def _plan(g: Graph, regime: str) -> list[Reduction]:
 
 
 def _check_class(g: Graph, regime: str) -> str | None:
-    if regime == "mad4_k5":
-        if mad(g) >= Fraction(4):
-            return f"maximum average degree {mad(g)} is not below 4"
-    elif regime == "girth5_k4":
-        if girth(g) == 3:
-            return "graph has a triangle"
-        if mad(g) >= Fraction(10, 3):
-            return f"maximum average degree {mad(g)} is not below 10/3"
-    return None  # planar_k8: planarity is trusted
+    if regime not in REGIME_RULE:
+        return None  # planar_k8: planarity is trusted
+    rule, triangle_free = REGIME_RULE[regime]
+    if triangle_free and girth(g) == 3:
+        return "graph has a triangle"
+    bound = RULE_THRESHOLDS[rule]
+    if mad(g) >= bound:
+        return f"maximum average degree {mad(g)} is not below {bound}"
+    return None
 
 
 def pack_constructive(

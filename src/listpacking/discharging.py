@@ -11,14 +11,17 @@ matching clause, direction).  Three preset rules ship with the package:
 * ``openB``: every 3-vertex takes 1/4 from each neighbor, the k = 3 case of
   :func:`degree_k_rule`.
 
-Each preset has a companion exclusion predicate describing the graphs the
-rule is meant for; on those graphs the audited minimum final charge is
-bounded below by the rule's threshold (4, 10/3, and 3 + 3/4 respectively).
+Each preset lists the configurations its class excludes (``EXCLUSIONS``);
+without them the audited minimum final charge is at least the rule's
+threshold (4, 10/3, and 3 + 3/4).  P4's and P5's exclusions are exactly the
+configurations the packer's ``mad4_k5`` and ``girth5_k4`` reduce, whose mad
+bounds are these thresholds; openB has no packer regime.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -108,36 +111,48 @@ RULE_THRESHOLDS: dict[str, Fraction] = {
 
 
 # ---------------------------------------------------------------------------
-# Exclusion predicates: the reduced configurations each rule's class forbids.
+# Exclusions: the reducible configurations each rule's class forbids.
 # ---------------------------------------------------------------------------
 
 
+# Each preset's configurations in search order, read by passes_exclusions and
+# by the packer's find_reduction.  A configuration (name, low, high,
+# neighbor_low, neighbor_high, count) is a vertex, its center, of degree
+# low..high with at least count neighbors of degree neighbor_low..neighbor_high.
+LOW_DEGREE = ("low_degree_vertex", 0, 2, 0, 0, 0)
+LIGHT_EDGE = ("light_edge", 3, 3, 3, 4, 1)
+EXCLUSIONS: dict[str, tuple[tuple[str, int, int, int, int, int], ...]] = {
+    "P4": (LOW_DEGREE, LIGHT_EDGE, ("five_with_four_threes", 5, 5, 3, 3, 4)),
+    "P5": (LOW_DEGREE, ("path_3_3_3", 3, 3, 3, 3, 2)),
+    "openB": (LOW_DEGREE, LIGHT_EDGE),
+}
+
+
+def find_configuration(g: Graph, rule_name: str, deg: Mapping[int, int]) -> tuple[str, tuple[int, ...]] | None:
+    """The rule's first configuration (in table order, then by ascending center)
+    in the subgraph induced by the keys of ``deg``, each mapped to its degree there,
+    as (name, (center, *its first ``count`` matching neighbors in adjacency order)), or None."""
+
+    centers = sorted(deg)
+    for name, low, high, neighbor_low, neighbor_high, count in EXCLUSIONS[rule_name]:
+        for v in centers:
+            if low <= deg[v] <= high:
+                found = (v,)
+                if count:
+                    for w in g.adjacency[v]:
+                        if w in deg and neighbor_low <= deg[w] <= neighbor_high:
+                            found += (w,)
+                if len(found) > count:
+                    return name, found[: count + 1]
+    return None
+
+
 def passes_exclusions(g: Graph, rule_name: str) -> bool:
-    if rule_name not in ("P4", "P5", "openB"):
+    """No configuration of the rule's exclusions occurs in ``g``."""
+
+    if rule_name not in EXCLUSIONS:
         raise ValueError(f"no exclusion predicate for rule {rule_name!r}")
-    deg = g.degrees()
-    if g.n == 0:
-        return True
-    if min(deg) < 3:
-        return False
-    if rule_name == "P4":
-        for u, v in g.edges:
-            du, dv = sorted((deg[u], deg[v]))
-            if du == 3 and dv <= 4:
-                return False
-        for v in range(g.n):
-            if deg[v] == 5 and sum(1 for w in g.adjacency[v] if deg[w] == 3) >= 4:
-                return False
-        return True
-    if rule_name == "P5":
-        for v in range(g.n):
-            if deg[v] == 3 and sum(1 for w in g.adjacency[v] if deg[w] == 3) >= 2:
-                return False
-        return True
-    for v in range(g.n):  # openB: every 3-vertex sees only degree >= 5
-        if deg[v] == 3 and any(deg[w] <= 4 for w in g.adjacency[v]):
-            return False
-    return True
+    return find_configuration(g, rule_name, dict(enumerate(g.degrees()))) is None
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Every public module-level function or class, and every public method, in
 the library's modules must be referenced from some library module other
 than ``__init__`` (whose re-exports call nothing), or be listed below with
-the reason it stays public.  A reference is any loaded name or attribute
-with that spelling, so a method counts as used when any object's attribute
-of that name is read.
+the reason it stays public.  A reference is a read attribute, or a loaded
+name that no enclosing function binds itself (as a parameter, or as an
+assignment, loop or comprehension target), with that spelling; so a method
+counts as used when any object's attribute of that name is read, and a
+local variable is no use of a function of its name.
 
 Every name ``perfbench/tracing.py`` patches must resolve in the library,
 apart from a listed set of known stale ones.
@@ -54,22 +56,71 @@ def _public_names(modules) -> list[tuple[str, str]]:
     return out
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(fn) -> set[str]:
+    """The names a function binds itself: its parameters, and the names its
+    own body (nested functions and classes aside) stores to."""
+
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+    todo = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node, local: frozenset[str] = frozenset()):
+    if isinstance(node, FUNCTIONS):
+        local = local | _bound(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, local)
+
+
 def _referenced(modules) -> set[str]:
-    used = set()
-    for tree in modules.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+    return {name for tree in modules.values() for name in _references(tree)}
+
+
+def _unused(modules) -> list[str]:
+    used = _referenced(modules)
+    return [qual for qual, bare in _public_names(modules) if bare not in used and qual not in ALLOWED]
 
 
 def test_every_public_name_is_used_or_allowed():
-    modules = _modules()
-    used = _referenced(modules)
-    unused = [qual for qual, bare in _public_names(modules) if bare not in used and qual not in ALLOWED]
-    assert unused == [], "public but called only from tests; make it private, move it to tests/oracles.py or allow it"
+    assert _unused(_modules()) == [], "public but called only from tests; make it private, move it to tests/oracles.py or allow it"
+
+
+# a public function whose name the module reads only as locals of its own
+SHADOWED = """
+def degree(g, v):
+    return len(g[v])
+
+def _degrees(g, degree=None):
+    total = 0
+    for degree in g:
+        total += degree
+    return [len(degree) for degree in g], total
+
+def _lengths(g):
+    degree = {v: len(g[v]) for v in g}
+    return lambda degree: degree, degree
+"""
+
+
+def test_locals_are_not_uses():
+    modules = {"shadowed": ast.parse(SHADOWED)}
+    assert _unused(modules) == ["degree"]
+    modules["caller"] = ast.parse("def _count(g):\n    return degree(g, 0)\n")
+    assert _unused(modules) == []
 
 
 def test_allowlist_is_current():

@@ -49,7 +49,7 @@ class TestFindReduction:
     def test_dodecahedron(self):
         red = find_reduction(generate("dodecahedron"), "girth5_k4")
         assert red.kind == "path_3_3_3"
-        assert red.removable() == (red.vertices[1],)
+        assert red.removable() == (red.vertices[0],)
 
     def test_icosahedron(self):
         g = generate("icosahedron")
@@ -203,6 +203,48 @@ class TestExtendWithRepair:
         packing = Packing(4, {0: (0, 1, 2, 3), 1: (1, 0, 3, 2), 2: (1, 0, 3, 2)})
         with pytest.raises(ValueError):
             extend_with_repair(cover, packing, (0,))
+
+
+# every reason an out-of-class input gets, byte for byte: from the packer,
+# and from find_reduction itself for an empty vertex set and for the two
+# no-configuration messages, which the packer's mad check pre-empts (each
+# graph below the bound has a configuration, by its rule's discharging)
+PACK_REASONS = [
+    ("girth5_k4", generate("complete", 5), "class_violation: graph has a triangle"),
+    ("mad4_k5", generate("complete", 5), "class_violation: maximum average degree 4 is not below 4"),
+    (
+        "girth5_k4",
+        generate("complete_bipartite", 3, 4),
+        "class_violation: maximum average degree 24/7 is not below 10/3",
+    ),
+    (
+        "planar_k8",
+        generate("complete_bipartite", 5, 5),
+        "class_violation: no light triangle: graph not in the planar minimum-degree-5 class",
+    ),
+]
+FIND_REASONS = [
+    ("mad4_k5", generate("complete", 6), "no reducible configuration: graph not in mad<4 class"),
+    ("girth5_k4", generate("complete", 5), "no reducible configuration: graph not in triangle-free mad<10/3 class"),
+    ("planar_k8", generate("complete_bipartite", 5, 5), "no light triangle: graph not in the planar minimum-degree-5 class"),
+] + [(regime, graph_from_edges(0, []), "no vertices to reduce") for regime in sorted(REGIME_K)]
+
+
+class TestClassViolationReasons:
+    @pytest.mark.parametrize("regime, g, reason", PACK_REASONS, ids=[r for _, _, r in PACK_REASONS])
+    def test_pack_constructive(self, regime, g, reason):
+        k = REGIME_K[regime]
+        out = pack_constructive(CorrespondenceCover(g, k, {e: Perm.identity(k) for e in g.sorted_edges()}), regime)
+        assert not out.success
+        assert out.reason == reason
+
+    @pytest.mark.parametrize(
+        "regime, g, reason", FIND_REASONS, ids=[f"{regime}-{reason}" for regime, _, reason in FIND_REASONS]
+    )
+    def test_find_reduction(self, regime, g, reason):
+        with pytest.raises(ClassViolationError) as exc:
+            find_reduction(g, regime)
+        assert str(exc.value) == reason
 
 
 # seeded covers the packer fingerprint runs, as (regime, seed)

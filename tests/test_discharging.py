@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from listpacking.constructive import ClassViolationError, find_reduction
 from listpacking.discharging import (
+    EXCLUSIONS,
     RULE_THRESHOLDS,
     RULES,
     ChargeLedger,
@@ -76,7 +79,81 @@ class TestAudit:
         assert rule.clauses[0].recipient(3) and not rule.clauses[0].recipient(4)
 
 
+def all_graphs(max_n: int = 10):
+    """Graphs on at most ``max_n`` vertices, about a quarter, a half or three
+    quarters of the pairs being edges."""
+
+    def on(n, density):
+        pairs = list(combinations(range(n), 2))
+        return st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)).map(
+            lambda draws: graph_from_edges(n, [e for e, d in zip(pairs, draws) if d < density])
+        )
+
+    return st.tuples(st.integers(0, max_n), st.integers(1, 3)).flatmap(lambda nd: on(*nd))
+
+
+def _five_with_four_threes():
+    # center 0 of degree 5 sees four 3-vertices (1..4) and vertex 5 of the
+    # K6 on 5..10; each 3-vertex sees two more K6 vertices, so every other
+    # degree is at least 6
+    edges = [(0, i) for i in range(1, 6)] + list(combinations(range(5, 11), 2))
+    edges += [(1, 6), (1, 7), (2, 8), (2, 9), (3, 10), (3, 6), (4, 7), (4, 8)]
+    return graph_from_edges(11, edges)
+
+
+# (rule, configuration, a graph in which that is the rule's only configuration)
+NEEDED = [
+    ("P4", "low_degree_vertex", generate("cycle", 5)),
+    ("P4", "light_edge", generate("complete_bipartite", 3, 4)),
+    ("P4", "five_with_four_threes", _five_with_four_threes()),
+    ("P5", "low_degree_vertex", generate("cycle", 5)),
+    ("P5", "path_3_3_3", generate("dodecahedron")),
+    ("openB", "low_degree_vertex", generate("cycle", 5)),
+    ("openB", "light_edge", generate("complete_bipartite", 3, 4)),
+]
+
+# the packer regime whose reductions are each rule's exclusions
+REGIME_OF_RULE = {"P4": "mad4_k5", "P5": "girth5_k4"}
+
+
+def reduces(g, regime: str) -> bool:
+    try:
+        find_reduction(g, regime)
+    except ClassViolationError:
+        return False
+    return True
+
+
 class TestExclusions:
+    @pytest.mark.parametrize("rule_name, name, g", NEEDED, ids=[f"{r}-{c}" for r, c, _ in NEEDED])
+    def test_each_configuration_is_needed(self, monkeypatch, rule_name, name, g):
+        # the graph fails the rule, and passes once that configuration goes
+        assert not passes_exclusions(g, rule_name)
+        kept = tuple(c for c in EXCLUSIONS[rule_name] if c[0] != name)
+        assert len(kept) == len(EXCLUSIONS[rule_name]) - 1
+        monkeypatch.setitem(EXCLUSIONS, rule_name, kept)
+        assert passes_exclusions(g, rule_name)
+
+    def test_p5_passes_k34_at_its_threshold(self):
+        # every 3-vertex sees only 4-vertices: no light path, and each
+        # 4-vertex gives away 4 * 1/6, landing exactly on 10/3
+        g = generate("complete_bipartite", 3, 4)
+        assert passes_exclusions(g, "P5")
+        assert discharge_audit(g, RULES["P5"]).min_final() == RULE_THRESHOLDS["P5"]
+
+    @given(all_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_rule_passes_exactly_when_regime_cannot_reduce(self, g):
+        for rule_name, regime in REGIME_OF_RULE.items():
+            assert passes_exclusions(g, rule_name) is not reduces(g, regime)
+
+    @pytest.mark.parametrize("instance_rule", sorted(RULES))
+    def test_instances_pass_exactly_when_regime_cannot_reduce(self, instance_rule):
+        for seed in range(30):
+            g = generate_rule_instance(instance_rule, seed)
+            for rule_name, regime in REGIME_OF_RULE.items():
+                assert passes_exclusions(g, rule_name) is not reduces(g, regime)
+
     def test_p4_catches_light_edge(self):
         assert not passes_exclusions(generate("complete_bipartite", 3, 4), "P4")
 
