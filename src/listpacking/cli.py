@@ -265,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=["list", "correspondence"], required=True)
     p.add_argument("--upper", type=int, required=True)
-    p.add_argument("--cap", type=int, default=4_000_000, help=_CAP_HELP)
+    p.add_argument("--cap", type=int, default=solver.CANDIDATE_CAP, help=_CAP_HELP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_chromatic)
 
@@ -281,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         '"none" means only that no unsolvable pattern was found whose classes the greedy realization '
         "fits into this many colors",
     )
-    p.add_argument("--cap", type=int, default=4_000_000, help=_CAP_HELP)
+    p.add_argument("--cap", type=int, default=solver.CANDIDATE_CAP, help=_CAP_HELP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_adversary)
 

@@ -17,13 +17,14 @@ peeled first, with each remaining vertex's degree kept up to date as
 vertices go (:func:`_plan`).  Every extension runs through the solver's
 extension engine (:func:`solver._extensions`), a backtracking search in one
 generator frame: each removed vertex in turn takes a 1-factor of its
-extension bigraph.  When the direct extension is blocked, each set of at
-most ``budget`` (at most 2) packed neighbors is unpacked in turn, repacked
-through the same engine (at most ``REPACK_CAP`` repackings), and the
-extension is tried again after each repacking.  The hand case analyses
-behind these repair moves are not transcribed; bounded exhaustive repair
-subsumes them, and every emitted packing is validated before it is
-returned.
+extension bigraph.  The packer keeps one packing through the whole plan,
+and each step extends it in place.  When the direct extension is blocked,
+each set of at most ``budget`` (at most 2) packed neighbors is unpacked in
+turn, repacked through the same engine (at most ``REPACK_CAP``
+repackings), and the extension is tried again after each repacking.  The
+hand case analyses behind these repair moves are not transcribed; bounded
+exhaustive repair subsumes them, and every emitted packing is validated
+before it is returned.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def find_reduction(g: Graph, regime: str, active: Mapping[int, int] | None = Non
     (:func:`discharging.find_configuration`); for ``planar_k8`` a vertex of
     degree at most 4, else a light triangle.  Searched over the subgraph
     induced by the vertices of ``active``, a mapping from each to its degree
-    there, which is read, not recounted (None means the whole graph).
+    there, which is read, not recounted (None means the whole graph); the
+    centers are searched in the mapping's key order.
     Raises ClassViolationError when nothing is found: the input is not in
     the declared class.
     """
@@ -138,7 +140,7 @@ def find_reduction(g: Graph, regime: str, active: Mapping[int, int] | None = Non
         return Reduction(*found)
 
     # planar_k8: a vertex of degree at most 4, then a light triangle
-    for v in sorted(deg):
+    for v in deg:
         if deg[v] <= 4:
             return Reduction("low_degree_vertex", (v,))
     tri = find_light_triangle(g, deg)
@@ -165,25 +167,29 @@ def extend_with_repair(
     trace: RepairTrace | None = None,
     kind: str = "extension",
 ) -> Packing | None:
-    """Extend a partial packing over ``frontier``, repacking at most
-    ``budget`` (0, 1 or 2) packed neighbors when the direct extension is
-    blocked.
+    """Extend a partial packing over ``frontier`` in place, repacking at
+    most ``budget`` (0, 1 or 2) packed neighbors when the direct extension
+    is blocked.
 
-    Returns the extended packing (a new object), or None with the failed
-    attempt recorded in ``trace``.  Repair tries the sets of 1, then of 2,
-    packed neighbors of the frontier in ascending order: it unpacks the set,
-    repacks its vertices in order, and extends over the frontier again.  At
-    most ``REPACK_CAP`` repackings of each set are tried.  Every extension
-    runs through :func:`solver._extensions`, and each attempt stops at its
-    first frontier extension, so ``factors_tried`` (frontier extensions
-    tried) is 1 on success and 0 on failure.  On a one-vertex frontier,
-    which every reduction but ``five_with_four_threes`` has, that is the
-    number of the frontier's 1-factors tried.
+    Returns ``packing`` itself, its ``assign`` extended over the frontier,
+    or None with the failed attempt recorded in ``trace`` and ``packing``
+    holding what it held (the keys of ``assign`` may come back in another
+    order).  Repair tries the sets of 1, then of 2, packed neighbors of the
+    frontier in ascending order: it unpacks the set, repacks its vertices in
+    order, and extends over the frontier again.  At most ``REPACK_CAP``
+    repackings of each set are tried, and a set that fails gets its old
+    values back.  Every extension runs through :func:`solver._extensions`
+    on ``packing.assign``, and each attempt stops at its first frontier
+    extension, so ``factors_tried`` (frontier extensions tried) is 1 on
+    success and 0 on failure.  On a one-vertex frontier, which every
+    reduction but ``five_with_four_threes`` has, that is the number of the
+    frontier's 1-factors tried.
     """
 
     _check_budget(budget)
+    assign = packing.assign
     for f in frontier:
-        if f in packing.assign:
+        if f in assign:
             raise ValueError(f"frontier vertex {f} is already packed")
     k, adj = cover.k, cover.graph.adjacency
 
@@ -191,22 +197,21 @@ def extend_with_repair(
         if trace is not None:
             trace.steps.append(RepairStep(frontier, kind, repacked, int(success), used, success))
 
-    work = packing.copy()
-    for _ in _extensions(k, adj, forbidden_maps(cover, frontier, work.assign), work.assign, frontier):
+    for _ in _extensions(k, adj, forbidden_maps(cover, frontier, assign), assign, frontier):
         record((), 0, True)
-        return work
+        return packing
 
-    neighbors = sorted({w for f in frontier for w in adj[f] if w in packing.assign})
+    neighbors = sorted({w for f in frontier for w in adj[f] if w in assign})
     for size in range(1, budget + 1):
         for zs in combinations(neighbors, size):
-            work = packing.copy()
-            for z in zs:
-                del work.assign[z]
-            maps = forbidden_maps(cover, zs + frontier, work.assign)
-            for _ in islice(_extensions(k, adj, maps, work.assign, zs), REPACK_CAP):
-                for _ in _extensions(k, adj, maps, work.assign, frontier):
+            old = [assign.pop(z) for z in zs]
+            maps = forbidden_maps(cover, zs + frontier, assign)
+            for _ in islice(_extensions(k, adj, maps, assign, zs), REPACK_CAP):
+                for _ in _extensions(k, adj, maps, assign, frontier):
                     record(zs, size, True)
-                    return work
+                    return packing
+            # the engine over zs left at REPACK_CAP restores nothing
+            assign.update(zip(zs, old))
     record((), budget, False)
     return None
 
@@ -281,10 +286,8 @@ def pack_constructive(
 
     packing = Packing(cover.k)
     for red in reversed(plan):
-        got = extend_with_repair(cover, packing, red.removable(), budget, trace, red.kind)
-        if got is None:
+        if extend_with_repair(cover, packing, red.removable(), budget, trace, red.kind) is None:
             return PackOutcome(False, None, trace, "extension_failed")
-        packing = got
 
     check = validate_packing(cover, packing)
     if not check.ok:

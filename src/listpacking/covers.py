@@ -146,9 +146,6 @@ class Packing:
     k: int
     assign: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def copy(self) -> "Packing":
-        return Packing(self.k, dict(self.assign))
-
 
 @dataclass(frozen=True)
 class Check:

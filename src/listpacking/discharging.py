@@ -129,13 +129,12 @@ EXCLUSIONS: dict[str, tuple[tuple[str, int, int, int, int, int], ...]] = {
 
 
 def find_configuration(g: Graph, rule_name: str, deg: Mapping[int, int]) -> tuple[str, tuple[int, ...]] | None:
-    """The rule's first configuration (in table order, then by ascending center)
-    in the subgraph induced by the keys of ``deg``, each mapped to its degree there,
-    as (name, (center, *its first ``count`` matching neighbors in adjacency order)), or None."""
+    """The rule's first configuration (in table order, then by center in the key order
+    of ``deg``) in the subgraph induced by the keys of ``deg``, each mapped to its degree
+    there, as (name, (center, *its first ``count`` matching neighbors in adjacency order)), or None."""
 
-    centers = sorted(deg)
     for name, low, high, neighbor_low, neighbor_high, count in EXCLUSIONS[rule_name]:
-        for v in centers:
+        for v in deg:
             if low <= deg[v] <= high:
                 found = (v,)
                 if count:

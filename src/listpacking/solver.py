@@ -7,19 +7,20 @@ induce total maps (the arc permutations); list assignments induce partial
 maps (shared colors, identified by list position).  One backtracking
 engine over these maps, :func:`_extensions`, extends a partial packing
 through the 1-factors of the extension bigraphs; it gives both exact solvers
-and the constructive packer's extension and repair.  Its search runs in one
-generator frame (:func:`_walk`) that keeps each level's 1-factor iterator
-and saved keys in lists, so taking a 1-factor resumes one frame, not a
-chain of nested generators as deep as the order.  It builds each
-unpacked vertex's rows as one integer, k*k bits under a sentinel bit, and
-clears bits in it as neighbors are packed with one AND, by a mask that
-:func:`_walk` caches in the module-level table ``_clear``.  It sends every
-Hall check and 1-factor enumeration through two more tables keyed by that
-integer, ``_hall`` and ``_factors``, and unpacks the rows only on a miss.
-A row set recurs far more often than it is new: one pass over the
-benchmark's cover panel makes 72,905 Hall checks on 636 distinct row
-sets.  All three tables are pure functions of their keys, so what the
-engine yields, and in what order, does not depend on what they hold.
+and the constructive packer's extension and repair, which extends the
+caller's packing in place.  It is one generator that searches in its own
+frame, keeping each level's 1-factor iterator and saved keys in lists, so
+taking a 1-factor resumes one frame, not a chain of nested generators as
+deep as the order.  It builds each unpacked vertex's rows as one integer,
+k*k bits under a sentinel bit, and clears bits in it as neighbors are
+packed with one AND, by a mask it caches in the module-level table
+``_clear``.  It sends every Hall check and 1-factor enumeration through two
+more tables keyed by that integer, ``_hall`` and ``_factors``, and unpacks
+the rows only on a miss.  A row set recurs far more often than it is new:
+one pass over the benchmark's cover panel makes 72,905 Hall checks on 636
+distinct row sets.  All three tables are pure functions of their keys, so
+what the engine yields, and in what order, does not depend on what they
+hold.
 
 The exact solvers (:func:`_core_solve`) break the symmetry of the coloring
 indices.  The k colorings of a packing are unordered and a forbidden map
@@ -110,6 +111,10 @@ POOL_CAP = 16
 # larger stops with ResourceCapError before building it.
 OPTION_CAP = 1 << 20
 
+# candidates an adversarial search decides, by default, before it stops with
+# ResourceCapError: the library searches, packing_number and the CLI's --cap
+CANDIDATE_CAP = 4_000_000
+
 
 # ---------------------------------------------------------------------------
 # Core backtracking engine.
@@ -129,11 +134,12 @@ def _solve_order(g: Graph) -> tuple[int, ...]:
 # Each table is keyed by the rows of an extension bigraph as one integer
 # (:func:`_extension_key`).  _hall holds a row set's Hall verdict; _factors
 # holds its inverted 1-factors in _raw_one_factors order, stored only once an
-# enumeration has run to the end.  _clear caches, for :func:`_walk` only, the
-# :func:`_cleared` mask of each coloring per forbidden map (at most k! entries
-# per map); :func:`_extension_key` computes its masks directly.  Each
-# entry is a pure function of its keys.  All three are cleared together when
-# one holds TABLE_CAP entries, so every row set at k <= 4 fits.
+# enumeration has run to the end.  _clear caches, for the search in
+# :func:`_extensions`, the :func:`_cleared` mask of each coloring per
+# forbidden map (at most k! entries per map); :func:`_extension_key` computes
+# its masks directly.  Each entry is a pure function of its keys.  All three
+# are cleared together when one holds TABLE_CAP entries, so every row set at
+# k <= 4 fits.
 TABLE_CAP = 1 << 16
 _hall: dict[int, bool] = {}
 _factors: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -230,9 +236,12 @@ def _extensions(
     tables, keyed by the integer; a miss unpacks the rows with
     :func:`_rows`.
 
-    This function builds the keys and ``later``, runs the root check and
-    returns the search, :func:`_walk`.  Exhausting it restores ``assign``;
-    closing it early restores nothing.
+    The search runs in this one frame: level idx packs ``order[idx]``
+    through ``options[idx]``, its 1-factors (a ``_factors`` tuple, or
+    :func:`_fresh_factors` on a miss), and ``saved[idx]`` holds the keys of
+    ``later[idx]`` from before it was packed; an exhausted level restores
+    them, unpacks its vertex and resumes the level above.  Exhausting the
+    generator restores ``assign``; closing it early restores nothing.
     """
 
     n = len(order)
@@ -261,21 +270,7 @@ def _extensions(
             if ok is None:
                 ok = _hall_miss(k, keys[j])
             if not ok:
-                return iter(())
-    return _walk(k, order, keys, later, assign)
-
-
-def _walk(k: int, order: Sequence[int], keys: list[int], later, assign: dict) -> Iterator[None]:
-    """The depth-first search behind :func:`_extensions`, in one frame.
-
-    Level idx packs ``order[idx]``.  ``options[idx]`` iterates its 1-factors
-    (a ``_factors`` tuple, or :func:`_fresh_factors` on a miss) and
-    ``saved[idx]`` holds the keys of ``later[idx]`` from before it was
-    packed.  A level is entered when the vertex above it passes its Hall
-    checks; an exhausted level restores those keys, unpacks its vertex and
-    resumes the level above.  A generator closed early restores nothing."""
-
-    n = len(order)
+                return
     if n == 0:
         yield
         return
@@ -511,7 +506,7 @@ class _Decider:
 
 
 def adversarial_cover_search(
-    g: Graph, k: int, cap: int = 1_000_000
+    g: Graph, k: int, cap: int = CANDIDATE_CAP
 ) -> CorrespondenceCover | None:
     """First unsolvable k-cover in the gauge-reduced enumeration, or None.
 
@@ -738,7 +733,7 @@ def _realize_lists(
 
 
 def adversarial_list_search(
-    g: Graph, k: int, universe: int, cap: int = 4_000_000
+    g: Graph, k: int, universe: int, cap: int = CANDIDATE_CAP
 ) -> ListAssignment | None:
     """First unsolvable k-assignment (canonical representative), or None.
 
@@ -854,7 +849,7 @@ def adversarial_list_search(
 
 
 def packing_number(
-    g: Graph, mode: str, upper: int, cap: int = 4_000_000
+    g: Graph, mode: str, upper: int, cap: int = CANDIDATE_CAP
 ) -> int:
     """Least k <= upper with no adversarial witness.
 

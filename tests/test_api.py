@@ -1,4 +1,4 @@
-"""No public name that only tests call.
+"""No public name that only tests call, and no private name nothing calls.
 
 Every public module-level function or class, and every public method, in
 the library's modules must be referenced from some library module other
@@ -8,6 +8,10 @@ name that no enclosing function binds itself (as a parameter, or as an
 assignment, loop or comprehension target), with that spelling; so a method
 counts as used when any object's attribute of that name is read, and a
 local variable is no use of a function of its name.
+
+Every private (single-underscore) module-level function or class, and every
+private method, must be referenced from library code by the same rule: the
+library keeps no private hook that only tests call.
 
 Every name ``perfbench/tracing.py`` patches must resolve in the library,
 apart from a listed set of known stale ones.
@@ -121,6 +125,32 @@ def test_locals_are_not_uses():
     assert _unused(modules) == ["degree"]
     modules["caller"] = ast.parse("def _count(g):\n    return degree(g, 0)\n")
     assert _unused(modules) == []
+
+
+def _private_names(modules) -> list[tuple[str, str]]:
+    """(qualified name, bare name) of every private function, class and
+    method; dunder methods are not private."""
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    out = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if private(node.name):
+                    out.append((f"{module}.{node.name}", node.name))
+                if isinstance(node, ast.ClassDef):
+                    for sub in node.body:
+                        if isinstance(sub, ast.FunctionDef) and private(sub.name):
+                            out.append((f"{module}.{node.name}.{sub.name}", sub.name))
+    return out
+
+
+def test_every_private_name_is_used():
+    modules = _modules()
+    used = _referenced(modules)
+    assert [qual for qual, bare in _private_names(modules) if bare not in used] == []
 
 
 def test_allowlist_is_current():

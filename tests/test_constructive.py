@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from listpacking import constructive
 from listpacking.constructive import (
     REGIME_K,
     ClassViolationError,
@@ -96,7 +97,7 @@ def from_scratch_plan(g, regime: str) -> list[Reduction]:
 
     plan, active = [], frozenset(range(g.n))
     while active:
-        red = find_reduction(g, regime, {v: sum(w in active for w in g.adjacency[v]) for v in active})
+        red = find_reduction(g, regime, {v: sum(w in active for w in g.adjacency[v]) for v in sorted(active)})
         plan.append(red)
         active = active - set(red.removable())
     return plan
@@ -148,7 +149,7 @@ class TestExtendWithRepair:
         packing = Packing(4, {1: (0, 1, 2, 3), 2: (1, 0, 3, 2)})
         trace = RepairTrace()
         got = extend_with_repair(cover, packing, (0,), budget=2, trace=trace)
-        assert got is not None
+        assert got is packing
         assert trace.steps[-1].budget_used == 0
         assert validate_packing(cover, got).ok
 
@@ -176,19 +177,42 @@ class TestExtendWithRepair:
         step = trace.steps[-1]
         assert step.budget_used == 1 and len(step.repacked) == 1
 
-    def test_budget_two_repairs(self):
+    def _k3_star(self):
         # k=3 star: no single leaf can be repacked to free the center, but
         # leaves 1 and 3 together can
         g = graph_from_edges(5, [(0, i) for i in range(1, 5)])
         arcs = {(0, 1): (0, 1, 2), (0, 2): (2, 1, 0), (0, 3): (2, 0, 1), (0, 4): (1, 2, 0)}
         cover = CorrespondenceCover(g, 3, {e: Perm(p) for e, p in arcs.items()})
         packing = Packing(3, {1: (2, 1, 0), 2: (1, 0, 2), 3: (1, 0, 2), 4: (0, 1, 2)})
+        return cover, packing
+
+    def test_budget_two_repairs(self):
+        cover, packing = self._k3_star()
         assert extend_with_repair(cover, packing, (0,), budget=1) is None
         trace = RepairTrace()
         got = extend_with_repair(cover, packing, (0,), budget=2, trace=trace)
         assert got is not None and validate_packing(cover, got).ok
         step = trace.steps[-1]
         assert step.success and step.budget_used == 2 and step.repacked == (1, 3)
+
+    @pytest.mark.parametrize(
+        "star, budget, cap", [("_blocked_star", 0, None), ("_k3_star", 1, None), ("_k3_star", 1, 1)]
+    )
+    def test_failure_leaves_packing_as_it_was(self, monkeypatch, star, budget, cap):
+        # at cap 1 each leaf's engine is left after its first repacking, not
+        # exhausted, so it does not restore the leaf itself
+        if cap is not None:
+            monkeypatch.setattr(constructive, "REPACK_CAP", cap)
+        cover, packing = getattr(self, star)()
+        before = dict(packing.assign)
+        assert extend_with_repair(cover, packing, (0,), budget=budget) is None
+        assert packing.assign == before
+
+    @pytest.mark.parametrize("star, budget", [("_blocked_star", 1), ("_k3_star", 2)])
+    def test_success_extends_the_packing_given(self, star, budget):
+        cover, packing = getattr(self, star)()
+        assert extend_with_repair(cover, packing, (0,), budget=budget) is packing
+        assert 0 in packing.assign and validate_packing(cover, packing).ok
 
     @pytest.mark.parametrize("budget", [-1, 3])
     def test_budget_out_of_range(self, budget):

@@ -349,7 +349,7 @@ class TestExtensions:
         cover, packing = partial_packing(kind, k, order)
         got = engine_extensions(cover, packing, order)
         assert len(set(got)) == len(got)
-        assert got == list(nested_factor_extensions(cover, packing.copy(), order))
+        assert got == list(nested_factor_extensions(cover, Packing(packing.k, dict(packing.assign)), order))
         assert set(got) == brute_force_extensions(cover, packing, order)
 
     @pytest.mark.usefixtures("cold_tables")
