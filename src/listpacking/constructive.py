@@ -9,7 +9,7 @@ Supported regimes (the cover's k must match):
 
 The first two are the classes of the discharging rules ``P4`` and ``P5``
 (``openB`` has no regime): the mad bound is the rule's threshold, and the
-configurations reduced are exactly its exclusions (``discharging.EXCLUSIONS``).
+configurations reduced are exactly its exclusions (``discharging.RULES[name]``).
 
 Each step finds a reducible configuration, removes its removable vertices,
 packs the rest, and extends back over the removed set.  The whole plan is
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from listpacking.covers import CorrespondenceCover, Packing, forbidden_maps, validate_packing
-from listpacking.discharging import RULE_THRESHOLDS, find_configuration
+from listpacking.discharging import RULES, find_configuration
 from listpacking.graphs import Graph, find_light_triangle, girth, mad
 from listpacking.solver import _extensions
 
@@ -135,7 +135,7 @@ def find_reduction(g: Graph, regime: str, active: Mapping[int, int] | None = Non
         rule, triangle_free = REGIME_RULE[regime]
         found = find_configuration(g, rule, deg)
         if found is None:
-            name = f"{'triangle-free ' if triangle_free else ''}mad<{RULE_THRESHOLDS[rule]}"
+            name = f"{'triangle-free ' if triangle_free else ''}mad<{RULES[rule].threshold}"
             raise ClassViolationError(f"no reducible configuration: graph not in {name} class")
         return Reduction(*found)
 
@@ -246,7 +246,7 @@ def _check_class(g: Graph, regime: str) -> str | None:
     rule, triangle_free = REGIME_RULE[regime]
     if triangle_free and girth(g) == 3:
         return "graph has a triangle"
-    bound = RULE_THRESHOLDS[rule]
+    bound = RULES[rule].threshold
     if mad(g) >= bound:
         return f"maximum average degree {mad(g)} is not below {bound}"
     return None

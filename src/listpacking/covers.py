@@ -281,7 +281,8 @@ def forbidden_maps(
 
 def validate_packing(cover: CorrespondenceCover, packing: Packing) -> Check:
     """Full check of a (complete) packing against a cover: every vertex
-    assigned, per-vertex injectivity, values in range, all arc constraints."""
+    assigned and no other, per-vertex injectivity, values in range, all arc
+    constraints."""
 
     bad: list[str] = []
     g = cover.graph
@@ -292,6 +293,9 @@ def validate_packing(cover: CorrespondenceCover, packing: Packing) -> Check:
         bad.append(f"packing has k={packing.k}, cover has k={cover.k}")
     values = set(range(cover.k))
     for v, colors in packing.assign.items():
+        if not 0 <= v < g.n:
+            bad.append(f"vertex {v} not in the graph")
+            continue
         if len(colors) != cover.k:
             bad.append(f"vertex {v}: expected {cover.k} entries")
             continue
@@ -314,7 +318,7 @@ def validate_packing(cover: CorrespondenceCover, packing: Packing) -> Check:
 
 def validate_list_packing(la: ListAssignment, packing: Packing) -> Check:
     """Each coloring is a proper coloring from the lists, and per vertex the
-    k colorings use k distinct colors."""
+    k colorings use k distinct colors; no vertex outside the graph is packed."""
 
     bad: list[str] = []
     g = la.graph
@@ -331,6 +335,11 @@ def validate_list_packing(la: ListAssignment, packing: Packing) -> Check:
         for c in colors:
             if c not in la.lists[v]:
                 bad.append(f"vertex {v}: color {c} outside its list")
+    for v in packing.assign:
+        if not 0 <= v < g.n:
+            bad.append(f"vertex {v} not in the graph")
+    if packing.k != la.k:
+        bad.append(f"packing has k={packing.k}, lists have k={la.k}")
     if bad:
         return Check(False, tuple(bad))
     for u, v in g.sorted_edges():

@@ -1,21 +1,19 @@
 """Charge ledgers and local discharging rules, with exact rational
 arithmetic throughout.
 
-A rule is a list of clauses ``(recipient predicate, donor predicate,
-amount)`` over vertex degrees.  Auditing a graph gives every vertex an
-initial charge equal to its degree and applies one transfer per (edge,
-matching clause, direction).  Three preset rules ship with the package:
+Each preset in ``RULES`` is one record of a discharging argument, stated in
+degree ranges: its clauses, its threshold, and the configurations its class
+excludes.  Auditing a graph gives every vertex an initial charge equal to
+its degree and applies one transfer per (edge, matching clause, direction):
 
 * ``P4``:    every 3-vertex takes 1/3 from each neighbor;
 * ``P5``:    every 3-vertex takes 1/6 from each neighbor of degree >= 4;
-* ``openB``: every 3-vertex takes 1/4 from each neighbor, the k = 3 case of
-  :func:`degree_k_rule`.
+* ``openB``: every 3-vertex takes 1/4 from each neighbor.
 
-Each preset lists the configurations its class excludes (``EXCLUSIONS``);
-without them the audited minimum final charge is at least the rule's
-threshold (4, 10/3, and 3 + 3/4).  P4's and P5's exclusions are exactly the
-configurations the packer's ``mad4_k5`` and ``girth5_k4`` reduce, whose mad
-bounds are these thresholds; openB has no packer regime.
+Without its exclusions, a graph's audited minimum final charge is at least
+the rule's threshold (4, 10/3 and 15/4).  P4's and P5's exclusions are
+exactly the configurations the packer's ``mad4_k5`` and ``girth5_k4``
+reduce, whose mad bounds are these thresholds; openB has no packer regime.
 """
 
 from __future__ import annotations
@@ -25,25 +23,44 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from math import inf
 
 from listpacking.graphs import Graph, graph_from_edges
 
 
 @dataclass(frozen=True)
 class Clause:
-    recipient: Callable[[int], bool]
-    donor: Callable[[int], bool]
+    """A vertex of degree low..high takes ``amount`` from each neighbor of
+    degree donor_low..donor_high (``math.inf``: no upper bound)."""
+
+    low: int
+    high: float
+    donor_low: int
+    donor_high: float
     amount: Fraction
 
     def __post_init__(self) -> None:
         if self.amount <= 0:
             raise ValueError("transfer amounts are positive")
 
+    def applies(self, degree: int, donor_degree: int) -> bool:
+        return self.low <= degree <= self.high and self.donor_low <= donor_degree <= self.donor_high
+
 
 @dataclass(frozen=True)
 class DischargingRule:
+    """A discharging argument: once none of ``exclusions`` occurs, every
+    vertex ends the audit with at least ``threshold``.
+
+    An exclusion ``(name, low, high, neighbor_low, neighbor_high, count)``
+    is a vertex, its center, of degree low..high with at least count
+    neighbors of degree neighbor_low..neighbor_high.  They are listed in the
+    search order of :func:`find_configuration`.
+    """
+
     clauses: tuple[Clause, ...]
+    threshold: Fraction
+    exclusions: tuple[tuple[str, int, int, int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -78,62 +95,42 @@ class ChargeLedger:
 
 def discharge_audit(g: Graph, rule: DischargingRule) -> ChargeLedger:
     """Apply a rule to a graph: initial charge d(v), one transfer per
-    (edge, clause, direction) whose predicates match."""
+    (edge, clause, direction) whose degree ranges match."""
 
     deg = g.degrees()
     transfers = []
     for u, v in g.sorted_edges():
         for clause in rule.clauses:
-            if clause.recipient(deg[u]) and clause.donor(deg[v]):
+            if clause.applies(deg[u], deg[v]):
                 transfers.append((v, u, clause.amount))
-            if clause.recipient(deg[v]) and clause.donor(deg[u]):
+            if clause.applies(deg[v], deg[u]):
                 transfers.append((u, v, clause.amount))
     return ChargeLedger(tuple(Fraction(d) for d in deg), tuple(transfers))
 
 
-def degree_k_rule(k: int) -> DischargingRule:
-    """Every k-vertex takes 1/(k+1) from each neighbor."""
-
-    return DischargingRule((Clause(lambda d, k=k: d == k, lambda d: True, Fraction(1, k + 1)),))
-
-
-RULES: dict[str, DischargingRule] = {
-    "P4": DischargingRule((Clause(lambda d: d == 3, lambda d: True, Fraction(1, 3)),)),
-    "P5": DischargingRule((Clause(lambda d: d == 3, lambda d: d >= 4, Fraction(1, 6)),)),
-    "openB": degree_k_rule(3),
-}
-
-RULE_THRESHOLDS: dict[str, Fraction] = {
-    "P4": Fraction(4),
-    "P5": Fraction(10, 3),
-    "openB": Fraction(3) + Fraction(3, 4),
-}
-
-
-# ---------------------------------------------------------------------------
-# Exclusions: the reducible configurations each rule's class forbids.
-# ---------------------------------------------------------------------------
-
-
-# Each preset's configurations in search order, read by passes_exclusions and
-# by the packer's find_reduction.  A configuration (name, low, high,
-# neighbor_low, neighbor_high, count) is a vertex, its center, of degree
-# low..high with at least count neighbors of degree neighbor_low..neighbor_high.
 LOW_DEGREE = ("low_degree_vertex", 0, 2, 0, 0, 0)
 LIGHT_EDGE = ("light_edge", 3, 3, 3, 4, 1)
-EXCLUSIONS: dict[str, tuple[tuple[str, int, int, int, int, int], ...]] = {
-    "P4": (LOW_DEGREE, LIGHT_EDGE, ("five_with_four_threes", 5, 5, 3, 3, 4)),
-    "P5": (LOW_DEGREE, ("path_3_3_3", 3, 3, 3, 3, 2)),
-    "openB": (LOW_DEGREE, LIGHT_EDGE),
+RULES: dict[str, DischargingRule] = {
+    "P4": DischargingRule(
+        (Clause(3, 3, 0, inf, Fraction(1, 3)),),
+        Fraction(4),
+        (LOW_DEGREE, LIGHT_EDGE, ("five_with_four_threes", 5, 5, 3, 3, 4)),
+    ),
+    "P5": DischargingRule(
+        (Clause(3, 3, 4, inf, Fraction(1, 6)),),
+        Fraction(10, 3),
+        (LOW_DEGREE, ("path_3_3_3", 3, 3, 3, 3, 2)),
+    ),
+    "openB": DischargingRule((Clause(3, 3, 0, inf, Fraction(1, 4)),), Fraction(15, 4), (LOW_DEGREE, LIGHT_EDGE)),
 }
 
 
 def find_configuration(g: Graph, rule_name: str, deg: Mapping[int, int]) -> tuple[str, tuple[int, ...]] | None:
-    """The rule's first configuration (in table order, then by center in the key order
+    """The rule's first configuration (in exclusion order, then by center in the key order
     of ``deg``) in the subgraph induced by the keys of ``deg``, each mapped to its degree
     there, as (name, (center, *its first ``count`` matching neighbors in adjacency order)), or None."""
 
-    for name, low, high, neighbor_low, neighbor_high, count in EXCLUSIONS[rule_name]:
+    for name, low, high, neighbor_low, neighbor_high, count in RULES[rule_name].exclusions:
         for v in deg:
             if low <= deg[v] <= high:
                 found = (v,)
@@ -149,8 +146,8 @@ def find_configuration(g: Graph, rule_name: str, deg: Mapping[int, int]) -> tupl
 def passes_exclusions(g: Graph, rule_name: str) -> bool:
     """No configuration of the rule's exclusions occurs in ``g``."""
 
-    if rule_name not in EXCLUSIONS:
-        raise ValueError(f"no exclusion predicate for rule {rule_name!r}")
+    if rule_name not in RULES:
+        raise ValueError(f"unknown rule {rule_name!r}")
     return find_configuration(g, rule_name, dict(enumerate(g.degrees()))) is None
 
 

@@ -138,18 +138,9 @@ _DODECAHEDRON_EDGES = (
     + [(15 + i, 15 + (i + 1) % 5) for i in range(5)]
 )
 
-# Hub 0 over upper ring 1-5, hub 11 under lower ring 6-10, rings joined by a
-# zigzag band.  5-regular, 30 edges, girth 3.
-_ICOSAHEDRON_EDGES = (
-    [(0, i) for i in range(1, 6)]
-    + [(1 + i, 1 + (i + 1) % 5) for i in range(5)]
-    + [(6 + i, 6 + (i + 1) % 5) for i in range(5)]
-    + [(11, i) for i in range(6, 11)]
-    + [(1, 6), (1, 7), (2, 7), (2, 8), (3, 8), (3, 9), (4, 9), (4, 10), (5, 10), (5, 6)]
-)
-
-# Oriented triangular faces of the icosahedron above (used by the
-# triangulation generators).
+# Oriented triangular faces of the icosahedron: hub 0 over upper ring 1-5,
+# hub 11 under lower ring 6-10, rings joined by a zigzag band.  5-regular,
+# 30 edges, girth 3.
 _ICOSAHEDRON_FACES = (
     [(0, 1 + i, 1 + (i + 1) % 5) for i in range(5)]
     + [(11, 6 + (i + 1) % 5, 6 + i) for i in range(5)]
@@ -211,7 +202,7 @@ def generate(kind: str, *params: int) -> Graph:
         return graph_from_edges(20, _DODECAHEDRON_EDGES)
     if kind == "icosahedron":
         need(0)
-        return graph_from_edges(12, _ICOSAHEDRON_EDGES)
+        return _faces_to_graph(12, _ICOSAHEDRON_FACES)
     if kind == "cube":
         need(0)
         return graph_from_edges(8, ((u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)))
@@ -467,64 +458,32 @@ def graph_from_json(obj: dict) -> Graph:
 # ---------------------------------------------------------------------------
 # Planar triangulations with minimum degree 5.
 #
-# These are produced constructively (subdivide the icosahedron, then apply
+# These are produced constructively (split the icosahedron's faces, then apply
 # random degree-guarded diagonal flips and vertex splits), so planarity and
 # the triangulation property hold by construction and are never re-tested.
 # ---------------------------------------------------------------------------
 
 
 @cache
-def _geodesic_icosahedron(nu: int) -> tuple[int, tuple[frozenset[int], ...]]:
-    """Subdivide every icosahedron face into nu^2 triangles.
+def _split_icosahedron() -> tuple[int, tuple[frozenset[int], ...]]:
+    """Split every icosahedron face (p, q, r) into four at its edge
+    midpoints, numbered qr, pr, pq from 12 the first time each is seen.
 
-    Original vertices keep degree 5; all created vertices have degree 6.
-    Returns (vertex count, faces in the order they are built).  A set that
-    adds the faces in that order iterates them as the generator's face set
-    always has; a copy of a finished set would not.
+    Original vertices keep degree 5; the 30 midpoints have degree 6.
+    Returns (42, faces in the order they are built).  A set that adds the
+    faces in that order iterates them as the generator's face set always
+    has; a copy of a finished set would not.
     """
 
-    coords: dict[tuple, int] = {}
-    counter = 12
-
-    def vertex_id(face: tuple[int, int, int], a: int, b: int, c: int) -> int:
-        nonlocal counter
-        p, q, r = face
-        if a == nu:
-            return p
-        if b == nu:
-            return q
-        if c == nu:
-            return r
-        # Edge points are keyed by the weight of the smaller endpoint, which
-        # is the same from both incident faces.
-        if c == 0:
-            key = ("e", min(p, q), max(p, q), a if p < q else b)
-        elif b == 0:
-            key = ("e", min(p, r), max(p, r), a if p < r else c)
-        elif a == 0:
-            key = ("e", min(q, r), max(q, r), b if q < r else c)
-        else:
-            key = ("f", p, q, r, a, b)
-        if key not in coords:
-            coords[key] = counter
-            counter += 1
-        return coords[key]
-
+    mid: dict[frozenset[int], int] = {}
     faces: list[frozenset[int]] = []
-    for face in _ICOSAHEDRON_FACES:
-        grid = {}
-        for a in range(nu + 1):
-            for b in range(nu + 1 - a):
-                grid[(a, b)] = vertex_id(face, a, b, nu - a - b)
-        for a in range(nu):
-            for b in range(nu - a):
-                faces.append(frozenset({grid[(a, b)], grid[(a + 1, b)], grid[(a, b + 1)]}))
-                if a + b < nu - 1:
-                    faces.append(frozenset({grid[(a + 1, b)], grid[(a, b + 1)], grid[(a + 1, b + 1)]}))
-    return counter, tuple(faces)
+    for p, q, r in _ICOSAHEDRON_FACES:
+        qr, pr, pq = (mid.setdefault(frozenset(e), 12 + len(mid)) for e in ((q, r), (p, r), (p, q)))
+        faces += [frozenset({r, pr, qr}), frozenset({pr, qr, pq}), frozenset({qr, pq, q}), frozenset({pr, p, pq})]
+    return 12 + len(mid), tuple(faces)
 
 
-def _faces_to_graph(n: int, faces: set[frozenset[int]]) -> Graph:
+def _faces_to_graph(n: int, faces: Iterable[Collection[int]]) -> Graph:
     edges = set()
     for f in faces:
         a, b, c = sorted(f)
@@ -560,10 +519,11 @@ TRIANGULATION_MOVES = 40
 def random_planar_triangulation_min5(seed: int) -> Graph:
     """Seeded planar triangulation with minimum degree 5.
 
-    Starts from the nu=2 geodesic subdivision of the icosahedron (42
-    vertices) and applies ``TRIANGULATION_MOVES`` random degree-guarded
-    operations: diagonal flips and vertex splits, both of which preserve
-    planarity, the triangulation property, and minimum degree 5.
+    Starts from the icosahedron with every face split into four at its edge
+    midpoints (42 vertices) and applies ``TRIANGULATION_MOVES`` random
+    degree-guarded operations: diagonal flips and vertex splits, both of
+    which preserve planarity, the triangulation property, and minimum
+    degree 5.
 
     The triangulation of each seed is frozen, and the draws rest on four
     order facts that any rewrite must keep:
@@ -587,7 +547,7 @@ def random_planar_triangulation_min5(seed: int) -> Graph:
     """
 
     rng = random.Random(seed)
-    n, built = _geodesic_icosahedron(2)
+    n, built = _split_icosahedron()
     faces: set[frozenset[int]] = set()
     edges_of: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
     apex: dict[tuple[int, int], dict[frozenset[int], int]] = {}

@@ -136,10 +136,13 @@ def _solve_order(g: Graph) -> tuple[int, ...]:
 # holds its inverted 1-factors in _raw_one_factors order, stored only once an
 # enumeration has run to the end.  _clear caches, for the search in
 # :func:`_extensions`, the :func:`_cleared` mask of each coloring per
-# forbidden map (at most k! entries per map); :func:`_extension_key` computes
-# its masks directly.  Each entry is a pure function of its keys.  All three
-# are cleared together when one holds TABLE_CAP entries, so every row set at
-# k <= 4 fits.
+# forbidden map (at most k! entries per map).  :func:`_extension_key`
+# computes its masks directly: the packer builds nearly all its keys there,
+# and its k = 8 maps seldom recur (a class_pack pass at seed 1 would store
+# 23,839 of them for 12,077 hits), so caching them there read class_pack
+# peak_rss_mb +15% and op_p99_ms +9% (3 pairs, 2 CPUs, CPython 3.11).  Each
+# entry is a pure function of its keys.  All three are cleared together when
+# one holds TABLE_CAP entries, so every row set at k <= 4 fits.
 TABLE_CAP = 1 << 16
 _hall: dict[int, bool] = {}
 _factors: dict[int, tuple[tuple[int, ...], ...]] = {}

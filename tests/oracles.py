@@ -448,15 +448,64 @@ def _incidence(faces):
     return at
 
 
+def geodesic_icosahedron(nu: int):
+    """Subdivide every icosahedron face into nu^2 triangles: (vertex count,
+    faces in the order they are built).  Original vertices keep degree 5;
+    all created vertices have degree 6."""
+
+    from listpacking.graphs import _ICOSAHEDRON_FACES
+
+    coords: dict[tuple, int] = {}
+    counter = 12
+
+    def vertex_id(face: tuple[int, int, int], a: int, b: int, c: int) -> int:
+        nonlocal counter
+        p, q, r = face
+        if a == nu:
+            return p
+        if b == nu:
+            return q
+        if c == nu:
+            return r
+        # Edge points are keyed by the weight of the smaller endpoint, which
+        # is the same from both incident faces.
+        if c == 0:
+            key = ("e", min(p, q), max(p, q), a if p < q else b)
+        elif b == 0:
+            key = ("e", min(p, r), max(p, r), a if p < r else c)
+        elif a == 0:
+            key = ("e", min(q, r), max(q, r), b if q < r else c)
+        else:
+            key = ("f", p, q, r, a, b)
+        if key not in coords:
+            coords[key] = counter
+            counter += 1
+        return coords[key]
+
+    faces: list[frozenset[int]] = []
+    for face in _ICOSAHEDRON_FACES:
+        grid = {}
+        for a in range(nu + 1):
+            for b in range(nu + 1 - a):
+                grid[(a, b)] = vertex_id(face, a, b, nu - a - b)
+        for a in range(nu):
+            for b in range(nu - a):
+                faces.append(frozenset({grid[(a, b)], grid[(a + 1, b)], grid[(a, b + 1)]}))
+                if a + b < nu - 1:
+                    faces.append(frozenset({grid[(a + 1, b)], grid[(a, b + 1)], grid[(a + 1, b + 1)]}))
+    return counter, tuple(faces)
+
+
 def reference_triangulation_min5(seed: int):
     """``random_planar_triangulation_min5`` as it rebuilt its maps from the
     face set at every move: the edge-face map at every flip, the
-    vertex-face incidence and the degree table at every split."""
+    vertex-face incidence and the degree table at every split, starting
+    from the general subdivision at nu = 2."""
 
-    from listpacking.graphs import TRIANGULATION_MOVES, _faces_to_graph, _geodesic_icosahedron, _rotation
+    from listpacking.graphs import TRIANGULATION_MOVES, _faces_to_graph, _rotation
 
     rng = random.Random(seed)
-    n, built = _geodesic_icosahedron(2)
+    n, built = geodesic_icosahedron(2)
     faces: set[frozenset[int]] = set()
     for f in built:
         faces.add(f)

@@ -11,6 +11,8 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import pytest
+
 from listpacking.constructive import pack_constructive
 from listpacking.covers import (
     CorrespondenceCover,
@@ -20,7 +22,7 @@ from listpacking.covers import (
     random_cover,
     validate_packing,
 )
-from listpacking.discharging import RULES, RULE_THRESHOLDS, discharge_audit, generate_rule_instance, passes_exclusions
+from listpacking.discharging import RULES, discharge_audit, generate_rule_instance, passes_exclusions
 from listpacking.graphs import (
     find_light_triangle,
     generate,
@@ -116,6 +118,7 @@ RANDOMIZED_LEMMAS = (
 )
 
 
+@pytest.mark.slow
 def test_criterion_05_randomized_lemma_verification():
     start = time.perf_counter()
     bad = []
@@ -200,7 +203,7 @@ def test_criterion_08_discharging_thresholds():
     start = time.perf_counter()
     bad = []
     for rule_name in ("P4", "P5", "openB"):
-        threshold = RULE_THRESHOLDS[rule_name]
+        threshold = RULES[rule_name].threshold
         for seed in range(100):
             g = generate_rule_instance(rule_name, seed)
             if not passes_exclusions(g, rule_name):

@@ -268,6 +268,30 @@ class TestValidators:
         assert not validate_list_packing(la, Packing(2, {0: (0, 0), 1: (1, 0)})).ok
         assert not validate_list_packing(la, Packing(2, {0: (0, 2), 1: (1, 0)})).ok
 
+    def test_vertex_outside_the_graph(self):
+        cover = random_cover(generate("cycle", 4), 3, 1)
+        packing = solve_packing(cover)
+        assert validate_packing(cover, packing).ok
+        packing.assign[99] = (0, 1, 2)
+        assert validate_packing(cover, packing) == Check(False, ("vertex 99 not in the graph",))
+        packing.assign[-1] = (0, 0, 7)
+        assert validate_packing(cover, packing).violations == (
+            "vertex 99 not in the graph",
+            "vertex -1 not in the graph",
+        )
+
+    def test_list_vertex_outside_the_graph(self):
+        la = list_assignment(generate("cycle", 4), 3, [[0, 1, 2]] * 4)
+        packing = Packing(3, {0: (0, 1, 2), 1: (1, 2, 0), 2: (0, 1, 2), 3: (1, 2, 0)})
+        assert validate_list_packing(la, packing).ok
+        packing.assign[-1] = (7, 8, 9)
+        assert validate_list_packing(la, packing) == Check(False, ("vertex -1 not in the graph",))
+
+    def test_list_packing_k_must_match(self):
+        la = list_assignment(generate("path", 2), 2, [[0, 1], [0, 1]])
+        packing = Packing(3, {0: (0, 1), 1: (1, 0)})
+        assert validate_list_packing(la, packing) == Check(False, ("packing has k=3, lists have k=2",))
+
     def test_gauge_invariance(self):
         # conjugating all arcs at one vertex preserves solvability
         g = generate("cycle", 4)

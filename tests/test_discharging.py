@@ -1,18 +1,20 @@
+import dataclasses
+import hashlib
+import json
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from listpacking.constructive import ClassViolationError, find_reduction
 from listpacking.discharging import (
-    EXCLUSIONS,
-    RULE_THRESHOLDS,
     RULES,
     ChargeLedger,
     Clause,
     DischargingRule,
-    degree_k_rule,
     discharge_audit,
     generate_rule_instance,
     passes_exclusions,
@@ -71,12 +73,12 @@ class TestAudit:
 
     def test_positive_amounts_only(self):
         with pytest.raises(ValueError):
-            Clause(lambda d: True, lambda d: True, Fraction(0))
+            Clause(0, inf, 0, inf, Fraction(0))
 
-    def test_degree_k_rule(self):
-        rule = degree_k_rule(3)
-        assert rule.clauses[0].amount == Fraction(1, 4)
-        assert rule.clauses[0].recipient(3) and not rule.clauses[0].recipient(4)
+    def test_openb_clause(self):
+        (clause,) = RULES["openB"].clauses
+        assert clause.amount == Fraction(1, 4)
+        assert clause.applies(3, 5) and not clause.applies(4, 5)
 
 
 def all_graphs(max_n: int = 10):
@@ -129,9 +131,10 @@ class TestExclusions:
     def test_each_configuration_is_needed(self, monkeypatch, rule_name, name, g):
         # the graph fails the rule, and passes once that configuration goes
         assert not passes_exclusions(g, rule_name)
-        kept = tuple(c for c in EXCLUSIONS[rule_name] if c[0] != name)
-        assert len(kept) == len(EXCLUSIONS[rule_name]) - 1
-        monkeypatch.setitem(EXCLUSIONS, rule_name, kept)
+        rule = RULES[rule_name]
+        kept = tuple(c for c in rule.exclusions if c[0] != name)
+        assert len(kept) == len(rule.exclusions) - 1
+        monkeypatch.setitem(RULES, rule_name, dataclasses.replace(rule, exclusions=kept))
         assert passes_exclusions(g, rule_name)
 
     def test_p5_passes_k34_at_its_threshold(self):
@@ -139,7 +142,7 @@ class TestExclusions:
         # 4-vertex gives away 4 * 1/6, landing exactly on 10/3
         g = generate("complete_bipartite", 3, 4)
         assert passes_exclusions(g, "P5")
-        assert discharge_audit(g, RULES["P5"]).min_final() == RULE_THRESHOLDS["P5"]
+        assert discharge_audit(g, RULES["P5"]).min_final() == RULES["P5"].threshold
 
     @given(all_graphs())
     @settings(max_examples=300, deadline=None)
@@ -173,7 +176,7 @@ class TestExclusions:
 class TestGeneratedInstances:
     @pytest.mark.parametrize("rule_name", sorted(RULES))
     def test_instances_meet_threshold(self, rule_name):
-        threshold = RULE_THRESHOLDS[rule_name]
+        threshold = RULES[rule_name].threshold
         for seed in range(30):
             g = generate_rule_instance(rule_name, seed)
             assert passes_exclusions(g, rule_name)
@@ -196,3 +199,25 @@ class TestGeneratedInstances:
                 if deg[v] == 5 and sum(1 for w in g.adjacency[v] if deg[w] == 3) == 3:
                     found = True
         assert found
+
+
+def _random_graph(rng: random.Random):
+    n = rng.randrange(12)
+    p = rng.uniform(0.2, 0.9)
+    return graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def test_audits_unchanged():
+    # every preset's ledger and exclusion verdict over criterion 8's
+    # instances, the NEEDED graphs and 1,000 seeded random graphs, hashed
+    # when the clauses were predicates and the tables separate
+    graphs = [generate_rule_instance(r, s) for r in ("P4", "P5", "openB") for s in range(100)]
+    graphs += [g for _, _, g in NEEDED]
+    rng = random.Random(29)
+    graphs += [_random_graph(rng) for _ in range(1000)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for name in sorted(RULES):
+            audit = discharge_audit(g, RULES[name]).as_json()
+            digest.update(json.dumps([audit, passes_exclusions(g, name)]).encode())
+    assert digest.hexdigest() == "a43397741e2af4ea002a5413c40ae123585dc261aa19a2c1608c47423985b6f6"

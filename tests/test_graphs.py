@@ -21,10 +21,11 @@ from listpacking.graphs import (
     graph_from_edges,
     graph_from_json,
     graph_to_json,
+    _split_icosahedron,
     mad,
     random_planar_triangulation_min5,
 )
-from oracles import oracle_girth, oracle_mad, reference_triangulation_min5, replay_degeneracy
+from oracles import geodesic_icosahedron, oracle_girth, oracle_mad, reference_triangulation_min5, replay_degeneracy
 
 
 def small_graphs(max_n=8):
@@ -279,6 +280,14 @@ class TestTriangulations:
             env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hashseed)
             out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
             assert out.stdout.strip() == self.DIGESTS[3]
+
+    def test_seed_mesh_matches_reference(self):
+        # the midpoint split is the general subdivision at nu = 2, face by
+        # face and in each face's own iteration order
+        n, faces = _split_icosahedron()
+        ref_n, ref_faces = geodesic_icosahedron(2)
+        assert n == ref_n == 42
+        assert [tuple(f) for f in faces] == [tuple(f) for f in ref_faces]
 
     def test_matches_reference(self):
         # seeds 1_020_000.. are the first of class_pack's seed-1 triangulations
