@@ -18,9 +18,14 @@ packed with one AND, by a mask it caches in the module-level table
 more tables keyed by that integer, ``_hall`` and ``_factors``, and unpacks
 the rows only on a miss.  A row set recurs far more often than it is new:
 one pass over the benchmark's cover panel makes 72,905 Hall checks on 636
-distinct row sets.  All three tables are pure functions of their keys, so
-what the engine yields, and in what order, does not depend on what they
-hold.
+distinct row sets.  ``_factors`` keeps a prefix: the 1-factors yielded so
+far and whether the enumeration reached its end.  A caller that stops at the
+first 1-factor, as the packer nearly always does, leaves that prefix behind,
+and the next enumeration of the row set replays it and runs the kernel again
+only when it wants more: one pass over the benchmark's 2,200 packer inputs
+makes 52,819 enumerations of 16,811 row sets, and 16,926 reach the kernel.
+All three tables are pure functions of their keys, so what the engine
+yields, and in what order, does not depend on what they hold.
 
 The exact solvers (:func:`_core_solve`) break the symmetry of the coloring
 indices.  The k colorings of a packing are unordered and a forbidden map
@@ -76,7 +81,7 @@ before it enters the pool.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb, factorial, perm
 from typing import Iterator, Sequence
 
@@ -133,19 +138,22 @@ def _solve_order(g: Graph) -> tuple[int, ...]:
 
 # Each table is keyed by the rows of an extension bigraph as one integer
 # (:func:`_extension_key`).  _hall holds a row set's Hall verdict; _factors
-# holds its inverted 1-factors in _raw_one_factors order, stored only once an
-# enumeration has run to the end.  _clear caches, for the search in
-# :func:`_extensions`, the :func:`_cleared` mask of each coloring per
-# forbidden map (at most k! entries per map).  :func:`_extension_key`
-# computes its masks directly: the packer builds nearly all its keys there,
-# and its k = 8 maps seldom recur (a class_pack pass at seed 1 would store
-# 23,839 of them for 12,077 hits), so caching them there read class_pack
-# peak_rss_mb +15% and op_p99_ms +9% (3 pairs, 2 CPUs, CPython 3.11).  Each
-# entry is a pure function of its keys.  All three are cleared together when
-# one holds TABLE_CAP entries, so every row set at k <= 4 fits.
+# holds a pair: a prefix of its inverted 1-factors in _raw_one_factors order,
+# and whether that prefix is the complete list (see :func:`_fresh_factors`).
+# It keeps no live generators, whose frames would cost more than the tuples.
+# _clear caches, for the search in :func:`_extensions`, the :func:`_cleared`
+# mask of each coloring per forbidden map (at most k! entries per map).
+# :func:`_extension_key` computes its masks directly: the packer builds
+# nearly all its keys there, and its k = 8 maps seldom recur (a class_pack
+# pass at seed 1 would store 23,839 of them for 12,077 hits), so caching them
+# there read class_pack peak_rss_mb +15% and op_p99_ms +9% (3 pairs, 2 CPUs,
+# CPython 3.11).  Each entry is a pure function of its keys.  All three are
+# cleared together when one holds TABLE_CAP entries, so every row set at
+# k <= 4 fits.
 TABLE_CAP = 1 << 16
 _hall: dict[int, bool] = {}
-_factors: dict[int, tuple[tuple[int, ...], ...]] = {}
+_FactorEntry = tuple[tuple[tuple[int, ...], ...], bool]
+_factors: dict[int, _FactorEntry] = {}
 _clear: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
 
@@ -196,16 +204,28 @@ def _hall_miss(k: int, key: int) -> bool:
     return ok
 
 
-def _fresh_factors(k: int, key: int) -> Iterator[tuple[int, ...]]:
+def _fresh_factors(k: int, key: int, entry: _FactorEntry | None) -> Iterator[tuple[int, ...]]:
     """The inverted 1-factors of ``key``'s rows in :func:`_raw_one_factors`
-    order, remembered only when the enumeration runs to the end."""
+    order, given ``key``'s ``_factors`` entry: None, or a prefix that did not
+    reach the end.  The prefix is replayed first; only a caller that wants
+    more runs the kernel again, which skips the factors the prefix holds.
+    Closed past the prefix (GeneratorExit, which CPython raises as soon as
+    the engine drops the generator), it stores the longer prefix it yielded;
+    run to the end, it stores the complete tuple."""
 
-    got = []
-    for cols in _raw_one_factors(k, _rows(k, key)):
-        packed = _invert(cols)
-        got.append(packed)
-        yield packed
-    _remember(_factors, key, tuple(got))
+    prefix = entry[0] if entry else ()
+    yield from prefix
+    got = list(prefix)
+    try:
+        for cols in islice(_raw_one_factors(k, _rows(k, key)), len(prefix), None):
+            packed = _invert(cols)
+            got.append(packed)
+            yield packed
+    except GeneratorExit:
+        if len(got) > len(prefix):
+            _remember(_factors, key, (tuple(got), False))
+        raise
+    _remember(_factors, key, (tuple(got), True))
 
 
 def _extensions(
@@ -240,11 +260,13 @@ def _extensions(
     :func:`_rows`.
 
     The search runs in this one frame: level idx packs ``order[idx]``
-    through ``options[idx]``, its 1-factors (a ``_factors`` tuple, or
-    :func:`_fresh_factors` on a miss), and ``saved[idx]`` holds the keys of
-    ``later[idx]`` from before it was packed; an exhausted level restores
-    them, unpacks its vertex and resumes the level above.  Exhausting the
-    generator restores ``assign``; closing it early restores nothing.
+    through ``options[idx]``, its 1-factors (a complete ``_factors`` tuple,
+    or :func:`_fresh_factors` on a miss or a prefix), and ``saved[idx]``
+    holds the keys of ``later[idx]`` from before it was packed; an exhausted
+    level restores them, unpacks its vertex and resumes the level above.
+    Exhausting the generator restores ``assign``; closing it early restores
+    nothing, and closes each level's :func:`_fresh_factors`, which stores
+    the prefix it yielded.
     """
 
     n = len(order)
@@ -283,7 +305,7 @@ def _extensions(
     last = n - 1
     key = keys[0]
     got = factors(key)
-    options[0] = iter(_fresh_factors(k, key) if got is None else got)
+    options[0] = iter(got[0]) if got and got[1] else _fresh_factors(k, key, got)
     saved[0] = [keys[j] for j, _, _ in later[0]]
     idx = 0
     while idx >= 0:
@@ -309,7 +331,7 @@ def _extensions(
                 idx += 1
                 key = keys[idx]
                 got = factors(key)
-                options[idx] = iter(_fresh_factors(k, key) if got is None else got)
+                options[idx] = iter(got[0]) if got and got[1] else _fresh_factors(k, key, got)
                 saved[idx] = [keys[j] for j, _, _ in later[idx]]
                 break
         else:

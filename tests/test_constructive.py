@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from listpacking import constructive
+from listpacking import constructive, solver
 from listpacking.constructive import (
     REGIME_K,
     ClassViolationError,
@@ -339,3 +339,29 @@ class TestPackConstructive:
         b = pack_constructive(cover, "mad4_k5")
         assert a.packing.assign == b.packing.assign
         assert json.dumps(a.trace.as_json()) == json.dumps(b.trace.as_json())
+
+    def test_warm_rerun_is_identical(self, monkeypatch):
+        # on cold engine tables, a second pass over the same covers replays
+        # every 1-factor from the tables, the prefixes the first pass's early
+        # stops left included; dodecahedron seed 3 takes a budget-1 repair
+        for name in ("_hall", "_factors", "_clear"):
+            monkeypatch.setattr(solver, name, {})
+        calls = []
+        real = solver._raw_one_factors
+
+        def counting(s, rows):
+            calls.append(rows)
+            return real(s, rows)
+
+        monkeypatch.setattr(solver, "_raw_one_factors", counting)
+        jobs = [(random_cover(generate("dodecahedron"), 4, seed), "girth5_k4") for seed in range(5)]
+        jobs += [(random_cover(generate("grid", 4, 5), 5, seed), "mad4_k5") for seed in range(5)]
+        runs = []
+        for _ in range(2):
+            before = len(calls)
+            outs = [pack_constructive(cover, regime) for cover, regime in jobs]
+            runs.append([(out.packing.assign, json.dumps(out.trace.as_json())) for out in outs])
+            made = len(calls) - before
+        assert made == 0 < len(calls)
+        assert runs[0] == runs[1]
+        assert not all(complete for _, complete in solver._factors.values())

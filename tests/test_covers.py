@@ -27,7 +27,7 @@ from listpacking.covers import (
     validate_packing,
 )
 from listpacking.bigraph import _raw_column_masks
-from listpacking.graphs import Graph, generate, graph_from_edges
+from listpacking.graphs import Graph, generate, graph_from_edges, random_planar_triangulation_min5
 from listpacking.solver import _extension_key, _list_pattern_maps, _rows, solve_packing
 from oracles import oracle_cover_solvable
 
@@ -48,6 +48,16 @@ class TestPerm:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Perm((0, 0, 1))
+
+    def test_slotted(self):
+        p = Perm((1, 2, 0))
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            p.image = (0, 1, 2)
+        assert p == Perm((1, 2, 0)) and hash(p) == hash(Perm((1, 2, 0))) and p != Perm.identity(3)
+        assert repr(p) == "Perm(image=(1, 2, 0))"
+        with pytest.raises(ValueError, match="is not a permutation"):
+            Perm((1, 1))
 
 
 class TestCoverValidation:
@@ -312,6 +322,14 @@ class TestJson:
         cover = random_cover(generate("cycle", 4), 3, 9)
         back = cover_from_json(cover_to_json(cover))
         assert back.arcs == cover.arcs and back.graph == cover.graph
+
+    def test_cover_round_trip_through_text(self):
+        # the packer's three input families, k = 4, 5 and 8
+        for g, k in [(generate("dodecahedron"), 4), (generate("grid", 4, 5), 5), (random_planar_triangulation_min5(3), 8)]:
+            cover = random_cover(g, k, 11)
+            back = cover_from_json(json.loads(json.dumps(cover_to_json(cover))))
+            assert back == cover
+            assert {e: hash(p) for e, p in back.arcs.items()} == {e: hash(p) for e, p in cover.arcs.items()}
 
     def test_lists_round_trip(self):
         la = list_assignment(generate("path", 3), 2, [[0, 1], [1, 2], [4, 9]])

@@ -469,8 +469,8 @@ class TestExtensions:
 
     @pytest.mark.usefixtures("cold_tables")
     def test_tables_hold_kernel_answers(self):
-        # solving a solvable cover closes enumerations early: they must
-        # leave nothing behind, and every stored entry is the kernel's answer
+        # solving a solvable cover closes enumerations early: every stored
+        # entry is the kernel's complete answer, or a prefix of it
         for kind, seed in [("dodecahedron", 0), ("grid", 163), ("cube", 46), ("cube", 75)]:
             g = generate(kind, 4, 5) if kind == "grid" else generate(kind)
             assert (solve_packing(random_cover(g, 3, seed)) is None) == (kind == "dodecahedron")
@@ -478,9 +478,76 @@ class TestExtensions:
         for key, ok in solver._hall.items():
             rows = key_rows(key)
             assert ok == _raw_has_one_factor(len(rows), rows)
-        for key, packed in solver._factors.items():
+        done = set()
+        for key, (packed, complete) in solver._factors.items():
             rows = key_rows(key)
-            assert packed == tuple(_invert(cols) for cols in _raw_one_factors(len(rows), rows))
+            want = tuple(_invert(cols) for cols in _raw_one_factors(len(rows), rows))
+            assert packed == (want if complete else want[: len(packed)])
+            assert complete or packed
+            done.add(complete)
+        assert done == {False, True}
+
+    @pytest.mark.usefixtures("cold_tables")
+    def test_prefix_resumes_to_the_end(self, monkeypatch):
+        # an enumeration closed after m factors stores those m; the next one
+        # of the same key replays them, runs the kernel on past them, and
+        # stores the complete tuple
+        k, rows = 4, (0b1111, 0b1101, 0b0111, 0b1011)
+        key = rows_key(k, rows)
+        want = tuple(_invert(cols) for cols in _raw_one_factors(k, rows))
+        calls = KernelCalls()
+        real = solver._raw_one_factors
+
+        def counting(s, rows):
+            calls["_raw_one_factors"] += 1
+            return real(s, rows)
+
+        monkeypatch.setattr(solver, "_raw_one_factors", counting)
+        assert len(want) > 3
+        for m in (1, 2, len(want) - 1, len(want)):
+            solver._factors.clear()
+            first = solver._fresh_factors(k, key, None)
+            assert [next(first) for _ in range(m)] == list(want[:m])
+            first.close()
+            assert solver._factors == {key: (want[:m], False)}
+            # closed inside the replayed prefix: nothing new to store
+            replay = solver._fresh_factors(k, key, solver._factors[key])
+            assert next(replay) == want[0]
+            replay.close()
+            assert solver._factors == {key: (want[:m], False)}
+            before = calls["_raw_one_factors"]
+            assert tuple(solver._fresh_factors(k, key, solver._factors[key])) == want
+            assert calls["_raw_one_factors"] == before + 1
+            assert solver._factors == {key: (want, True)}
+
+    @pytest.mark.usefixtures("cold_tables")
+    @pytest.mark.parametrize(
+        "kind, k, zs, frontier",
+        [("path", 3, (1, 3), (2,)), ("cycle", 3, (1, 2, 3), (4, 0)), ("star", 3, (1, 2), (0,))],
+    )
+    def test_interleaved_engines_resume_prefixes(self, kind, k, zs, frontier):
+        # a first pass closes every inner engine after its first extension,
+        # so the tables hold prefixes; the full pass must still match the
+        # reference
+        cover, packing = partial_packing(kind, k, zs + frontier)
+        adj = cover.graph.adjacency
+        maps = forbidden_maps(cover, zs + frontier, packing.assign)
+
+        def nested(engine, first_only=False):
+            assign = dict(packing.assign)
+            seq = []
+            for _ in engine(k, adj, maps, assign, zs):
+                for _ in engine(k, adj, maps, assign, frontier):
+                    seq.append((tuple(assign[z] for z in zs), tuple(assign[f] for f in frontier)))
+                    if first_only:
+                        break
+                for f in frontier:
+                    assign.pop(f, None)
+            return seq
+
+        nested(_extensions, first_only=True)
+        assert not all(complete for _, complete in solver._factors.values())
+        assert nested(_extensions) == nested(reference_extensions)
 
     @pytest.mark.usefixtures("cold_tables")
     def test_small_table_cap_changes_nothing(self, monkeypatch):
