@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator
 
-from listpacking.graphs import json_fields, json_int
+from listpacking.graphs import json_array, json_fields, json_int
 
 Matching = frozenset[tuple[int, int]]
 
@@ -458,8 +458,8 @@ def bigraph_from_json(obj: dict) -> Bigraph:
         if "rows" in obj and "edges" in obj:
             raise ValueError("give 'rows' or 'edges', not both")
         if "rows" in obj:
-            return Bigraph(s, tuple(json_int(r) for r in obj["rows"]))
-        edges = [(json_int(i), json_int(j)) for i, j in obj["edges"]]
+            return Bigraph(s, tuple(json_int(r) for r in json_array(obj["rows"])))
+        edges = [(json_int(i), json_int(j)) for i, j in map(json_array, json_array(obj["edges"]))]
         if len(set(edges)) != len(edges):
             raise ValueError("an edge appears twice")
     except (KeyError, TypeError, ValueError) as exc:

@@ -286,7 +286,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adversary)
 
     p = sub.add_parser("pack", help="constructive delete/recurse/repair packer")
-    p.add_argument("--regime", choices=sorted(REGIME_K), required=True)
+    p.add_argument(
+        "--regime",
+        choices=sorted(REGIME_K),
+        required=True,
+        help="mad4_k5: mad < 4, k=5; girth5_k4: triangle-free, mad < 10/3, k=4; planar_k8: k=8, graphs whose "
+        "every peel remnant has a vertex of degree <= 4 or a triangle of degree sum <= 17, which holds every "
+        "planar graph and some non-planar ones (K6, K3,3): planarity itself is not tested",
+    )
     p.add_argument("--cover", required=True)
     p.add_argument("--budget", type=int, default=2)
     p.add_argument("--trace", help="write the repair trace to this file")

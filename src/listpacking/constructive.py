@@ -5,11 +5,18 @@ Supported regimes (the cover's k must match):
 * ``mad4_k5``   -- maximum average degree below 4, k = 5;
 * ``girth5_k4`` -- triangle-free with maximum average degree below 10/3
   (planar girth >= 5 qualifies), k = 4;
-* ``planar_k8`` -- planar, k = 8 (planarity is trusted, not tested).
+* ``planar_k8`` -- k = 8, on the graphs whose every subgraph the peel
+  leaves has a vertex of degree at most 4 or a light triangle (degree sum
+  at most ``graphs.LIGHT_TRIANGLE_MAX_SUM`` = 17).
 
 The first two are the classes of the discharging rules ``P4`` and ``P5``
 (``openB`` has no regime): the mad bound is the rule's threshold, and the
 configurations reduced are exactly its exclusions (``discharging.RULES[name]``).
+The class ``planar_k8`` reduces holds every planar graph: by Euler's formula
+a planar graph has a vertex of degree at most 5, and one of minimum degree 5
+has a light triangle (Borodin, 1989).  It also holds non-planar graphs, such
+as K6 and K3,3.  Planarity itself is not tested, so success on an input
+means it is in this class, not that it is planar.
 
 Each step finds a reducible configuration, removes its removable vertices,
 packs the rest, and extends back over the removed set.  The whole plan is
@@ -241,8 +248,15 @@ def _plan(g: Graph, regime: str) -> list[Reduction]:
 
 
 def _check_class(g: Graph, regime: str) -> str | None:
+    """Why ``g`` is outside the class of ``mad4_k5`` or ``girth5_k4``, or
+    None.  For ``planar_k8`` there is nothing to check before the peel: its
+    class is the graphs whose every peel remnant has a vertex of degree at
+    most 4 or a light triangle, which :func:`_plan` tests as it peels.  That
+    class holds every planar graph and some non-planar ones (K6, K3,3);
+    planarity itself is not tested."""
+
     if regime not in REGIME_RULE:
-        return None  # planar_k8: planarity is trusted
+        return None
     rule, triangle_free = REGIME_RULE[regime]
     if triangle_free and girth(g) == 3:
         return "graph has a triangle"
@@ -262,7 +276,11 @@ def pack_constructive(
     On in-class inputs this always succeeds; a failure outcome carries the
     trace as a counterexample report (either the input was out of class, or
     a repair budget of 2 was genuinely insufficient, which would be a
-    reportable finding and not one to absorb silently).
+    reportable finding and not one to absorb silently).  The class of
+    ``planar_k8`` is the graphs whose every peel remnant has a vertex of
+    degree at most 4 or a light triangle: every planar graph, and some
+    non-planar ones such as K6 and K3,3, so its success does not certify
+    planarity.
     """
 
     if regime not in REGIME_K:

@@ -22,6 +22,7 @@ from listpacking.graphs import (
     graph_from_edges,
     graph_from_json,
     graph_to_json,
+    json_array,
     json_fields,
     json_int,
 )
@@ -373,8 +374,8 @@ def cover_from_json(obj: dict) -> CorrespondenceCover:
         g = graph_from_json(obj["graph"])
         k = json_int(obj["k"])
         given = [
-            ((json_int(a["u"]), json_int(a["v"])), Perm(tuple(json_int(x) for x in a["perm"])))
-            for a in [json_fields(a, "u", "v", "perm") for a in obj["arcs"]]
+            ((json_int(a["u"]), json_int(a["v"])), Perm(tuple(json_int(x) for x in json_array(a["perm"]))))
+            for a in [json_fields(a, "u", "v", "perm") for a in json_array(obj["arcs"])]
         ]
         arcs = dict(given)
         if len(arcs) != len(given):
@@ -400,7 +401,7 @@ def list_assignment_from_json(obj: dict) -> ListAssignment:
         given = {_vertex_key(v): colors for v, colors in obj["lists"].items()}
         if sorted(given) != list(range(g.n)):
             raise ValueError(f"list keys must be exactly the vertices 0..{g.n - 1}")
-        lists = [tuple(sorted(json_int(c) for c in given[v])) for v in range(g.n)]
+        lists = [tuple(sorted(json_int(c) for c in json_array(given[v]))) for v in range(g.n)]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed list-assignment JSON: {exc}") from exc
     return ListAssignment(g, k, tuple(lists))
@@ -428,7 +429,7 @@ def packing_from_json(obj: dict) -> Packing:
     try:
         obj = json_fields(obj, "k", "assign")
         k = json_int(obj["k"])
-        assign = {_vertex_key(v): tuple(json_int(c) for c in colors) for v, colors in obj["assign"].items()}
+        assign = {_vertex_key(v): tuple(json_int(c) for c in json_array(colors)) for v, colors in obj["assign"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed packing JSON: {exc}") from exc
     return Packing(k, assign)

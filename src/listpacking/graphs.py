@@ -425,6 +425,16 @@ def json_int(x) -> int:
     return x
 
 
+def json_array(x) -> list:
+    """``x`` itself when it is a JSON array; an object or a string, which
+    would iterate as its keys or its characters, raises TypeError instead
+    of being read as one."""
+
+    if not isinstance(x, list):
+        raise TypeError(f"expected a JSON array, got {type(x).__name__}")
+    return x
+
+
 def json_fields(obj, *keys: str) -> dict:
     """``obj`` itself when it is a JSON object with no key outside ``keys``;
     a key the reader would not read raises ValueError instead of being
@@ -447,7 +457,7 @@ def graph_from_json(obj: dict) -> Graph:
     try:
         obj = json_fields(obj, "n", "edges")
         n = json_int(obj["n"])
-        edges = [_normalize_edge(json_int(u), json_int(v)) for u, v in obj["edges"]]
+        edges = [_normalize_edge(json_int(u), json_int(v)) for u, v in map(json_array, json_array(obj["edges"]))]
         if len(set(edges)) != len(edges):
             raise ValueError("an edge appears twice")
     except (KeyError, TypeError, ValueError) as exc:

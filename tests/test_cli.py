@@ -425,6 +425,44 @@ def test_unknown_keys_are_refused(tmp_path, capsys, command, flag, payload, path
         assert code == 2 and out == "", path
 
 
+# Array fields of each wire format, by path into a payload its command
+# accepts: an object or a string in an array's place iterates like one (an
+# empty one as no entries at all), and must be refused, not read as one.
+ARRAY_CASES = [
+    ("mad", "--graph", {"n": 3, "edges": [[0, 1], [1, 2]]}, [("edges",), ("edges", 0)]),
+    ("classify", "--bigraph", {"s": 8, "rows": [7] * 5 + [248] * 3}, [("rows",)]),
+    (
+        "classify",
+        "--bigraph",
+        {"s": 8, "edges": [[i, j] for i in range(8) for j in (range(3) if i < 5 else range(3, 8))]},
+        [("edges",), ("edges", 1)],
+    ),
+    ("solve", "--cover", {"k": 2, "graph": {"n": 2, "edges": []}, "arcs": []}, [("arcs",), ("graph", "edges")]),
+    ("solve", "--cover", cover_to_json(random_cover(generate("cycle", 3), 2, 0)), [("arcs", 0, "perm")]),
+    (
+        "solve-list",
+        "--lists",
+        {"k": 2, "graph": graph_to_json(generate("path", 2)), "lists": {"0": [0, 1], "1": [1, 2]}},
+        [("lists", "1"), ("graph", "edges")],
+    ),
+]
+
+
+@pytest.mark.parametrize("command, flag, payload, paths", ARRAY_CASES, ids=[c[0] + c[1] for c in ARRAY_CASES])
+def test_wire_arrays_are_strict(tmp_path, capsys, command, flag, payload, paths):
+    code, _ = run(capsys, command, flag, write_json(tmp_path, "ok.json", payload))
+    assert code in (0, 1)
+    for path in paths:
+        for bad in ({}, ""):
+            obj = json.loads(json.dumps(payload))
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = bad
+            code, out = run(capsys, command, flag, write_json(tmp_path, "bad.json", obj))
+            assert code == 2 and out == "", (path, bad)
+
+
 class TestDeterminism:
     def test_chromatic_bytes(self, tmp_path, capsys):
         path = write_json(tmp_path, "c4.json", graph_to_json(generate("cycle", 4)))

@@ -371,6 +371,13 @@ class TestJson:
             with pytest.raises(ValueError):
                 packing_from_json(obj)
 
+    @pytest.mark.parametrize("bad", [{}, "", "01", {"0": 0}])
+    def test_packing_colours_are_arrays(self, bad):
+        # the packing wire format has no CLI reader; an object or a string
+        # would iterate as its keys or characters
+        with pytest.raises(ValueError):
+            packing_from_json({"k": 1, "assign": {"0": bad}})
+
     @pytest.mark.parametrize("key", ["01", " 2", "2 ", "1_0", "\u0663", "+1", "-1", 1])
     def test_packing_rejects_non_canonical_vertex_keys(self, key):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from listpacking.bigraph import Bigraph, max_matching
-from listpacking.graphs import random_planar_triangulation_min5
+from listpacking.constructive import _plan, pack_constructive
+from listpacking.covers import random_cover, validate_packing
+from listpacking.graphs import generate, random_planar_triangulation_min5
 
 nx = pytest.importorskip("networkx")
 
@@ -18,6 +20,20 @@ def test_triangulations_are_planar_min5(seed):
     assert min(g.degrees()) >= 5
     planar, _ = nx.check_planarity(nx.Graph(list(g.edges)))
     assert planar
+    # and it is in the class planar_k8 reduces: the peel removes every vertex
+    assert sum(len(red.removable()) for red in _plan(g, "planar_k8")) == g.n
+
+
+@pytest.mark.parametrize("g", [generate("complete", 6), generate("complete_bipartite", 3, 3)], ids=["K6", "K33"])
+def test_planar_k8_class_holds_non_planar_graphs(g):
+    # every peel remnant has a vertex of degree <= 4 or a light triangle, so
+    # planar_k8 packs these graphs, which are not planar
+    planar, _ = nx.check_planarity(nx.Graph(list(g.edges)))
+    assert not planar
+    for seed in range(3):
+        cover = random_cover(g, 8, seed)
+        out = pack_constructive(cover, "planar_k8")
+        assert out.success and validate_packing(cover, out.packing).ok
 
 
 def test_max_matching_size_matches_hopcroft_karp():

@@ -781,6 +781,36 @@ class TestAdversarialCovers:
             with pytest.raises(ResourceCapError):
                 adversarial_cover_search(g, k, cap=decided - 1)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs_match_reference(self, seed):
+        # seeded graphs on at most 5 vertices, at every k in {2, 3, 4} whose
+        # k!**free candidates number at most 600: the same witness as the
+        # reference, after exactly as many candidates, covered ones counted
+        rng = random.Random(seed)
+        n = rng.randint(3, 5)
+        pairs = list(combinations(range(n), 2))
+        g = graph_from_edges(n, rng.sample(pairs, rng.randint(n - 1, len(pairs))))
+        free = len(g.sorted_edges()) - len(solver._spanning_forest(g))
+        for k in [k for k in (2, 3, 4) if math.factorial(k) ** free <= 600]:
+            decided, want = reference_cover_search(g, k)
+            got = adversarial_cover_search(g, k, cap=decided)
+            assert (None if got is None else cover_to_json(got)) == (None if want is None else cover_to_json(want))
+            if decided > 1:
+                with pytest.raises(ResourceCapError):
+                    adversarial_cover_search(g, k, cap=decided - 1)
+
+    def test_k5_minus_an_edge_k4_witness(self):
+        # chi*_c(K5 - e) >= 5: the first unsolvable 4-cover, with the star
+        # at 0 as the identity tree
+        g = graph_from_edges(5, [e for e in combinations(range(5), 2) if e != (3, 4)])
+        w = adversarial_cover_search(g, 4)
+        assert solve_packing(w) is None
+        want = {(1, 2): (0, 1, 2, 3), (1, 3): (0, 2, 3, 1), (1, 4): (0, 3, 1, 2), (2, 3): (0, 3, 1, 2), (2, 4): (0, 2, 3, 1)}
+        assert {e: p.image for e, p in w.arcs.items()} == {**{(0, v): (0, 1, 2, 3) for v in range(1, 5)}, **want}
+
+    def test_k4_k5_none(self):
+        assert adversarial_cover_search(generate("complete", 4), 5) is None
+
     @BAD_SOLVES
     def test_solver_packing_is_validated(self, monkeypatch, bad):
         monkeypatch.setattr(solver, "_core_solve", lambda g, k, maps, order=None: bad(g, k))
@@ -788,18 +818,28 @@ class TestAdversarialCovers:
             adversarial_cover_search(generate("cycle", 4), 2)
 
     @pytest.mark.parametrize(
-        "g, k", [(generate("cycle", 5), 3), (DIAMOND, 4), (generate("complete", 4), 4)], ids=["C5-k3", "diamond-k4", "K4-k4"]
+        "g, k, exact",
+        [(generate("cycle", 5), 3, True), (DIAMOND, 4, False), (generate("complete", 4), 4, False)],
+        ids=["C5-k3", "diamond-k4", "K4-k4"],
     )
-    def test_candidate_cells_are_its_pairs(self, monkeypatch, g, k):
+    def test_candidate_cells_are_its_pairs(self, monkeypatch, g, k, exact):
         # the cells ORed from the tree's and the free arcs' masks are, in
-        # order, the forbidden pairs of the covers the reference decides
+        # order, the forbidden pairs of the covers the reference decides,
+        # less those that a packing solved for an earlier one fits
         got = decided_cells(monkeypatch, lambda: adversarial_cover_search(g, k))
-        covers = []
+        solved = []
         solve = solver.solve_packing
-        monkeypatch.setattr(solver, "solve_packing", lambda cover: covers.append(cover) or solve(cover))
+        monkeypatch.setattr(solver, "solve_packing", lambda cover: solved.append((cover, solve(cover))) or solved[-1][1])
         reference_cover_search(g, k)
-        pairs = [[(arc, tuple(enumerate(p.image))) for arc, p in cover.arcs.items()] for cover in covers]
-        assert got and got == [candidate_cells(g, k, c) for c in pairs]
+        want, known = [], []
+        for cover, packing in solved:
+            cells = candidate_cells(g, k, [(arc, tuple(enumerate(p.image))) for arc, p in cover.arcs.items()])
+            if all(cells & used for used in known):
+                want.append(cells)
+                if packing is not None:
+                    known.append(packing_cells(g, k, [_invert(packing.assign[v]) for v in range(g.n)]))
+        assert got and got == want
+        assert (len(got) == len(solved)) == exact
 
     @pytest.mark.parametrize(
         "g",
