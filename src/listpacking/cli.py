@@ -321,10 +321,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # every output path is checked before the command's work starts
-        for name in ("out", "report", "trace"):
-            path = getattr(args, name, None)
-            if path:
-                _check_writable(path)
+        paths = [path for path in (getattr(args, name, None) for name in ("out", "report", "trace")) if path]
+        for path in paths:
+            _check_writable(path)
+        if len({os.path.realpath(path) for path in paths}) < len(paths):
+            raise ValueError(f"two outputs name one file: {' and '.join(paths)}")
         try:
             return args.func(args)
         except solver.ResourceCapError as exc:

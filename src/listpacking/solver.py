@@ -65,32 +65,27 @@ searches build their option tables before the first candidate, so each
 stops with ResourceCapError when its table would hold more than
 ``OPTION_CAP`` entries.
 
-Both searches decide a candidate, a set of forbidden pairs per edge, in one
-place (:class:`_Decider`), in one form: one integer with k*k cells per
-edge, one per value pair, which the searches build by OR-ing precomputed
-per-option masks.  Nearly every candidate is solvable, and one packing
-often packs many neighbouring candidates, so the decider keeps a pool of
-the ``POOL_CAP`` most recently useful packings of the same search, each as
-the mask of the cells its colorings use, and tries them before solving: a
-pooled packing fits exactly when the two masks share no bit, and is then
-the candidate's certificate.  Only a miss reads the forbidden pairs back
-from the cells, and every packing the solver returns passes the same AND
-before it enters the pool.
-
-The cover search goes further, because its candidates differ only in the
-free edges' permutations: it walks the free edges as a stack, keeps at
-each level the known packings that fit the arcs chosen so far, and at the
-last free edge ORs together the options each surviving packing fits.  One
-pass over those covers k! candidates, and only the candidates no known
-packing fits reach the decider: K4 at k = 4 decides 72 of its 13,824
-candidates, each by a solve.
+Both searches settle a candidate, a set of forbidden pairs per edge, in one
+form and one way.  The form is one integer with k*k cells per edge, one per
+value pair, built by OR-ing precomputed per-option masks; a packing is kept
+as the mask of the cells its colorings use, and fits a candidate exactly
+when the two share no bit.  Nearly every candidate is solvable, so each
+search walks its choices as a stack and keeps at each level the packings
+it has solved that fit the choices made so far, filtered from the level
+above by one AND.  A candidate none of them fits is solved by the search's
+:class:`_Decider`, which checks the packing by the same AND before it joins
+every level.  The list search tests each complete pattern on the packings
+that fit all but its last step; the cover search ORs together, at the last
+free edge, the options each surviving packing fits, settling up to k!
+candidates at once.  K4 at k = 4 solves 72 of its 13,824 candidates, and
+C5 at k = 3 solves 80 of its 29,590 patterns.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, islice, permutations
-from math import comb, factorial, perm
+from math import comb, perm
 from typing import Iterator, Sequence
 
 from listpacking.bigraph import _invert, _raw_has_one_factor, _raw_one_factors, bits
@@ -110,12 +105,6 @@ class ResourceCapError(RuntimeError):
     """An adversarial enumeration exceeded its candidate cap, or its option
     table would exceed ``OPTION_CAP`` entries."""
 
-
-# packings an adversarial search keeps to try on each candidate before
-# solving it.  On the C3-C5, banner and K4 packing numbers, 8 ran about 10%
-# slower than 16, and 16 to 64 ran alike: past 16 the hits a larger pool
-# adds cost as much as the longer scan of every miss.
-POOL_CAP = 16
 
 # entries an adversarial search's option table may hold: the list search's
 # later-option table (sum over j of C(k, j)**2 * j! partial injections,
@@ -477,21 +466,15 @@ def _cells(k: int, pairs) -> int:
 
 
 class _Decider:
-    """Decides a search's candidates.  A call takes a candidate as one
-    integer ``cand``, whose cell ``slot[(u, v)] + a*k + b`` is set when it
-    forbids value a at u together with value b at v (``slot[(u, v)]`` is
-    e*k*k for the index e of (u, v), u < v, in ``g.sorted_edges()``).
-
-    A call counts against ``cap`` (past it, ResourceCapError with
-    ``message``) and tries the pool.  The pool keeps each packing as the
-    mask of the cells its colorings use (:meth:`used`), so a pooled packing
-    fits exactly when ``cand & used == 0``.  Only a miss is solved, on the
-    forbidden maps read back from the cells: cell t of an edge's slot is
-    the pair divmod(t, k).  A solved packing must be a permutation of
-    range(k) at every vertex and fit by the same AND (else AssertionError)
-    before it enters the pool; ``solved`` holds the last one, for the cover
-    search, which keeps every packing found.  :meth:`_charge` counts the
-    candidates a search settles without a call, by a packing it knows.
+    """Counts a search's candidates against ``cap`` (past it,
+    ResourceCapError with ``message``) and solves those that no known
+    packing settles.  A candidate is one integer ``cand``, whose cell
+    ``slot[(u, v)] + a*k + b`` is set when it forbids value a at u together
+    with value b at v (``slot[(u, v)]`` is e*k*k for the index e of (u, v),
+    u < v, in ``g.sorted_edges()``).  :meth:`solve` reads the forbidden
+    maps back from the cells (cell t of an edge's slot is the pair
+    divmod(t, k)); the packing it finds must be a permutation of range(k)
+    at every vertex and fit, ``cand & used == 0`` (else AssertionError).
     """
 
     def __init__(self, g: Graph, k: int, cap: int, message: str) -> None:
@@ -502,8 +485,6 @@ class _Decider:
         self.g, self.k, self.left, self.message = g, k, cap, message
         self.order = _solve_order(g)
         self.slot = {e: i * k * k for i, e in enumerate(g.sorted_edges())}
-        self.pool: list[int] = []
-        self.solved = 0
 
     def _charge(self, n: int) -> None:
         """Count n candidates against the cap: ResourceCapError when fewer
@@ -521,33 +502,21 @@ class _Decider:
         k = self.k
         return sum(_cells(k, zip(found[u], found[v])) << s for (u, v), s in self.slot.items())
 
-    def __call__(self, cand: int) -> bool:
-        """Whether the candidate packs; a pooled packing that fits moves up."""
+    def solve(self, cand: int) -> int | None:
+        """The cells of a validated packing of the candidate, or None."""
 
-        if self.left <= 0:  # _charge(1) inline: the list search calls this per candidate
-            raise ResourceCapError(self.message)
-        self.left -= 1
-        pool = self.pool
-        for idx, used in enumerate(pool):
-            if not cand & used:
-                if idx:
-                    pool.insert(0, pool.pop(idx))
-                return True
         g, k = self.g, self.k
         full = (1 << k * k) - 1
         pairs = ((e, [divmod(t, k) for t in bits(cand >> s & full)]) for e, s in self.slot.items())
         found = _core_solve(g, k, _pattern_maps(k, pairs), self.order)
         if found is None:
-            return False
+            return None
         if any(sorted(found.get(v, ())) != list(range(k)) for v in range(g.n)):
             raise AssertionError(f"solver produced a packing that is not a permutation per vertex: {found}")
         used = self.used(found)
         if cand & used:
             raise AssertionError(f"solver produced a packing that breaks its candidate: {found}")
-        pool.insert(0, used)
-        del pool[POOL_CAP:]
-        self.solved = used
-        return True
+        return used
 
 
 def adversarial_cover_search(
@@ -570,11 +539,11 @@ def adversarial_cover_search(
     edge a packing's k cells there pick out the options it fits, a bitmask
     over the k! options computed once per packing, and the OR over the
     packings left is the set of options known to pack.  Only the other
-    options go to the search's :class:`_Decider`, in lexicographic order;
-    none fits a known packing, so the decider solves each, and the packing
-    it finds is added to every level and covers the options it fits.  A
-    covered option packs through a validated packing, so the first witness
-    is the one a decider would find on every candidate in turn.
+    options are solved, by the search's :class:`_Decider`, in
+    lexicographic order, and the packing it finds is added to every level
+    and covers the options it fits.  A covered option packs through a
+    validated packing, so the first witness is the one that solving every
+    candidate in turn would find.
 
     Raises ResourceCapError when the enumeration reaches candidate
     ``cap`` + 1, counting every candidate in order whether it is covered or
@@ -587,9 +556,14 @@ def adversarial_cover_search(
     slot = decide.slot
     tree = _spanning_forest(g)
     free = [e for e in g.sorted_edges() if e not in tree]
-    size = len(free) * factorial(k)
+    # len(free) * k!, multiplied out only until it passes the cap
+    size = len(free)
+    for j in range(2, k + 1):
+        if not 0 < size <= OPTION_CAP:
+            break
+        size *= j
     if size > OPTION_CAP:
-        raise ResourceCapError(f"cover enumeration needs {size:,} arc options, over {OPTION_CAP:,}")
+        raise ResourceCapError(f"cover enumeration needs over {OPTION_CAP:,} arc options")
     identity = tuple(range(k))
     tree_cells = sum(_cells(k, enumerate(identity)) << slot[e] for e in tree)
 
@@ -599,7 +573,8 @@ def adversarial_cover_search(
         return CorrespondenceCover(g, k, arcs)
 
     if not free:
-        return None if decide(tree_cells) else witness(())
+        decide._charge(1)
+        return None if decide.solve(tree_cells) is not None else witness(())
     perms = list(permutations(identity))
     # each option's cells (a, p(a)) in an edge's slot, and shifted to each
     # free edge's slot
@@ -628,12 +603,11 @@ def adversarial_cover_search(
         while todo:
             low = todo & -todo
             t = low.bit_length() - 1
-            decide._charge(t - done)
+            decide._charge(t + 1 - done)
             done = t + 1
-            if not decide(base | arcs[t]):
+            new = decide.solve(base | arcs[t])
+            if new is None:
                 return witness([perms[c] for c in choice] + [perms[t]])
-            # no known packing fits the candidate, so the decider solved it
-            new = decide.solved
             mine = new >> shift & full
             fit[new] = sum(1 << c for c, cells in enumerate(options) if not cells & mine)
             for survivors in known:
@@ -861,13 +835,14 @@ def adversarial_list_search(
     (:meth:`_PatternClasses.choose`), so none is checked once chosen and a
     complete pattern needs no closing check.  The search runs in one
     frame, over a stack of one generator per back edge on the current
-    path, and resumes only the top one.  Every candidate is decided by the
-    search's :class:`_Decider` (pool, then solver, every packing
-    validated), with its cells carried up the stack.  Raises
-    ResourceCapError after ``cap`` decided candidates (pool hits, solved,
-    realizable or not), or at once when the later back edges' option
-    table would hold more than ``OPTION_CAP`` partial injections, and
-    ValueError when ``k < 1``, ``cap < 1`` or ``universe < k``.
+    path, and resumes only the top one.  Each step keeps the solved
+    packings that fit its pattern, filtered from the level above by one
+    AND; a complete pattern that one of them fits packs, and only the rest
+    go to the search's :class:`_Decider`.  Raises ResourceCapError after
+    ``cap`` complete patterns (settled, solved, realizable or not), or at
+    once when the later back edges' option table would hold more than
+    ``OPTION_CAP`` partial injections, and ValueError when ``k < 1``,
+    ``cap < 1`` or ``universe < k``.
     """
 
     decide = _Decider(g, k, cap, "list-pattern enumeration exceeded its cap")
@@ -886,9 +861,11 @@ def adversarial_list_search(
     everything = (1 << len(edges)) - 1
     if n == 0 or (k >= 2 and is_forest(everything)):
         return None
-    size = sum(comb(k, j) * perm(k, j) for j in range(k + 1))
-    if size > OPTION_CAP:
-        raise ResourceCapError(f"list-pattern enumeration needs {size:,} options per back edge, over {OPTION_CAP:,}")
+    size = 0
+    for j in range(k + 1):
+        size += comb(k, j) * perm(k, j)
+        if size > OPTION_CAP:
+            raise ResourceCapError(f"list-pattern enumeration needs over {OPTION_CAP:,} options per back edge")
     # a vertex's labels are still free at its first back edge, so that edge
     # pins its targets to a prefix, and its unions cannot fail; later back
     # edges take any injection that passes the classes' pair masks.  Each
@@ -904,6 +881,9 @@ def adversarial_list_search(
         u, v = edges[e]
         steps.append((u, v, e, not steps or steps[-1][1] != v))
     last = len(steps)
+    # known[s]: the cells of the solved packings that fit the first s steps;
+    # a complete pattern is tested on known[last - 1] (known[0] if no step)
+    known: list[list[int]] = [[] for _ in range(max(last, 1))]
 
     def tries(s: int, allowed: int, cand: int) -> Iterator[tuple[int, int]]:
         # step s's options, each chosen in turn and rolled back when the
@@ -911,6 +891,7 @@ def adversarial_list_search(
         # unchosen ones and the chosen ones with pairs.  cand: the cells of
         # the chosen pairs, the candidate as the decider takes it
         u, v, e, first = steps[s]
+        fits, below = known[s], s + 1 < last
         shift = e * k * k
         if first:
             options = first_options
@@ -931,12 +912,15 @@ def adversarial_list_search(
                     # is lost
                     return
             classes.choose(u, v, pairs)
-            yield allowed, cand | cells << shift
+            cells <<= shift
+            if below:
+                known[s + 1] = [used for used in fits if not used & cells]
+            yield allowed, cand | cells
             classes.rollback(mark)
 
     # stack[s] yields the states after s steps, each a pattern on the path
     # the search is on; only the top generator runs, and after the last
-    # step its candidates are decided
+    # step its candidates are settled
     stack: list[Iterator[tuple[int, int]]] = [iter([(everything, 0)])]
     while stack:
         s = len(stack) - 1
@@ -944,10 +928,19 @@ def adversarial_list_search(
             if s < last:
                 stack.append(tries(s, allowed, cand))
                 break
-            if not decide(cand):
-                found = _realize_lists(g, k, classes.uf, universe)
-                if found is not None:
-                    return found
+            decide._charge(1)
+            for used in reversed(known[last - 1]):
+                if not used & cand:
+                    break
+            else:
+                new = decide.solve(cand)
+                if new is None:
+                    found = _realize_lists(g, k, classes.uf, universe)
+                    if found is not None:
+                        return found
+                else:
+                    for level in known:
+                        level.append(new)
         else:
             stack.pop()
     return None

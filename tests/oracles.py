@@ -25,9 +25,9 @@ transposes bit by bit, and :func:`reference_obstructions` scans every
 subset of the obstruction size.  The library enumerates 1-factors but never counts them,
 so both counters live here: :func:`oracle_one_factor_count` tries every
 column permutation, and :func:`count_one_factors` is the permanent by
-dynamic programming over subsets of B.  The candidate decider takes a
-candidate only as one integer of cells and tests a packing against it with
-one AND: :func:`candidate_cells` and :func:`packing_cells` build the two
+dynamic programming over subsets of B.  The adversarial searches take a
+candidate only as one integer of cells and test a known packing against it
+with one AND: :func:`candidate_cells` and :func:`packing_cells` build the two
 integers straight from the forbidden pairs and from a packing's colorings,
 and :func:`_fits` is the pair-by-pair check that AND stands for.
 :func:`reference_triangulation_min5` is the planar triangulation generator
@@ -254,9 +254,11 @@ def reference_list_search(g, k, universe):
     """The list search's enumeration of position patterns, vertex by vertex
     and edge by edge in the search's option order, with every complete,
     consistent pattern whose sharing graph (the edges with pairs) is a
-    forest skipped when k >= 2, and every other one decided by a
-    ``_Decider`` of its own, on the :func:`candidate_cells` of the pairs
-    this enumeration records itself as it chooses them.
+    forest skipped when k >= 2, and every other one decided on the
+    :func:`candidate_cells` of the pairs this enumeration records itself as
+    it chooses them: it packs when one of the packings solved so far, kept
+    in one flat list, fits it, and only otherwise is it solved by a
+    ``_Decider`` of its own.
 
     Returns (decided, assignment): the first unsolvable pattern that
     realizes over ``universe`` colors and the number of patterns decided up
@@ -272,6 +274,7 @@ def reference_list_search(g, k, universe):
     classes = _PatternClasses(g, k)
     back_edges = [sorted(u for u in g.adjacency[v] if u < v) for v in range(n)]
     decide = _Decider(g, k, 1 << 62, "unbounded")
+    known = []  # the cells of every packing solved so far
     chosen = {}  # each chosen edge (u, v) to its pairs
     decided = 0
 
@@ -282,7 +285,14 @@ def reference_list_search(g, k, universe):
             if all(sharing.union(u, v) for (u, v), pairs in chosen.items() if pairs):
                 return None
         decided += 1
-        return None if decide(candidate_cells(g, k, chosen.items())) else _realize_lists(g, k, classes.uf, universe)
+        cand = candidate_cells(g, k, chosen.items())
+        if any(not used & cand for used in known):
+            return None
+        used = decide.solve(cand)
+        if used is None:
+            return _realize_lists(g, k, classes.uf, universe)
+        known.append(used)
+        return None
 
     def place(v, edge_idx):
         if v == n:

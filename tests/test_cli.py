@@ -1,8 +1,13 @@
 import io
 import json
+import re
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from listpacking import constructive, solver
 from listpacking.cli import main
@@ -11,6 +16,7 @@ from listpacking.covers import (
     cover_to_json,
     list_assignment,
     list_assignment_to_json,
+    packing_from_json,
     random_cover,
 )
 from listpacking.graphs import generate, graph_to_json
@@ -193,6 +199,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and f"input error: cannot write {bad}" in captured.err
 
+    @pytest.mark.parametrize("trace", ["out.json", "./out.json"], ids=["same", "dot-slash"])
+    def test_one_file_for_two_outputs(self, tmp_path, capsys, monkeypatch, trace):
+        # --out and --trace naming one file would leave only the trace
+        # there: an input error, before the packer runs, creating nothing
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran before its output paths were checked")
+
+        monkeypatch.setattr("listpacking.cli.pack_constructive", never)
+        monkeypatch.chdir(tmp_path)
+        cover = write_json(tmp_path, "cover.json", cover_to_json(random_cover(generate("dodecahedron"), 4, 3)))
+        assert main(["pack", "--regime", "girth5_k4", "--cover", cover, "--out", "out.json", "--trace", trace]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "input error: two outputs name one file" in captured.err
+        assert not (tmp_path / "out.json").exists()
+
     def test_output_check_creates_no_file(self, tmp_path, capsys):
         # a writable path passes the check, and a command that then fails
         # on its input leaves no file there
@@ -227,6 +248,19 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5
         result = json.loads(out)
         assert code == 3 and result["status"] == "resource" and "options" in result["detail"]
+
+    @pytest.mark.parametrize("mode", ["list", "correspondence"])
+    def test_oversize_k_exits_3(self, tmp_path, capsys, mode):
+        # at k=2000 the option count has thousands of digits: the search
+        # stops counting once it passes OPTION_CAP and never prints it
+        path = write_json(tmp_path, "c3.json", graph_to_json(generate("cycle", 3)))
+        start = time.perf_counter()
+        code, out = run(capsys, "adversary", "--graph", path, "--mode", mode, "--k", "2000", "--cap", "1")
+        assert time.perf_counter() - start < 5
+        result = json.loads(out)
+        assert code == 3 and result == {"status": "resource", "detail": result["detail"]}
+        assert "over 1,048,576" in result["detail"]
+        assert re.findall(r"\d[\d,]*", result["detail"]) == ["1,048,576"]
 
 
     @pytest.mark.parametrize(
@@ -461,6 +495,105 @@ def test_wire_arrays_are_strict(tmp_path, capsys, command, flag, payload, paths)
             parent[path[-1]] = bad
             code, out = run(capsys, command, flag, write_json(tmp_path, "bad.json", obj))
             assert code == 2 and out == "", (path, bad)
+
+
+# Wrong values for each kind of slot in a wire format: other containers
+# (empty ones too), strings, null, and booleans and floats where an integer
+# belongs.  None of them is ever the right kind.
+WRONG = {
+    int: [True, False, 0.0, 1.0, 2.5, -1.0, float("nan"), "1", "", [], [1], {}, None],
+    list: [{}, {"0": 0}, "", "01", 0, True, 1.5, None],
+    dict: [[], [["k", 1]], "", "k", 0, True, 1.5, None],
+}
+
+
+def wire_slots(obj, path=()):
+    """Every (path, kind) in a decoded JSON payload: the payload itself and
+    each value under it, kind ``int``, ``list`` or ``dict``."""
+
+    yield path, type(obj)
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from wire_slots(value, path + (key,))
+
+
+@st.composite
+def wire_payloads(draw):
+    """A command, its input flag and a payload it accepts, on at most 4
+    vertices; the bigraph is the (8,3)-bigraph ``classify`` needs, five
+    rows on columns 0-2 and three on 3-7, in a drawn row order."""
+
+    n = draw(st.integers(1, 4))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2)) or [None]), unique=True))
+    graph = {"n": n, "edges": [list(e) for e in sorted(edges) if e]}
+    k = draw(st.integers(1, 3))
+    form = draw(st.sampled_from(["graph", "rows", "edges", "cover", "lists"]))
+    if form == "graph":
+        return "girth", "--graph", graph
+    rows = draw(st.permutations([7] * 5 + [248] * 3))
+    if form == "rows":
+        return "classify", "--bigraph", {"s": 8, "rows": rows}
+    if form == "edges":
+        return "classify", "--bigraph", {"s": 8, "edges": [[i, j] for i, r in enumerate(rows) for j in range(8) if r >> j & 1]}
+    if form == "cover":
+        arcs = [{"u": u, "v": v, "perm": list(draw(st.permutations(range(k))))} for u, v in graph["edges"]]
+        return "solve", "--cover", {"k": k, "graph": graph, "arcs": arcs}
+    colors = st.lists(st.integers(0, 5), min_size=k, max_size=k, unique=True)
+    return "solve-list", "--lists", {"k": k, "graph": graph, "lists": {str(v): draw(colors) for v in range(n)}}
+
+
+def spoiled(draw, payload):
+    """``payload`` with one slot, drawn, given a wrong value."""
+
+    path, kind = draw(st.sampled_from(list(wire_slots(payload))))
+    bad = draw(st.sampled_from(WRONG[kind]))
+    if not path:
+        return bad
+    obj = json.loads(json.dumps(payload))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bad
+    return obj
+
+
+def run_stdin(command, flag, payload):
+    """``main`` on the payload as stdin: the exit code, stdout and stderr."""
+
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(payload))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, flag, "-"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_wire_formats_refuse_wrong_kinds(data):
+    # a wrong kind anywhere in a graph, bigraph, cover or lists payload is
+    # an input error: exit 2 with nothing on stdout, never a result and
+    # never an exception out of main
+    command, flag, payload = data.draw(wire_payloads())
+    assert run_stdin(command, flag, payload)[0] in (0, 1)
+    bad = spoiled(data.draw, payload)
+    code, out, err = run_stdin(command, flag, bad)
+    assert (code, out) == (2, "") and err.startswith("input error:"), (command, bad, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packing_reader_refuses_wrong_kinds(data):
+    # the packing format has no CLI reader: packing_from_json raises
+    # ValueError on a wrong kind anywhere, and nothing else
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    payload = {"k": k, "assign": {str(v): list(data.draw(st.permutations(range(k)))) for v in range(n)}}
+    assert packing_from_json(payload).assign == {v: tuple(c) for v, c in enumerate(payload["assign"].values())}
+    with pytest.raises(ValueError):
+        packing_from_json(spoiled(data.draw, payload))
 
 
 class TestDeterminism:

@@ -76,16 +76,31 @@ def transposition_cycle_cover(n: int, k: int) -> CorrespondenceCover:
     return CorrespondenceCover(g, k, arcs)
 
 
-def decided_cells(monkeypatch, search) -> list[int]:
-    """Run ``search`` and return the candidates every decider it makes
-    receives, in order."""
+def solved_cells(monkeypatch, search) -> list[int]:
+    """Run ``search`` and return the candidates that every decider it makes
+    solves, in order: those no known packing settles."""
 
     got: list[int] = []
-    decide = solver._Decider.__call__
+    solve = solver._Decider.solve
     with monkeypatch.context() as m:
-        m.setattr(solver._Decider, "__call__", lambda self, cand: got.append(cand) or decide(self, cand))
+        m.setattr(solver._Decider, "solve", lambda self, cand: got.append(cand) or solve(self, cand))
         search()
     return got
+
+
+def nothing_known(monkeypatch) -> None:
+    """Make every packing a decider solves fit no candidate but 0, as the
+    searches test it, so no known packing settles a later candidate: the
+    packing is validated as usual and its cells are then replaced by all
+    of them."""
+
+    solve = solver._Decider.solve
+
+    def every_cell(self, cand):
+        used = solve(self, cand)
+        return None if used is None else (1 << self.g.m * self.k * self.k) - 1
+
+    monkeypatch.setattr(solver._Decider, "solve", every_cell)
 
 
 class TestSolvePacking:
@@ -745,11 +760,12 @@ class TestAdversarialCovers:
         with pytest.raises(ValueError):
             adversarial_cover_search(generate("cycle", 4), 2, cap=cap)
 
-    @pytest.mark.parametrize("k, message", [(8, "exceeded cap=1"), (9, "1,088,640 arc options")], ids=["k8", "k9"])
+    @pytest.mark.parametrize("k, message", [(8, "exceeded cap=1"), (9, "over 1,048,576 arc options")], ids=["k8", "k9"])
     def test_option_table_bound(self, k, message):
         # K4's three free edges take 3 * 8! arc options at k=8, within
-        # OPTION_CAP, and 3 * 9! at k=9, past it: that search stops before
-        # it builds them
+        # OPTION_CAP, and 3 * 9! = 1,088,640 at k=9, past it: that search
+        # stops before it builds them
+        assert (3 * math.factorial(k) > solver.OPTION_CAP) == (k == 9)
         with pytest.raises(ResourceCapError, match=message):
             adversarial_cover_search(generate("complete", 4), k, cap=1)
 
@@ -826,7 +842,7 @@ class TestAdversarialCovers:
         # the cells ORed from the tree's and the free arcs' masks are, in
         # order, the forbidden pairs of the covers the reference decides,
         # less those that a packing solved for an earlier one fits
-        got = decided_cells(monkeypatch, lambda: adversarial_cover_search(g, k))
+        got = solved_cells(monkeypatch, lambda: adversarial_cover_search(g, k))
         solved = []
         solve = solver.solve_packing
         monkeypatch.setattr(solver, "solve_packing", lambda cover: solved.append((cover, solve(cover))) or solved[-1][1])
@@ -847,11 +863,31 @@ class TestAdversarialCovers:
         ids=["C4-k3", "C5-k3", "K4-k3"],
     )
     def test_pool_changes_no_verdict(self, monkeypatch, g):
-        pooled = adversarial_cover_search(g, 3)
-        monkeypatch.setattr(solver, "POOL_CAP", 0)
-        unpooled = adversarial_cover_search(g, 3)
-        assert (pooled is None) == (unpooled is None)
-        assert pooled is None or cover_to_json(pooled) == cover_to_json(unpooled)
+        # the pool, the packings the search has solved, settles candidates
+        # but changes no verdict: the same result when none of them fits a
+        # later candidate and every candidate is solved
+        got = adversarial_cover_search(g, 3)
+        nothing_known(monkeypatch)
+        want = adversarial_cover_search(g, 3)
+        assert (got is None) == (want is None)
+        assert got is None or cover_to_json(got) == cover_to_json(want)
+
+    @pytest.mark.parametrize(
+        "g, calls",
+        [
+            (generate("complete", 4), 72),
+            (graph_from_edges(5, [e for e in combinations(range(5), 2) if e != (3, 4)]), 221),
+        ],
+        ids=["K4-k4", "K5-e-k4"],
+    )
+    def test_each_solve_is_one_core_solve(self, monkeypatch, g, calls):
+        # a candidate reaches the decider only when no known packing fits
+        # it, so each one costs exactly one run of the exact solver
+        core = []
+        core_solve = solver._core_solve
+        monkeypatch.setattr(solver, "_core_solve", lambda *args: core.append(1) or core_solve(*args))
+        got = solved_cells(monkeypatch, lambda: adversarial_cover_search(g, 4))
+        assert len(got) == len(core) == calls
 
     def test_k4(self):
         # the all-identity cover is the first candidate at k=3 (K4 is not
@@ -903,8 +939,8 @@ class TestAdversarialLists:
     )
     def test_cap(self, g, k, universe, solved, witness):
         # exactly `solved` candidates survive the consistency check and the
-        # forest pruning; the cap counts those, whether a pooled packing or
-        # the solver decides them
+        # forest pruning; the cap counts those, whether a known packing
+        # settles them or the solver decides them
         found = adversarial_list_search(g, k, universe, cap=solved)
         assert (None if found is None else found.lists) == witness
         with pytest.raises(ResourceCapError):
@@ -913,26 +949,28 @@ class TestAdversarialLists:
     @pytest.mark.parametrize(
         "g, decided, digest",
         [
-            (generate("cycle", 5), 29_590, "9d5833c07afcf517ff29eaf83e55ffdf4ada08ac8add3021ea502d6d5589482a"),
-            (BANNER, 18_704, "e052963e39c30d2f0e61ef973816b33931b2e63ff6045dbd1ef5bda165aae6aa"),
+            (generate("cycle", 5), 80, "05ff3ef26a6dc7ae0d789eb8284154aa61507bd7f7771d43f64e050cf26a6c71"),
+            (BANNER, 68, "516bf70480def371bd3a4fe99aedc95d0fbaca51013fad457a07a4efead49544"),
         ],
         ids=["C5-k3", "banner-k3"],
     )
     def test_decided_sequence(self, monkeypatch, g, decided, digest):
-        # the candidates the decider receives, in order, as the sha256 over
-        # each one's 64 little-endian bytes: a change to the enumeration's
-        # bookkeeping must decide the same candidates in the same order
+        # the candidates the decider solves, those no known packing fits,
+        # in order, as the sha256 over each one's 64 little-endian bytes
+        # (those of reference_list_search too): a change to the
+        # enumeration's bookkeeping must solve the same candidates in the
+        # same order
         h = hashlib.sha256()
         count = 0
-        decide = solver._Decider.__call__
+        solve = solver._Decider.solve
 
         def spy(self, cand):
             nonlocal count
             count += 1
             h.update(cand.to_bytes(64, "little"))
-            return decide(self, cand)
+            return solve(self, cand)
 
-        monkeypatch.setattr(solver._Decider, "__call__", spy)
+        monkeypatch.setattr(solver._Decider, "solve", spy)
         assert adversarial_list_search(g, 3, 3 * g.n) is None
         assert (count, h.hexdigest()) == (decided, digest)
 
@@ -1019,10 +1057,11 @@ class TestAdversarialLists:
         ids=["C4-k3", "diamond-k3", "banner-k3", "C6-k2"],
     )
     def test_candidate_cells_are_its_pairs(self, monkeypatch, g, k):
-        # the cells carried down the recursion are, in order, the cells of
-        # the pairs the reference enumeration records as it chooses them
-        got = decided_cells(monkeypatch, lambda: adversarial_list_search(g, k, k * g.n))
-        want = decided_cells(monkeypatch, lambda: reference_list_search(g, k, k * g.n))
+        # the cells carried down the stack are, in order, the cells of the
+        # pairs the reference enumeration records as it chooses them, for
+        # every candidate that no packing solved for an earlier one fits
+        got = solved_cells(monkeypatch, lambda: adversarial_list_search(g, k, k * g.n))
+        want = solved_cells(monkeypatch, lambda: reference_list_search(g, k, k * g.n))
         assert got and got == want
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1034,17 +1073,20 @@ class TestAdversarialLists:
 
     @pytest.mark.parametrize("g", [generate("cycle", 4), generate("cycle", 5), BANNER], ids=["C4", "C5", "banner"])
     def test_no_forest_is_decided(self, monkeypatch, g):
+        # with no known packing to settle them, every candidate is solved,
+        # and none of them shares along a forest only
+        nothing_known(monkeypatch)
         sharing_is_forest = []
-        decide = solver._Decider.__call__
+        solve = solver._Decider.solve
 
         def spy(self, cand):
             # the sharing graph: the edges whose slot holds a cell
             full = (1 << self.k * self.k) - 1
             sharing = UnionFind(g.n)
             sharing_is_forest.append(all(sharing.union(u, v) for (u, v), s in self.slot.items() if cand >> s & full))
-            return decide(self, cand)
+            return solve(self, cand)
 
-        monkeypatch.setattr(solver._Decider, "__call__", spy)
+        monkeypatch.setattr(solver._Decider, "solve", spy)
         assert adversarial_list_search(g, 3, 3 * g.n) is None
         assert sharing_is_forest and not any(sharing_is_forest)
 
@@ -1057,11 +1099,9 @@ class TestAdversarialLists:
     def test_forest_decides_nothing(self, monkeypatch, g, k):
         # forests pack for k >= 2, so no candidate is decided; the input
         # checks still come first
-        decided = []
-        decide = solver._Decider.__call__
-        monkeypatch.setattr(solver._Decider, "__call__", lambda self, cand: decided.append(cand) or decide(self, cand))
-        assert adversarial_list_search(g, k, k * g.n, cap=1) is None
-        assert decided == []
+        found = []
+        decided = solved_cells(monkeypatch, lambda: found.append(adversarial_list_search(g, k, k * g.n, cap=1)))
+        assert found == [None] and decided == []
         with pytest.raises(ValueError):
             adversarial_list_search(g, k, k - 1)
         with pytest.raises(ValueError):
@@ -1083,12 +1123,10 @@ class TestAdversarialLists:
 
     def test_edgeless_k1_decides_the_empty_pattern(self, monkeypatch):
         # with no back edge there is no step, and the one candidate, which
-        # forbids nothing, packs
-        decided = []
-        decide = solver._Decider.__call__
-        monkeypatch.setattr(solver._Decider, "__call__", lambda self, cand: decided.append(cand) or decide(self, cand))
-        assert adversarial_list_search(graph_from_edges(3, ()), 1, 3) is None
-        assert decided == [0]
+        # forbids nothing and meets no known packing, is solved and packs
+        found = []
+        decided = solved_cells(monkeypatch, lambda: found.append(adversarial_list_search(graph_from_edges(3, ()), 1, 3)))
+        assert found == [None] and decided == [0]
 
     def test_forest_k1_still_searched(self):
         # one coloring is a proper coloring from the lists, which an edge
@@ -1114,23 +1152,28 @@ class TestAdversarialLists:
         ids=["C4-k2", "C4-k3", "K23-k2", "diamond-k2"],
     )
     def test_pool_changes_no_verdict(self, monkeypatch, g, k, universe):
-        pooled = adversarial_list_search(g, k, universe)
-        monkeypatch.setattr(solver, "POOL_CAP", 0)
-        unpooled = adversarial_list_search(g, k, universe)
-        assert (pooled is None) == (unpooled is None)
-        assert pooled is None or pooled.lists == unpooled.lists
+        # the pool, the packings the search has solved, settles candidates
+        # but changes no verdict: the same result when none of them fits a
+        # later candidate and every candidate is solved
+        got = adversarial_list_search(g, k, universe)
+        nothing_known(monkeypatch)
+        want = adversarial_list_search(g, k, universe)
+        assert (got is None) == (want is None)
+        assert got is None or got.lists == want.lists
 
     @pytest.mark.parametrize("cap", [0, -4])
     def test_cap_below_one(self, cap):
         with pytest.raises(ValueError):
             adversarial_list_search(generate("cycle", 4), 2, 8, cap=cap)
 
-    @pytest.mark.parametrize("k, message", [(7, "exceeded its cap"), (8, "1,441,729 options")], ids=["k7", "k8"])
+    @pytest.mark.parametrize("k, message", [(7, "exceeded its cap"), (8, "over 1,048,576 options")], ids=["k7", "k8"])
     def test_option_table_bound(self, k, message):
         # the later back edges' table holds every partial injection of
         # range(k), 130,922 at k=7, within OPTION_CAP, and 1,441,729 at
         # k=8, past it: that search stops before it builds them
         assert len(_injection_order(4)) == sum(math.comb(4, j) ** 2 * math.factorial(j) for j in range(5))
+        size = sum(math.comb(k, j) ** 2 * math.factorial(j) for j in range(k + 1))
+        assert size == {7: 130_922, 8: 1_441_729}[k] and (size > solver.OPTION_CAP) == (k == 8)
         with pytest.raises(ResourceCapError, match=message):
             adversarial_list_search(generate("cycle", 4), k, 4 * k, cap=1)
 
@@ -1205,47 +1248,20 @@ class TestPackingNumbers:
             packing_number(generate("cycle", 5), "chromatic", 3)
 
 
-def solved_cols(cover: CorrespondenceCover) -> tuple[tuple[int, ...], ...]:
-    """A packing of the cover as the pool holds it: per vertex, the
-    coloring of each color."""
+def settles(g: Graph, k: int, found: dict, constraints) -> bool:
+    """Whether the packing ``found`` (as :attr:`Packing.assign` holds it)
+    settles the candidate ``constraints`` as the searches test a known
+    packing: the two share no cell."""
 
-    packing = solve_packing(cover)
-    return tuple(_invert(packing.assign[v]) for v in range(cover.graph.n))
-
-
-def pool_only(monkeypatch, g: Graph, k: int, pool: list) -> solver._Decider:
-    """A decider holding the packings ``pool`` (as :func:`solved_cols`
-    gives them) whose solver packs nothing, so that a candidate is decided
-    solvable only by a pooled packing."""
-
-    monkeypatch.setattr(solver, "_core_solve", lambda g, k, maps, order=None: None)
-    decide = solver._Decider(g, k, 10, "cap")
-    decide.pool = [packing_cells(g, k, cols) for cols in pool]
-    return decide
-
-
-def ask(decide: solver._Decider, constraints) -> bool:
-    """Decide ``constraints`` as the searches hand a candidate over: as
-    its cells."""
-
-    return decide(candidate_cells(decide.g, decide.k, constraints))
+    return not candidate_cells(g, k, constraints) & solver._Decider(g, k, 1, "cap").used(found)
 
 
 class TestPool:
-    """A pooled packing counts only when it meets every forbidden pair."""
+    """The pool, the packings a search has solved, each kept as the cells
+    it uses: one settles a candidate only when it meets every forbidden
+    pair."""
 
-    def test_hit_moves_to_front(self, monkeypatch):
-        cover = random_cover(generate("cycle", 5), 3, 1)
-        g = cover.graph
-        constraints = [(arc, tuple(enumerate(p.image))) for arc, p in cover.arcs.items()]
-        fits = solved_cols(cover)
-        other = tuple(tuple(reversed(c)) for c in fits)
-        assert not _fits(other, constraints)
-        decide = pool_only(monkeypatch, g, 3, [other, fits])
-        assert ask(decide, constraints)
-        assert decide.pool == [packing_cells(g, 3, fits), packing_cells(g, 3, other)]
-
-    def test_one_broken_pair_misses(self, monkeypatch):
+    def test_one_broken_pair_misses(self):
         # pattern form: the pairs of a list assignment, plus one pair the
         # packing puts in one coloring at both ends
         g = generate("cycle", 4)
@@ -1259,15 +1275,15 @@ class TestPool:
         (u, v), pairs = constraints[0]
         a = next(a for a in range(3) if all(a != x for x, _ in pairs))
         b = cols[v].index(cols[u][a])
-        decide = pool_only(monkeypatch, g, 3, [cols])
-        assert ask(decide, constraints)
-        assert not ask(decide, constraints[1:] + [((u, v), pairs + ((a, b),))])
+        assert settles(g, 3, found, constraints)
+        assert not settles(g, 3, found, constraints[1:] + [((u, v), pairs + ((a, b),))])
 
-    def test_one_broken_arc_misses(self, monkeypatch):
+    def test_one_broken_arc_misses(self):
         # cover form: replace one arc's permutation by one that the packing
         # breaks at exactly one color
         cover = random_cover(generate("cycle", 5), 3, 3)
-        cols = solved_cols(cover)
+        found = solve_packing(cover).assign
+        cols = tuple(_invert(found[v]) for v in range(cover.graph.n))
         (u, v), _ = sorted(cover.arcs.items())[0]
         # sigma(a): the color at v in the coloring that uses a at u
         sigma = [cols[v].index(cols[u][a]) for a in range(3)]
@@ -1276,7 +1292,8 @@ class TestPool:
         constraints = [(arc, tuple(enumerate(p.image))) for arc, p in arcs.items()]
         broken = [(a, b) for (x, y), pairs in constraints for a, b in pairs if cols[x][a] == cols[y][b]]
         assert broken == [(0, sigma[0])]
-        assert not ask(pool_only(monkeypatch, cover.graph, 3, [cols]), constraints)
+        assert settles(cover.graph, 3, found, [(arc, tuple(enumerate(p.image))) for arc, p in cover.arcs.items()])
+        assert not settles(cover.graph, 3, found, constraints)
 
 
 CELL_GRAPHS = pytest.mark.parametrize(
@@ -1294,7 +1311,7 @@ CELL_GRAPHS = pytest.mark.parametrize(
 
 
 class TestCells:
-    """A candidate and a pooled packing as cell masks: one AND decides
+    """A candidate and a known packing as cell masks: one AND decides
     what :func:`_fits` decides."""
 
     @pytest.mark.parametrize("form", ["pattern", "cover"])
@@ -1302,7 +1319,7 @@ class TestCells:
     @CELL_GRAPHS
     def test_and_equals_fits(self, g, k, form):
         # candidates as the searches build them (each edge's option cells
-        # shifted to its slot), packings as the decider pools them; half the
+        # shifted to its slot), packings as the searches keep them; half the
         # edges take an option the packing meets, so both verdicts occur
         rng = random.Random(f"{g.n}-{g.m}-{k}-{form}")
         decide = solver._Decider(g, k, 1, "cap")
