@@ -84,6 +84,9 @@ def _raw_column_masks(s: int, rows) -> list[int]:
 
 
 def bigraph_from_edges(s: int, edges) -> Bigraph:
+    if not 1 <= s <= 16:
+        # before the rows are allocated, which a huge s would exhaust
+        raise ValueError("part size must be between 1 and 16")
     rows = [0] * s
     for i, j in edges:
         if not (0 <= i < s and 0 <= j < s):

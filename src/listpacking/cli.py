@@ -211,13 +211,14 @@ wire formats (all emitted with sorted keys):
   packing  {"k": 2, "assign": {"0": [c1,c2], ...}}  (entry j = coloring j)
 exit codes: 0 ok / verified / packing; 1 witness / none / counterexample;
 2 input error (including --cap below 1, or --universe in correspondence
-mode); 3 resource cap exceeded, by candidates past --cap or an option
-table past 2^20 entries (emits {"status": "resource"});
+mode); 3 resource cap exceeded, by candidates past --cap, an option
+table past 2^20 entries, or a graph past 100,000 vertices (a generated
+one also past 100,000 edges) (emits {"status": "resource"});
 4 internal error (a result failed self-validation; details on stderr).
 """
 
 
-_CAP_HELP = "candidates one search may decide before it exits 3; at least 1"
+_CAP_HELP = "candidates one search may count before it exits 3, settled by a known packing or solved; at least 1"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,21 @@ from itertools import chain, combinations
 from typing import Collection, Iterable, Iterator
 
 
+class ResourceCapError(RuntimeError):
+    """An input past ``VERTEX_CAP``, an adversarial enumeration past its
+    candidate cap, or an option table past ``solver.OPTION_CAP`` entries."""
+
+
+# vertices a graph read or generated by name may have, and edges a generated one may have,
+# checked before anything is allocated: `mad` on an edgeless graph this large peaks at 41 MB RSS
+VERTEX_CAP = 100_000
+
+
+def _check_size(n: int, m: int = 0) -> None:
+    if n > VERTEX_CAP or m > VERTEX_CAP:
+        raise ResourceCapError(f"a graph of {n:,} vertices and {m:,} edges passes the cap of {VERTEX_CAP:,} on each")
+
+
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -173,22 +188,27 @@ def generate(kind: str, *params: int) -> Graph:
         k = params[0]
         if k < 3:
             raise ValueError("cycle needs k >= 3")
+        _check_size(k, k)
         return graph_from_edges(k, ((i, (i + 1) % k) for i in range(k)))
     if kind == "path":
         need(1)
         k = params[0]
+        _check_size(k, k - 1)
         return graph_from_edges(k, ((i, i + 1) for i in range(k - 1)))
     if kind == "complete":
         need(1)
         t = params[0]
+        _check_size(t, t * (t - 1) // 2)
         return graph_from_edges(t, combinations(range(t), 2))
     if kind == "complete_bipartite":
         need(2)
         a, b = params
+        _check_size(a + b, a * b)
         return graph_from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
     if kind == "grid":
         need(2)
         r, c = params
+        _check_size(r * c, r * (c - 1) + c * (r - 1))
         edges = []
         for i in range(r):
             for j in range(c):
@@ -457,6 +477,7 @@ def graph_from_json(obj: dict) -> Graph:
     try:
         obj = json_fields(obj, "n", "edges")
         n = json_int(obj["n"])
+        _check_size(n)
         edges = [_normalize_edge(json_int(u), json_int(v)) for u, v in map(json_array, json_array(obj["edges"]))]
         if len(set(edges)) != len(edges):
             raise ValueError("an edge appears twice")

@@ -56,9 +56,9 @@ the others break the pattern or leave an edge sharing a class without a
 pair, and every option kept leaves the pattern consistent, so
 :meth:`_PatternClasses.choose` applies it unchecked and a complete pattern
 needs no closing check.  The search runs in one frame over a stack of one
-generator per back edge on the current path; each chooses its edge's
-options in turn and rolls back when resumed, so the depth is m without
-any Python recursion.  Forests pack for k >= 2, so a subtree whose
+generator per back edge on the current path but the last; each chooses its
+edge's options in turn and rolls back when resumed, so the depth is m
+without any Python recursion.  Forests pack for k >= 2, so a subtree whose
 patterns can share only along a forest is cut at the empty choice that
 makes it one, and a forest graph has no witness to enumerate.  Both
 searches build their option tables before the first candidate, so each
@@ -74,11 +74,13 @@ search walks its choices as a stack and keeps at each level the packings
 it has solved that fit the choices made so far, filtered from the level
 above by one AND.  A candidate none of them fits is solved by the search's
 :class:`_Decider`, which checks the packing by the same AND before it joins
-every level.  The list search tests each complete pattern on the packings
-that fit all but its last step; the cover search ORs together, at the last
-free edge, the options each surviving packing fits, settling up to k!
-candidates at once.  K4 at k = 4 solves 72 of its 13,824 candidates, and
-C5 at k = 3 solves 80 of its 29,590 patterns.
+every level.  Both settle their last step's options as one batch: each
+solved packing names, by a bitmask over that step's option table computed
+once, the options it fits, and the masks of the packings left at that
+level take those options out of the batch.  Only the rest are solved, in
+order, each new packing taking out the options it fits.  K4 at k = 4
+solves 72 of its 13,824 candidates, and C5 at k = 3 solves 80 of its
+29,590 patterns and chooses 2,880 edge options, not 32,390.
 """
 
 from __future__ import annotations
@@ -98,12 +100,7 @@ from listpacking.covers import (
     validate_list_packing,
     validate_packing,
 )
-from listpacking.graphs import Graph, UnionFind, components, degeneracy, forest_walk
-
-
-class ResourceCapError(RuntimeError):
-    """An adversarial enumeration exceeded its candidate cap, or its option
-    table would exceed ``OPTION_CAP`` entries."""
+from listpacking.graphs import Graph, ResourceCapError, UnionFind, components, degeneracy, forest_walk
 
 
 # entries an adversarial search's option table may hold: the list search's
@@ -835,10 +832,12 @@ def adversarial_list_search(
     (:meth:`_PatternClasses.choose`), so none is checked once chosen and a
     complete pattern needs no closing check.  The search runs in one
     frame, over a stack of one generator per back edge on the current
-    path, and resumes only the top one.  Each step keeps the solved
-    packings that fit its pattern, filtered from the level above by one
-    AND; a complete pattern that one of them fits packs, and only the rest
-    go to the search's :class:`_Decider`.  Raises ResourceCapError after
+    path but the last, and resumes only the top one.  Each step keeps the
+    solved packings that fit its pattern, filtered from the level above by
+    one AND, and the last step's options are one batch, as in the cover
+    search: only those that no packing left there fits (by its bitmask
+    over the option table) are chosen and go, in order, to the search's
+    :class:`_Decider`.  Raises ResourceCapError after
     ``cap`` complete patterns (settled, solved, realizable or not), or at
     once when the later back edges' option table would hold more than
     ``OPTION_CAP`` partial injections, and ValueError when ``k < 1``,
@@ -880,10 +879,25 @@ def adversarial_list_search(
     for e in sorted(range(len(edges)), key=lambda e: edges[e][::-1]):
         u, v = edges[e]
         steps.append((u, v, e, not steps or steps[-1][1] != v))
-    last = len(steps)
-    # known[s]: the cells of the solved packings that fit the first s steps;
-    # a complete pattern is tested on known[last - 1] (known[0] if no step)
-    known: list[list[int]] = [[] for _ in range(max(last, 1))]
+    if not steps:
+        # k = 1 on an edgeless graph: one candidate, which forbids nothing
+        decide._charge(1)
+        return None if decide.solve(0) is not None else _realize_lists(g, k, classes.uf, universe)
+    last = len(steps) - 1
+    # known[s]: the cells of the solved packings that fit the first s steps
+    known: list[list[int]] = [[] for _ in steps]
+    # passes[(ok, fixed)]: the later options (bit t per option t) within `ok` holding all of
+    # `fixed`; any other breaks the pattern or leaves an edge sharing a class without a pair
+    passes: dict[tuple[int, int], int] = {}
+
+    def passing(u: int, v: int) -> int:
+        masks = classes.pair_masks(u, v)
+        got = passes.get(masks)
+        if got is None:
+            ok, fixed = masks
+            got = sum(1 << t for t, (_, cells) in enumerate(later_options) if not cells & ~ok and not fixed & ~cells)
+            passes[masks] = got
+        return got
 
     def tries(s: int, allowed: int, cand: int) -> Iterator[tuple[int, int]]:
         # step s's options, each chosen in turn and rolled back when the
@@ -891,17 +905,9 @@ def adversarial_list_search(
         # unchosen ones and the chosen ones with pairs.  cand: the cells of
         # the chosen pairs, the candidate as the decider takes it
         u, v, e, first = steps[s]
-        fits, below = known[s], s + 1 < last
+        fits = known[s]
         shift = e * k * k
-        if first:
-            options = first_options
-        else:
-            # only options within `ok` that hold all of `fixed`: one outside
-            # `ok` breaks the pattern, and one without all of `fixed` would
-            # leave its edge sharing a class without a pair, which nothing
-            # checks later
-            ok, fixed = classes.pair_masks(u, v)
-            options = [(pairs, cells) for pairs, cells in later_options if not cells & ~ok and not fixed & ~cells]
+        options = first_options if first else [later_options[t] for t in bits(passing(u, v))]
         mark = classes.mark()
         for pairs, cells in options:
             if not pairs:
@@ -913,14 +919,19 @@ def adversarial_list_search(
                     return
             classes.choose(u, v, pairs)
             cells <<= shift
-            if below:
-                known[s + 1] = [used for used in fits if not used & cells]
+            known[s + 1] = [used for used in fits if not used & cells]
             yield allowed, cand | cells
             classes.rollback(mark)
 
+    # the last step's options form one batch, bit t per option t of its table
+    # (the empty one last); fit[used]: the options the known packing `used` fits
+    u, v, e, first = steps[last]
+    table = first_options if first else later_options
+    shift, full, empty = e * k * k, (1 << k * k) - 1, 1 << len(table) - 1
+    fit: dict[int, int] = {}
     # stack[s] yields the states after s steps, each a pattern on the path
-    # the search is on; only the top generator runs, and after the last
-    # step its candidates are settled
+    # the search is on; only the top generator runs, and after all but the
+    # last step the batch settles the last step's candidates
     stack: list[Iterator[tuple[int, int]]] = [iter([(everything, 0)])]
     while stack:
         s = len(stack) - 1
@@ -928,19 +939,42 @@ def adversarial_list_search(
             if s < last:
                 stack.append(tries(s, allowed, cand))
                 break
-            decide._charge(1)
-            for used in reversed(known[last - 1]):
+            # choices: the options the pattern allows, less an empty one that leaves a forest
+            choices = (1 << len(table)) - 1 if first else passing(u, v)
+            if choices & empty and k >= 2 and is_forest(allowed & ~(1 << e)):
+                choices ^= empty
+            # one AND checks that a packing fits the prefix, as every one kept here does
+            todo = choices
+            for used in reversed(known[last]):
                 if not used & cand:
-                    break
-            else:
-                new = decide.solve(cand)
+                    todo &= ~fit[used]
+                    if not todo:
+                        break
+            # every choice counts against the cap, in order
+            done = 0
+            mark = classes.mark()
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                upto = (choices & (low << 1) - 1).bit_count()
+                decide._charge(upto - done)
+                done = upto
+                pairs, cells = table[low.bit_length() - 1]
+                classes.choose(u, v, pairs)
+                new = decide.solve(cand | cells << shift)
                 if new is None:
                     found = _realize_lists(g, k, classes.uf, universe)
                     if found is not None:
                         return found
                 else:
+                    mine = new >> shift & full
+                    fit[new] = sum(1 << t for t, (_, cells) in enumerate(table) if not cells & mine)
                     for level in known:
                         level.append(new)
+                    if not new & cand:
+                        todo &= ~fit[new]
+                classes.rollback(mark)
+            decide._charge(choices.bit_count() - done)
         else:
             stack.pop()
     return None

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from listpacking import constructive, solver
+from listpacking import constructive, graphs, solver
 from listpacking.cli import main
 from listpacking.covers import (
     Check,
@@ -237,6 +237,48 @@ class TestExitCodes:
         result = json.loads(out)
         assert code == 3 and result["status"] == "resource"
         assert "witnesses exist up to k=2" in result["detail"]
+
+    def test_list_cap_counts_every_candidate(self, tmp_path, capsys):
+        # C5 at k=3 counts 29,590 candidates, nearly all settled by a known
+        # packing: a cap of exactly that prints what no cap prints, one
+        # below it exits 3
+        path = write_json(tmp_path, "c5.json", graph_to_json(generate("cycle", 5)))
+        argv = ["adversary", "--graph", path, "--mode", "list", "--k", "3"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out) == {"status": "none", "k": 3, "universe": 15}
+        assert run(capsys, *argv, "--cap", "29590") == (code, out)
+        code, out = run(capsys, *argv, "--cap", "29589")
+        assert code == 3 and json.loads(out)["status"] == "resource"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mad", "--graph", {"n": graphs.VERTEX_CAP + 1, "edges": []}],
+            ["girth", "--graph", {"n": 10**9, "edges": [[0, 1]]}],
+            ["solve", "--cover", {"k": 2, "graph": {"n": 10**9, "edges": []}, "arcs": []}],
+            ["gen", "cycle", str(graphs.VERTEX_CAP + 1)],
+            ["gen", "complete", "1000"],
+            ["gen", "complete_bipartite", "400", "400"],
+            ["gen", "grid", "10000", "10000"],
+        ],
+        ids=["mad", "girth-huge", "cover", "gen-cycle", "gen-complete-edges", "gen-bipartite-edges", "gen-grid"],
+    )
+    def test_vertex_cap_exits_3(self, tmp_path, capsys, argv):
+        # a graph past VERTEX_CAP vertices, or a generated one past as many
+        # edges, is refused before anything is allocated for it
+        argv = [write_json(tmp_path, "in.json", a) if isinstance(a, dict) else a for a in argv]
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and json.loads(out)["status"] == "resource"
+        assert "passes the cap of 100,000" in json.loads(out)["detail"]
+
+    def test_bigraph_part_size_is_checked_first(self, tmp_path, capsys):
+        # a part size past 16 is an input error, raised before the rows of
+        # an edge-list bigraph are allocated
+        path = write_json(tmp_path, "h.json", {"s": 10**9, "edges": []})
+        code, out = run(capsys, "classify", "--bigraph", path)
+        assert code == 2 and out == ""
 
     @pytest.mark.parametrize("mode, k", [("list", 9), ("list", 17), ("correspondence", 12)])
     def test_option_table_bound(self, tmp_path, capsys, mode, k):

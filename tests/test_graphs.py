@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import listpacking
 from listpacking.graphs import (
+    VERTEX_CAP,
     Graph,
+    ResourceCapError,
     degeneracy,
     find_light_triangle,
     generate,
@@ -317,3 +319,10 @@ class TestJson:
             graph_from_json({"n": 3, "edges": edges})
         # graph_from_edges, which the generators use, still merges them
         assert graph_from_edges(3, edges).m == len(edges) - 1
+
+    def test_vertex_cap(self):
+        # the cap itself is read (a Graph holds n, nothing per vertex, until
+        # a measurement asks), one past it is refused before the edges are
+        assert graph_from_json({"n": VERTEX_CAP, "edges": [[0, 1]]}).n == VERTEX_CAP
+        with pytest.raises(ResourceCapError, match="100,001 vertices"):
+            graph_from_json({"n": VERTEX_CAP + 1, "edges": "not read"})

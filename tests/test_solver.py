@@ -975,17 +975,20 @@ class TestAdversarialLists:
         assert (count, h.hexdigest()) == (decided, digest)
 
     @pytest.mark.parametrize(
-        "g, calls",
-        [(generate("cycle", 5), 32_390), (DIAMOND, 9_644), (DIAMOND_HUBS_FIRST, 10_420)],
+        "g, calls, batched",
+        [(generate("cycle", 5), 32_390, 2_880), (DIAMOND, 9_644, 2_436), (DIAMOND_HUBS_FIRST, 10_420, 2_242)],
         ids=["C5", "diamond", "diamond-hubs-first"],
     )
-    def test_choose_calls(self, monkeypatch, g, calls):
+    def test_choose_calls(self, monkeypatch, g, calls, batched):
         # later back edges try only the options their pair masks pass:
         # trying every option takes 82,033, 72,443 and 66,228 calls, most
         # of which break the pattern; here every choice leaves it
         # consistent, checked from scratch, no closing check follows (see
         # test_chosen_edges_share_exactly_their_pairs), and the decided
-        # counts are test_cap's and test_matches_reference_enumeration's
+        # counts are test_cap's and test_matches_reference_enumeration's.
+        # The last back edge chooses only the options no known packing
+        # settles: `batched` calls, and `calls` with none known, when every
+        # complete pattern is chosen
         k = 3
         pairs_of = {}
         consistent = []
@@ -998,17 +1001,22 @@ class TestAdversarialLists:
 
         monkeypatch.setattr(_PatternClasses, "choose", spy)
         assert adversarial_list_search(g, k, k * g.n) is None
+        assert len(consistent) == batched and all(consistent)
+        consistent.clear()
+        nothing_known(monkeypatch)
+        assert adversarial_list_search(g, k, k * g.n) is None
         assert len(consistent) == calls and all(consistent)
 
     @pytest.mark.parametrize(
-        "g, calls",
-        [(generate("cycle", 5), 32_390), (DIAMOND, 9_644), (BANNER, 21_441)],
+        "g, calls, batched",
+        [(generate("cycle", 5), 32_390, 2_880), (DIAMOND, 9_644, 2_436), (BANNER, 21_441, 2_805)],
         ids=["C5", "diamond", "banner"],
     )
-    def test_chosen_edges_share_exactly_their_pairs(self, monkeypatch, g, calls):
+    def test_chosen_edges_share_exactly_their_pairs(self, monkeypatch, g, calls, batched):
         # the invariant that lets the search skip a closing check: after
         # every `choose`, each chosen edge shares exactly its pairs'
-        # classes, recomputed from the parent links and touch masks
+        # classes, recomputed from the parent links and touch masks; with
+        # no known packing (`calls`) every complete pattern is checked
         k = 3
         pairs_of = {}
         seen = 0
@@ -1026,6 +1034,10 @@ class TestAdversarialLists:
                 assert all(find(x * k + i) == find(y * k + t) for i, t in pairs_of[(x, y)])
 
         monkeypatch.setattr(_PatternClasses, "choose", spy)
+        assert adversarial_list_search(g, k, k * g.n) is None
+        assert seen == batched
+        seen = 0
+        nothing_known(monkeypatch)
         assert adversarial_list_search(g, k, k * g.n) is None
         assert seen == calls
 
@@ -1051,6 +1063,46 @@ class TestAdversarialLists:
         if decided > 1:  # a cap below 1 is an input error
             with pytest.raises(ResourceCapError):
                 adversarial_list_search(g, k, universe, cap=decided - 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_graphs_match_reference(self, seed):
+        # seeded graphs on at most 5 vertices with a cycle, at k=2 and, with
+        # at most 5 edges, k=3, over k+1 colors and over k*n: the same
+        # witness as the reference, after exactly as many candidates,
+        # settled ones counted.  Seeds 0-39 all agree; these 8 take about
+        # 4 s, the reference most of it
+        rng = random.Random(seed)
+        n = rng.randint(3, 5)
+        pairs = list(combinations(range(n), 2))
+        g = graph_from_edges(n, rng.sample(pairs, rng.randint(n, len(pairs))))
+        for k in (2, 3) if g.m <= 5 else (2,):
+            for universe in (k + 1, k * n):
+                decided, want = reference_list_search(g, k, universe)
+                got = adversarial_list_search(g, k, universe, cap=decided)
+                assert (None if got is None else got.lists) == (None if want is None else want.lists)
+                if decided > 1:
+                    with pytest.raises(ResourceCapError):
+                        adversarial_list_search(g, k, universe, cap=decided - 1)
+
+    @pytest.mark.parametrize(
+        "g, lost, decided",
+        [(generate("cycle", 4), 16, 45), (generate("cycle", 6), 344, 719), (generate("complete_bipartite", 2, 3), 720, 1_608), (BANNER, 64, 180)],
+        ids=["C4", "C6", "K23", "banner"],
+    )
+    def test_unrealizable_leaves_go_on(self, monkeypatch, g, lost, decided):
+        # over 2 colors at k=2, `lost` unsolvable patterns need more colors
+        # than the universe holds, and the batch goes on past each one: no
+        # witness, after as many candidates as the reference decides
+        realized = []
+        realize = solver._realize_lists
+        monkeypatch.setattr(solver, "_realize_lists", lambda *args: realized.append(realize(*args)) or realized[-1])
+        assert reference_list_search(g, 2, 2) == (decided, None)
+        assert realized.count(None) == lost
+        realized.clear()
+        assert adversarial_list_search(g, 2, 2, cap=decided) is None
+        assert realized == [None] * lost
+        with pytest.raises(ResourceCapError):
+            adversarial_list_search(g, 2, 2, cap=decided - 1)
 
     @pytest.mark.parametrize(
         "g, k", [(generate("cycle", 4), 3), (DIAMOND, 3), (BANNER, 3), (generate("cycle", 6), 2)],
