@@ -17,6 +17,7 @@ from typing import Container, Iterable, Mapping, Sequence
 from listpacking.bigraph import _invert
 from listpacking.graphs import (
     Graph,
+    ResourceCapError,
     UnionFind,
     forest_walk,
     graph_from_edges,
@@ -357,6 +358,19 @@ def validate_list_packing(la: ListAssignment, packing: Packing) -> Check:
 # ---------------------------------------------------------------------------
 
 
+# entries max(n, 1) * k a cover (its vertices) or list assignment (its list
+# colors) read from JSON may have, checked before anything is allocated for
+# them: every regime's k on any graph within VERTEX_CAP stays below it, and an
+# edgeless graph's k is all that grows with it (k = 3,000,000 on no vertices
+# peaked at 132 MB RSS in `solve-list`)
+ENTRY_CAP = 1 << 20
+
+
+def _check_entries(n: int, k: int) -> None:
+    if max(n, 1) * k > ENTRY_CAP:
+        raise ResourceCapError(f"k={k:,} on {n:,} vertices passes the cap of {ENTRY_CAP:,} entries, max(n, 1) * k")
+
+
 def cover_to_json(cover: CorrespondenceCover) -> dict:
     return {
         "k": cover.k,
@@ -373,6 +387,7 @@ def cover_from_json(obj: dict) -> CorrespondenceCover:
         obj = json_fields(obj, "k", "graph", "arcs")
         g = graph_from_json(obj["graph"])
         k = json_int(obj["k"])
+        _check_entries(g.n, k)
         given = [
             ((json_int(a["u"]), json_int(a["v"])), Perm(tuple(json_int(x) for x in json_array(a["perm"]))))
             for a in [json_fields(a, "u", "v", "perm") for a in json_array(obj["arcs"])]
@@ -398,6 +413,7 @@ def list_assignment_from_json(obj: dict) -> ListAssignment:
         obj = json_fields(obj, "k", "graph", "lists")
         k = json_int(obj["k"])
         g = graph_from_json(obj["graph"])
+        _check_entries(g.n, k)
         given = {_vertex_key(v): colors for v, colors in obj["lists"].items()}
         if sorted(given) != list(range(g.n)):
             raise ValueError(f"list keys must be exactly the vertices 0..{g.n - 1}")

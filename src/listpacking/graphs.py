@@ -17,13 +17,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from typing import Collection, Iterable, Iterator
 
 
 class ResourceCapError(RuntimeError):
-    """An input past ``VERTEX_CAP``, an adversarial enumeration past its
-    candidate cap, or an option table past ``solver.OPTION_CAP`` entries."""
+    """An input past ``VERTEX_CAP`` or ``covers.ENTRY_CAP``, an adversarial
+    enumeration past its candidate cap, or an option table past
+    ``solver.OPTION_CAP`` entries."""
 
 
 # vertices a graph read or generated by name may have, and edges a generated one may have,
@@ -83,18 +85,27 @@ class Graph:
 
     @cached_property
     def _degeneracy(self) -> tuple[int, tuple[int, ...]]:
+        # each step removes the least (degree, vertex) left, popped from a
+        # heap; a vertex gets a new entry whenever its degree drops, so an
+        # entry whose vertex is gone or whose degree is not the current one
+        # is stale and skipped
         deg = list(self.degrees())
+        heap = [(x, v) for v, x in enumerate(deg)]
+        heapify(heap)
         alive = [True] * self.n
         order: list[int] = []
         d = 0
-        for _ in range(self.n):
-            v = min((x for x in range(self.n) if alive[x]), key=lambda x: (deg[x], x))
-            d = max(d, deg[v])
+        while heap:
+            x, v = heappop(heap)
+            if not alive[v] or x != deg[v]:
+                continue
+            d = max(d, x)
             order.append(v)
             alive[v] = False
             for w in self.adjacency[v]:
                 if alive[w]:
                     deg[w] -= 1
+                    heappush(heap, (deg[w], w))
         return d, tuple(order)
 
     @cached_property

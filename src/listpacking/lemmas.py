@@ -310,11 +310,11 @@ def _counterexample(h: Bigraph, note: str, precondition, broken) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The individual verifiers.  Each trial returns (ok, failure | None,
-# warning | None); a failure is its record, or a call that builds it.
+# The individual verifiers.  Each trial returns (failure | None, warning |
+# None); a failure is its record, or a call that builds it.
 # ---------------------------------------------------------------------------
 
-TrialResult = tuple[bool, dict | Callable[[], dict] | None, str | None]
+TrialResult = tuple[dict | Callable[[], dict] | None, str | None]
 
 
 def _check(h: Bigraph, precondition: Callable[[Bigraph], bool], broken: Callable[[Bigraph], str | None]) -> TrialResult:
@@ -325,14 +325,14 @@ def _check(h: Bigraph, precondition: Callable[[Bigraph], bool], broken: Callable
 
     note = broken(h)
     if note is None:
-        return True, None, None
-    return False, lambda: _counterexample(h, note, precondition, broken), None
+        return None, None
+    return lambda: _counterexample(h, note, precondition, broken), None
 
 
 def _as_built(h: Bigraph, note: str, **extra) -> TrialResult:
     """A failure reported on ``h`` as built, with ``extra`` fields after it."""
 
-    return False, {"note": note, "instance": bigraph_to_json(h), **extra}, None
+    return {"note": note, "instance": bigraph_to_json(h), **extra}, None
 
 
 def _iter_4x4(t: int) -> Iterator[Bigraph]:
@@ -434,7 +434,7 @@ def _trial_matching_lem_2(rng: random.Random) -> TrialResult:
         ok = ok and all(cols[j] == full & ~_mask_of(x) for j in bits(full & ~n))
     if not ok:
         return _as_built(h, f"split structure violated (found {len(splits)} candidate splits)")
-    return True, None, None
+    return None, None
 
 
 def _usable_counts(h: Bigraph) -> tuple[list[int], list[int]] | None:
@@ -462,7 +462,7 @@ def _draw_with_factor(rng: random.Random, s: int, t: int, p: float) -> Bigraph |
     return None
 
 
-_NO_FACTOR_DRAWN: TrialResult = (True, None, "generator never produced a 1-factor instance")
+_NO_FACTOR_DRAWN: TrialResult = (None, "generator never produced a 1-factor instance")
 
 
 def _broken_one_gives_two(b: Bigraph) -> str | None:
@@ -543,7 +543,7 @@ def _trial_type_prop(rng: random.Random) -> TrialResult:
     warning = None
     if any(frozenset(x) != obs.x for x, *_ in _raw_obstructions(rows, obs.otype)):
         warning = f"second type-{obs.otype} obstruction present (uniqueness lore violated)"
-    return True, None, warning
+    return None, warning
 
 
 def _meets_profile(h: Bigraph, mins: tuple[int, ...]) -> bool:
@@ -582,9 +582,9 @@ def _trial_matching_inc(rng: random.Random) -> TrialResult:
                 rows[i] |= 1 << _below(rng, 8)
         h = Bigraph(8, tuple(rows))
     if not _weak_profile_without_factor(h):
-        return True, None, None  # the generator missed the profile, or a 1-factor exists; skip
+        return None, None  # the generator missed the profile, or a 1-factor exists; skip
     result = _check(h, _weak_profile_without_factor, _broken_tight_block)
-    if result[0] and _meets_profile(h, (1, 2, 3, 4, 4, 4, 4, 4)):
+    if result[0] is None and _meets_profile(h, (1, 2, 3, 4, 4, 4, 4, 4)):
         return _as_built(h, "strong degree profile without 1-factor")
     return result
 
@@ -642,11 +642,11 @@ def _exchange(
     else:
         rows = _apply_matchings(h.rows, required, [])
         if not _raw_min_degree_at_least(s, rows, t):
-            return True, None, give_up
+            return None, give_up
     if not _raw_has_one_factor(s, rows):
         exchanged = bigraph_to_json(Bigraph(s, tuple(rows)))
         return _as_built(h, f"{what} left no 1-factor", exchanged=exchanged, required=[list(p) for p in required])
-    return True, None, None
+    return None, None
 
 
 def _broken_switcher_simple(b: Bigraph) -> str | None:
@@ -719,7 +719,7 @@ def _trial_key1factor(rng: random.Random, kind: str) -> TrialResult:
         for e1, e2 in pairs:
             rows = _apply_matchings(h.rows, [], base + [e1, e2])
             if _raw_has_one_factor(8, rows):
-                return True, None, None
+                return None, None
     decorations = {k: str(v) for k, v in inst.decorations.items()}
     return _as_built(h, f"no path-pair plus matching-pair leaves a 1-factor ({kind})", decorations=decorations)
 
@@ -736,7 +736,7 @@ def _trial_k_kplus1(rng: random.Random) -> TrialResult:
         if pick := next(light, None):
             break
     else:
-        return True, None, "no qualifying edge found"
+        return None, "no qualifying edge found"
     v = pick[0]
     perms = [Perm(tuple(_sample(rng, range(cover_k), cover_k))) for _ in g.sorted_edges()]
     arcs = dict(zip(g.sorted_edges(), perms))
@@ -746,10 +746,9 @@ def _trial_k_kplus1(rng: random.Random) -> TrialResult:
         reduced_graph, cover_k, {e: p for e, p in arcs.items() if v not in e}
     )
     if solve_packing(reduced) is None:
-        return True, None, None  # hypothesis unmet: G - v does not pack
+        return None, None  # hypothesis unmet: G - v does not pack
     if solve_packing(cover) is None:
         return (
-            False,
             {
                 "note": "G-v packs but G does not, despite the light edge",
                 "n": g.n,
@@ -758,7 +757,7 @@ def _trial_k_kplus1(rng: random.Random) -> TrialResult:
             },
             None,
         )
-    return True, None, None
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -839,11 +838,11 @@ def verify(
     counterexamples: list[dict] = []
     warnings: list[str] = []
     checked = 0
-    for trial, (ok, failure, warning) in results:
+    for trial, (failure, warning) in results:
         checked += 1
         if warning and warning not in warnings:
             warnings.append(warning)
-        if not ok and failure is not None and len(counterexamples) < MAX_COUNTEREXAMPLES:
+        if failure is not None and len(counterexamples) < MAX_COUNTEREXAMPLES:
             if callable(failure):
                 failure = failure()
             counterexamples.append(failure if trial is None else dict(failure, trial=trial))

@@ -46,12 +46,13 @@ back into an honest list assignment.  This is the same quotient the cover
 search takes with a spanning forest pinned to identity permutations, and it
 is what makes exhausting list size 3 on small cycles affordable.  The
 pattern's classes are tracked through union and rollback
-(:class:`_PatternClasses`) in flat lists: parent links, per-class vertex
-masks and per-vertex masks of the neighbours across chosen edges, with one
-trail entry per union.  A union breaks the pattern when its two classes
-touch one vertex or the two ends of a chosen edge.  A vertex's later back
-edges try only the options whose pairs each break nothing alone and that
-keep every pair already one class (:meth:`_PatternClasses.pair_masks`):
+(:class:`_PatternClasses`) in flat lists: parent links and per-class vertex
+masks, with one trail entry per union.  A union breaks the pattern when its
+two classes touch one vertex or the two ends of a chosen edge; the edges are
+chosen in one fixed order, so those ends depend only on the search's step.
+A vertex's later back edges try only the options whose pairs each break
+nothing alone and that keep every pair already one class
+(:meth:`_PatternClasses.pair_masks`):
 the others break the pattern or leave an edge sharing a class without a
 pair, and every option kept leaves the pattern consistent, so
 :meth:`_PatternClasses.choose` applies it unchecked and a complete pattern
@@ -653,22 +654,20 @@ class _PatternClasses:
     Position i at vertex v is element ``v * k + i`` of ``uf``, a
     :class:`graphs.UnionFind` whose parent links this class follows and
     sets inline (the smaller root stays the root, as in
-    :meth:`graphs.UnionFind.union`).  Alongside, in flat lists: each class
-    root keeps the bitmask of the vertices the class touches, and each
-    vertex, in ``tied``, the bitmask of its neighbours across chosen edges.
-    A pattern is consistent when every vertex has k distinct classes and
-    every chosen edge shares exactly its pairs' classes.  A union breaks it
-    exactly when its two classes touch one vertex or the two ends of a
-    chosen edge: the merged class would hold two positions of one vertex,
-    or be shared by a chosen edge without a pair for it.  Classes only
-    merge, so a broken pattern never heals.  :meth:`pair_masks` tells which
-    options of an edge keep the pattern consistent, and :meth:`choose`
-    applies one without checking it.  An edge is tied after its own
-    unions; when its pairs hold every pair already one class (the
-    ``fixed`` of :meth:`pair_masks`), it then shares exactly its pairs'
-    classes.  One trail entry per union (the absorbed root and the
-    surviving root's old mask) lets :meth:`rollback` undo it, and
-    ``chosen``, the chosen edges (u, v) in order, lets it untie them.
+    :meth:`graphs.UnionFind.union`).  Alongside, in a flat list, each class
+    root keeps the bitmask of the vertices the class touches.  A pattern is
+    consistent when every vertex has k distinct classes and every chosen
+    edge shares exactly its pairs' classes.  A union breaks it exactly when
+    its two classes touch one vertex or the two ends of a chosen edge: the
+    merged class would hold two positions of one vertex, or be shared by a
+    chosen edge without a pair for it.  Classes only merge, so a broken
+    pattern never heals.  The search chooses edges in one fixed order, so
+    each vertex's neighbours across chosen edges, its ties, depend only on
+    the step, and the search hands them to :meth:`pair_masks`, which tells
+    which options of an edge keep the pattern consistent; :meth:`choose`
+    applies one without checking it.  One trail entry per union (the
+    absorbed root and the surviving root's old mask) lets :meth:`rollback`
+    undo it.
     """
 
     def __init__(self, g: Graph, k: int) -> None:
@@ -676,31 +675,22 @@ class _PatternClasses:
         self.k = k
         self.uf = UnionFind(n * k)
         self.touches = [1 << (x // k) for x in range(n * k)]
-        self.tied = [0] * n
-        self.chosen: list[tuple[int, int]] = []
         self.trail: list[tuple[int, int]] = []
 
-    def mark(self) -> tuple[int, int]:
-        return len(self.trail), len(self.chosen)
+    def mark(self) -> int:
+        return len(self.trail)
 
-    def rollback(self, mark: tuple[int, int]) -> None:
-        unions, edges = mark
+    def rollback(self, mark: int) -> None:
         trail, parent, touches = self.trail, self.uf.parent, self.touches
-        for _ in range(len(trail) - unions):
+        for _ in range(len(trail) - mark):
             rb, ma = trail.pop()
             touches[parent[rb]] = ma
             parent[rb] = rb
-        chosen, tied = self.chosen, self.tied
-        for _ in range(len(chosen) - edges):
-            u, v = chosen.pop()
-            tied[u] &= ~(1 << v)
-            tied[v] &= ~(1 << u)
 
     def choose(self, u: int, v: int, pairs: list[tuple[int, int]]) -> None:
         """Choose edge (u, v) with its pairs: pair (i, t) makes position i
-        at u and position t at v one class; then the edge is tied.  Each
-        union walks the parent links to both roots and links the larger
-        root under the smaller.
+        at u and position t at v one class.  Each union walks the parent
+        links to both roots and links the larger root under the smaller.
 
         No union is checked, because none can break the pattern.  The
         search chooses a later back edge (u, v) only with an option that
@@ -709,11 +699,11 @@ class _PatternClasses:
         earlier union of the option changes the two classes a later pair
         joins.  The classes at u are distinct, as are those at v, and a
         class that u and v already share is ``fixed``, so the option pairs
-        its positions with each other and with nothing else.  Ties are added
-        only after the unions.  So each union breaks the pattern exactly
-        when :meth:`_breaks` said it would alone, which is never.  A first
-        back edge meets only v's singleton, untied classes, and no union of
-        one with a class of u breaks anything.
+        its positions with each other and with nothing else, and the edge
+        is not among its own ties.  So each union breaks the pattern exactly
+        when :meth:`pair_masks` said it would alone, which is never.  A
+        first back edge meets only v's singleton classes, which touch no
+        tie, and no union of one with a class of u breaks anything.
         """
 
         k, parent, touches, trail = self.k, self.uf.parent, self.touches, self.trail
@@ -730,21 +720,20 @@ class _PatternClasses:
             trail.append((b, touches[a]))
             parent[b] = a
             touches[a] |= touches[b]
-        self.chosen.append((u, v))
-        self.tied[u] |= 1 << v
-        self.tied[v] |= 1 << u
 
-    def pair_masks(self, x: int, v: int) -> tuple[int, int]:
+    def pair_masks(self, x: int, v: int, tied: Sequence[int]) -> tuple[int, int]:
         """Two k*k-bit masks over the pairs (i, t) of edge (x, v), not yet
         chosen, bit i*k + t: ``ok``, the pairs whose union alone breaks
-        nothing (:meth:`_breaks`), and ``fixed``, the pairs already one
-        class.  Classes only merge and touches and ties only grow, so an
-        option with a pair outside ``ok`` breaks the pattern, and one
-        without every pair of ``fixed`` leaves the edge sharing a class
-        that is not its pairs'; every other option keeps it consistent
-        (:meth:`choose`)."""
+        nothing, and ``fixed``, the pairs already one class.  ``tied[w]`` is
+        the bitmask of w's neighbours across the chosen edges; a union
+        breaks when class rb touches ``near``, the vertices class ra at x
+        touches and their ties.  Classes only merge and touches and ties
+        only grow, so an option with a pair outside ``ok`` breaks the
+        pattern, and one without every pair of ``fixed`` leaves the edge
+        sharing a class that is not its pairs'; every other option keeps it
+        consistent (:meth:`choose`)."""
 
-        k, parent = self.k, self.uf.parent
+        k, parent, touches = self.k, self.uf.parent, self.touches
         roots_v = []
         for r in range(v * k, v * k + k):
             while parent[r] != r:
@@ -755,30 +744,19 @@ class _PatternClasses:
         for ra in range(x * k, x * k + k):
             while parent[ra] != ra:
                 ra = parent[ra]
+            near = ma = touches[ra]
+            while ma:
+                low = ma & -ma
+                ma ^= low
+                near |= tied[low.bit_length() - 1]
             for rb in roots_v:
                 if ra == rb:
                     ok |= bit
                     fixed |= bit
-                elif not self._breaks(ra, rb):
+                elif not near & touches[rb]:
                     ok |= bit
                 bit <<= 1
         return ok, fixed
-
-    def _breaks(self, ra: int, rb: int) -> bool:
-        """Whether merging the classes of roots ra and rb breaks the
-        pattern: both touch one vertex, or they touch the two ends of a
-        chosen edge."""
-
-        touches, tied = self.touches, self.tied
-        ma, mb = touches[ra], touches[rb]
-        if ma & mb:
-            return True
-        while ma:
-            low = ma & -ma
-            ma ^= low
-            if tied[low.bit_length() - 1] & mb:
-                return True
-        return False
 
 
 def _realize_lists(
@@ -874,11 +852,16 @@ def adversarial_list_search(
     later_options = [(pairs, _cells(k, pairs)) for pairs in _injection_order(k)]
     classes = _PatternClasses(g, k)
     # one step per back edge (u, v), u < v, by v and then u: its edge
-    # number e and whether it is v's first back edge
+    # number e and whether it is v's first back edge.  ties[s][w]: w's
+    # neighbours across the edges of the first s steps
     steps: list[tuple[int, int, int, bool]] = []
+    ties = [[0] * n]
     for e in sorted(range(len(edges)), key=lambda e: edges[e][::-1]):
         u, v = edges[e]
         steps.append((u, v, e, not steps or steps[-1][1] != v))
+        ties.append(ties[-1][:])
+        ties[-1][u] |= 1 << v
+        ties[-1][v] |= 1 << u
     if not steps:
         # k = 1 on an edgeless graph: one candidate, which forbids nothing
         decide._charge(1)
@@ -890,8 +873,9 @@ def adversarial_list_search(
     # `fixed`; any other breaks the pattern or leaves an edge sharing a class without a pair
     passes: dict[tuple[int, int], int] = {}
 
-    def passing(u: int, v: int) -> int:
-        masks = classes.pair_masks(u, v)
+    def passing(s: int) -> int:
+        u, v, _, _ = steps[s]
+        masks = classes.pair_masks(u, v, ties[s])
         got = passes.get(masks)
         if got is None:
             ok, fixed = masks
@@ -907,7 +891,7 @@ def adversarial_list_search(
         u, v, e, first = steps[s]
         fits = known[s]
         shift = e * k * k
-        options = first_options if first else [later_options[t] for t in bits(passing(u, v))]
+        options = first_options if first else [later_options[t] for t in bits(passing(s))]
         mark = classes.mark()
         for pairs, cells in options:
             if not pairs:
@@ -940,7 +924,7 @@ def adversarial_list_search(
                 stack.append(tries(s, allowed, cand))
                 break
             # choices: the options the pattern allows, less an empty one that leaves a forest
-            choices = (1 << len(table)) - 1 if first else passing(u, v)
+            choices = (1 << len(table)) - 1 if first else passing(last)
             if choices & empty and k >= 2 and is_forest(allowed & ~(1 << e)):
                 choices ^= empty
             # one AND checks that a packing fits the prefix, as every one kept here does

@@ -30,6 +30,8 @@ candidate only as one integer of cells and test a known packing against it
 with one AND: :func:`candidate_cells` and :func:`packing_cells` build the two
 integers straight from the forbidden pairs and from a packing's colorings,
 and :func:`_fits` is the pair-by-pair check that AND stands for.
+:func:`reference_degeneracy` is the degeneracy peel as it scanned every
+vertex left at each step, where the library pops a heap.
 :func:`reference_triangulation_min5` is the planar triangulation generator
 as it rebuilt its edge-face map at every flip and its vertex-face
 incidence (:func:`_incidence`) and degree table at every split; the
@@ -157,6 +159,26 @@ def count_one_factors(h) -> int:
             m ^= low
         f[mask] = acc
     return f[size - 1]
+
+
+def reference_degeneracy(g) -> tuple[int, tuple[int, ...]]:
+    """The library's degeneracy peel as it was, with a scan of every vertex
+    left for the least (degree, vertex) at each step, quadratic in n: (d,
+    removal order)."""
+
+    deg = [len(a) for a in g.adjacency]
+    alive = [True] * g.n
+    order: list[int] = []
+    d = 0
+    for _ in range(g.n):
+        v = min((x for x in range(g.n) if alive[x]), key=lambda x: (deg[x], x))
+        d = max(d, deg[v])
+        order.append(v)
+        alive[v] = False
+        for w in g.adjacency[v]:
+            if alive[w]:
+                deg[w] -= 1
+    return d, tuple(order)
 
 
 def replay_degeneracy(g, order) -> int:

@@ -273,6 +273,25 @@ class TestExitCodes:
         assert code == 3 and json.loads(out)["status"] == "resource"
         assert "passes the cap of 100,000" in json.loads(out)["detail"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-list", "--lists", {"k": 3_000_000, "graph": {"n": 0, "edges": []}, "lists": {}}],
+            ["solve", "--cover", {"k": 2_000_000, "graph": {"n": 1, "edges": []}, "arcs": []}],
+            ["pack", "--regime", "mad4_k5", "--cover", {"k": 300_000, "graph": {"n": 4, "edges": []}, "arcs": []}],
+        ],
+        ids=["lists", "cover", "pack"],
+    )
+    def test_entry_cap_exits_3(self, tmp_path, capsys, argv):
+        # k past covers.ENTRY_CAP entries, max(n, 1) * k, is refused before
+        # anything is allocated for it, even where no graph grows with k
+        argv = [write_json(tmp_path, "in.json", a) if isinstance(a, dict) else a for a in argv]
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and json.loads(out)["status"] == "resource"
+        assert "passes the cap of 1,048,576 entries" in json.loads(out)["detail"]
+
     def test_bigraph_part_size_is_checked_first(self, tmp_path, capsys):
         # a part size past 16 is an input error, raised before the rows of
         # an edge-list bigraph are allocated

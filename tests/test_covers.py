@@ -5,6 +5,7 @@ from itertools import permutations, product
 import pytest
 
 from listpacking.covers import (
+    ENTRY_CAP,
     Check,
     CorrespondenceCover,
     ListAssignment,
@@ -27,7 +28,7 @@ from listpacking.covers import (
     validate_packing,
 )
 from listpacking.bigraph import _raw_column_masks
-from listpacking.graphs import Graph, generate, graph_from_edges, random_planar_triangulation_min5
+from listpacking.graphs import Graph, ResourceCapError, generate, graph_from_edges, random_planar_triangulation_min5
 from listpacking.solver import _extension_key, _list_pattern_maps, _rows, solve_packing
 from oracles import oracle_cover_solvable
 
@@ -385,6 +386,24 @@ class TestJson:
         # also beside the canonical key it would collapse onto ("01" and "1")
         with pytest.raises(ValueError):
             packing_from_json({"k": 1, "assign": {"1": [0], key: [1]}})
+
+    def test_entry_cap(self):
+        # max(n, 1) * k is refused past ENTRY_CAP before the arcs or lists
+        # are read; the cap itself reads on no vertices, where nothing has
+        # k entries
+        empty = {"n": 0, "edges": []}
+        lists = list_assignment_from_json({"k": ENTRY_CAP, "graph": empty, "lists": {}})
+        assert (lists.k, lists.lists) == (ENTRY_CAP, ())
+        assert cover_from_json({"k": ENTRY_CAP, "graph": empty, "arcs": []}).k == ENTRY_CAP
+        path = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+        for reader, obj in [
+            (list_assignment_from_json, {"k": ENTRY_CAP + 1, "graph": empty, "lists": {}}),
+            (cover_from_json, {"k": ENTRY_CAP + 1, "graph": empty, "arcs": []}),
+            (list_assignment_from_json, {"k": ENTRY_CAP // 4 + 1, "graph": path, "lists": "not read"}),
+            (cover_from_json, {"k": ENTRY_CAP // 4 + 1, "graph": path, "arcs": "not read"}),
+        ]:
+            with pytest.raises(ResourceCapError, match="passes the cap of 1,048,576 entries"):
+                reader(obj)
 
     def test_list_assignment_needs_k_at_least_one(self):
         with pytest.raises(ValueError):

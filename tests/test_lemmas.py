@@ -125,8 +125,8 @@ class TestFailurePath:
 
     @classmethod
     def check(cls, h):
-        ok, failure, _ = _check(h, lambda b: is_st(b, 4, 1), lambda b: None if has_one_factor(b) else "planted failure")
-        return ok, failure, "repeated warning"
+        failure, _ = _check(h, lambda b: is_st(b, 4, 1), lambda b: None if has_one_factor(b) else "planted failure")
+        return failure, "repeated warning"
 
     @pytest.fixture(autouse=True)
     def fake(self, monkeypatch):
@@ -136,7 +136,7 @@ class TestFailurePath:
             i = next(calls)
             if i in self.FAILING:
                 return self.check(self.START)
-            return True, None, "repeated warning" if i % 4 == 1 else None
+            return None, "repeated warning" if i % 4 == 1 else None
 
         exhaustive = lambda: map(self.check, [self.START] * 7)
         monkeypatch.setitem(REGISTRY, "fake", LemmaSpec("fake", trial, exhaustive, 20))
@@ -328,7 +328,7 @@ class TestLemmaFailures:
         def forced(seed):
             # the seed's first trial fails, and its instance keeps the
             # precondition without (0, 0), so only the failure keeps that edge
-            if REGISTRY[name].trial(random.Random(seed * _SEED_STRIDE))[0]:
+            if REGISTRY[name].trial(random.Random(seed * _SEED_STRIDE))[0] is None:
                 return False
             h = draw(random.Random(seed * _SEED_STRIDE))
             return pre is None or pre(Bigraph(h.s, (h.rows[0] & ~1,) + h.rows[1:]))
@@ -494,9 +494,11 @@ class TestGenerators:
 
 
 class TestInstanceStream:
-    """sha256 over trials 0..299 of ``repr((trial(rng), rng.getstate()))``
-    with ``rng = Random(i)``: every drawn instance, every verdict and the
-    generator state each trial leaves behind.  A speedup of the verifiers
+    """sha256 over trials 0..299 of ``repr(((ok, failure, warning),
+    rng.getstate()))`` with ``rng = Random(i)``, where a trial returns
+    ``(failure, warning)`` and ``ok`` is ``failure is None``: every drawn
+    instance, every verdict and the generator state each trial leaves
+    behind.  A speedup of the verifiers
     must leave these digests as they are; only a deliberate change of the
     instance distribution may move one, and says so."""
 
@@ -529,5 +531,6 @@ class TestInstanceStream:
         digest = hashlib.sha256()
         for i in range(300):
             rng = random.Random(i)
-            digest.update(repr((trial(rng), rng.getstate())).encode())
+            failure, warning = trial(rng)
+            digest.update(repr(((failure is None, failure, warning), rng.getstate())).encode())
         assert digest.hexdigest() == self.DIGESTS[name]

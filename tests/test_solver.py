@@ -997,7 +997,10 @@ class TestAdversarialLists:
         def spy(self, u, v, pairs):
             pairs_of[(u, v)] = pairs
             choose(self, u, v, pairs)
-            consistent.append(rebuilt_consistent(self.uf, k, {e: pairs_of[e] for e in self.chosen}, v))
+            # the edges are chosen in step order, so those chosen now are
+            # the ones recorded up to (u, v) in that order
+            chosen = {e: got for e, got in pairs_of.items() if e[::-1] <= (v, u)}
+            consistent.append(rebuilt_consistent(self.uf, k, chosen, v))
 
         monkeypatch.setattr(_PatternClasses, "choose", spy)
         assert adversarial_list_search(g, k, k * g.n) is None
@@ -1028,7 +1031,8 @@ class TestAdversarialLists:
             pairs_of[(u, v)] = pairs
             choose(self, u, v, pairs)
             find, touches = self.uf.find, self.touches
-            for x, y in self.chosen:
+            # the edges chosen now, in step order: those recorded up to (u, v)
+            for x, y in (e for e in pairs_of if e[::-1] <= (v, u)):
                 shared = {r for r in (find(y * k + t) for t in range(k)) if touches[r] >> x & 1}
                 assert shared == {find(x * k + i) for i, _ in pairs_of[(x, y)]}
                 assert all(find(x * k + i) == find(y * k + t) for i, t in pairs_of[(x, y)])
@@ -1418,9 +1422,6 @@ class TestCells:
 
 def assert_state_rebuilt(classes: _PatternClasses, uf: UnionFind, g: Graph, k: int, upto: int) -> None:
     roots = [{uf.find(w * k + i) for i in range(k)} for w in range(upto + 1)]
-    for w in range(g.n):
-        # every edge between vertices up to `upto` is chosen, and no other
-        assert classes.tied[w] == sum(1 << u for u in g.adjacency[w] if max(u, w) <= upto)
     for r in set().union(*roots):
         assert classes.uf.find(r) == r
         assert classes.touches[r] == sum(1 << w for w, rs in enumerate(roots) if r in rs)
@@ -1438,16 +1439,14 @@ def rebuilt_uf(g: Graph, k: int, chosen) -> UnionFind:
 
 def assert_state_replayed(classes: _PatternClasses, g: Graph, k: int, chosen) -> None:
     """The whole state equals that of a fresh instance that chooses
-    ``chosen``'s edges with their pairs in the same order: chosen edges,
-    parent links, touch masks and tie masks."""
+    ``chosen``'s edges with their pairs in the same order: parent links
+    and touch masks."""
 
     fresh = _PatternClasses(g, k)
     for (u, v), pairs in chosen.items():
         fresh.choose(u, v, pairs)
-    assert classes.chosen == fresh.chosen
     assert classes.uf.parent == fresh.uf.parent
     assert classes.touches == fresh.touches
-    assert classes.tied == fresh.tied
 
 
 class TestPatternClasses:
@@ -1528,17 +1527,23 @@ class TestPatternClasses:
         # option outside `ok` or without all of `fixed` leaves the pattern
         # inconsistent once chosen, and every other option leaves it
         # consistent, both checked from scratch; the second is why
-        # `choose` need check nothing
+        # `choose` need check nothing.  `tie` counts the pairs dropped only
+        # because their classes touch the two ends of a chosen edge
         rng = random.Random(f"masks-{g.n}-{g.m}-{k}")
         options = [(pairs, solver._cells(k, pairs)) for pairs in _injection_order(k)]
         backs_of = [sorted(u for u in g.adjacency[v] if u < v) for v in range(g.n)]
-        dropped = {"ok": 0, "fixed": 0}
+        dropped = {"ok": 0, "fixed": 0, "tie": 0}
         for _ in range(60):
             classes = _PatternClasses(g, k)
             chosen = {}
             for v, backs in enumerate(backs_of):
                 for idx, u in enumerate(backs):
-                    ok, fixed = classes.pair_masks(u, v)
+                    tied = [0] * g.n
+                    for x, y in chosen:
+                        tied[x] |= 1 << y
+                        tied[y] |= 1 << x
+                    ok, fixed = classes.pair_masks(u, v, tied)
+                    dropped["tie"] += (classes.pair_masks(u, v, [0] * g.n)[0] & ~ok).bit_count()
                     if idx == 0:
                         # the first back edge's unions cannot fail
                         assert (ok, fixed) == ((1 << k * k) - 1, 0)
@@ -1556,4 +1561,4 @@ class TestPatternClasses:
                         classes.rollback(mark)
                     chosen[(u, v)] = rng.choice(kept)
                     classes.choose(u, v, chosen[(u, v)])
-        assert dropped["ok"] and dropped["fixed"]
+        assert dropped["ok"] and dropped["fixed"] and dropped["tie"]
